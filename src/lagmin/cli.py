@@ -9,6 +9,7 @@ is printed).  All outputs are deterministic for fixed argv and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from types import SimpleNamespace
@@ -62,9 +63,23 @@ def _parse_floats(text, count, flag):
         raise _UsageError("%s wants %d comma-separated numbers, got %r"
                           % (flag, count, text))
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise _UsageError("%s wants numbers, got %r" % (flag, text))
+    if not all(math.isfinite(x) for x in values):
+        raise _UsageError("%s wants finite numbers, got %r" % (flag, text))
+    return values
+
+
+def _finite_float(text):
+    """argparse type: a float that is neither inf nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("wants a finite number, got %r" % (text,))
+    return value
 
 
 def _load_config(path):
@@ -197,11 +212,11 @@ def _merge_meshes(parts):
         moved = mesh.vertices.copy()
         moved[:, 0] += dx
         verts.append(moved)
-        faces.extend(tuple(i + base for i in quad) for quad in mesh.faces)
+        faces.append(mesh.faces + base)
         base += len(mesh.vertices)
     return SimpleNamespace(
         vertices=np.concatenate(verts) if verts else np.zeros((0, 3)),
-        faces=faces,
+        faces=np.concatenate(faces) if faces else np.zeros((0, 4), np.int64),
     )
 
 
@@ -356,10 +371,10 @@ def _build_parser():
 
     p = sub.add_parser("ruled", parents=[common],
                        help="mesh a ruled patch with its rulings")
-    p.add_argument("--A", type=float, required=True)
-    p.add_argument("--B", type=float, required=True)
-    p.add_argument("--C", type=float, required=True)
-    p.add_argument("--D", type=float, required=True)
+    p.add_argument("--A", type=_finite_float, required=True)
+    p.add_argument("--B", type=_finite_float, required=True)
+    p.add_argument("--C", type=_finite_float, required=True)
+    p.add_argument("--D", type=_finite_float, required=True)
     p.add_argument("--phi-range", required=True, help="phi0,phi1")
     p.add_argument("--lambda-range", required=True, help="lam0,lam1")
     p.add_argument("--grid", default="100x100", help="NxM")

@@ -415,6 +415,18 @@ class SumField(ScalarField):
             ok = ok & f.is_safe(x, y)
         return ok
 
+    def monomials(self):
+        """The weighted sum of the terms' monomials, or None unless every
+        term states its own."""
+        out = {}
+        for w, f in self.terms:
+            mono = f.monomials()
+            if mono is None:
+                return None
+            for key, c in mono.items():
+                out[key] = out.get(key, 0.0) + float(w) * c
+        return out
+
     def _jet(self, x, y, order):
         out = None
         for w, f in self.terms:

@@ -11,6 +11,7 @@ coefficients raise GrammarError.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import GrammarError
@@ -72,7 +73,10 @@ def _strip(spec: str) -> str:
 def _number(tok: str, where: str) -> float:
     if not _NUM_RE.match(tok):
         raise GrammarError("expected a number in %s, got %r" % (where, tok))
-    return float(tok)
+    value = float(tok)
+    if not math.isfinite(value):
+        raise GrammarError("number out of range in %s: %r" % (where, tok))
+    return value
 
 
 def _split_top(text: str, sep: str = ","):
@@ -173,6 +177,8 @@ def _parse_poly(body: str):
     for term in _split_terms(body):
         key, c = _parse_monomial_term(term)
         coeffs[key] = coeffs.get(key, 0.0) + c
+    if not all(math.isfinite(c) for c in coeffs.values()):
+        raise GrammarError("polynomial coefficient out of range in %r" % (body,))
     return make_polynomial_field(coeffs)
 
 
@@ -190,7 +196,7 @@ def _weight_split(item: str):
         elif ch == "*" and depth == 0:
             head = item[:i]
             if _NUM_RE.match(head):
-                return float(head), item[i + 1 :]
+                return _number(head, "weight"), item[i + 1 :]
             return 1.0, item
     return 1.0, item
 

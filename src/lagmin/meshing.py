@@ -11,26 +11,15 @@ from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
-def thread_count() -> int:
-    """Parallelism cap from LAGMIN_THREADS (default 1)."""
-    raw = os.environ.get("LAGMIN_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 @dataclass
 class Mesh:
     vertices: np.ndarray            # (n, 3) valid vertices, row-major grid order
-    faces: list                     # quads as 0-based vertex index 4-tuples
+    faces: np.ndarray               # (n, 4) int64 array of 0-based quad vertex ids
     valid: np.ndarray               # (rows, cols) bool mask
     shape: tuple                    # (cols, rows) = grid N x M
     window: tuple = (0.0, 0.0, 0.0, 0.0)
@@ -47,23 +36,8 @@ def grid_axes(window, shape):
 
 def _eval_points(surface, uu, vv, ok):
     pts = np.full(ok.shape + (3,), np.nan)
-    flat_u = uu[ok]
-    flat_v = vv[ok]
-    if flat_u.size == 0:
-        return pts
-    workers = thread_count()
-    if workers <= 1 or flat_u.size < 4 * workers:
-        pts[ok] = surface.frame(flat_u, flat_v, order=0).r
-        return pts
-    chunks = np.array_split(np.arange(flat_u.size), workers)
-    out = np.empty((flat_u.size, 3))
-
-    def run(idx):
-        out[idx] = surface.frame(flat_u[idx], flat_v[idx], order=0).r
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, chunks))
-    pts[ok] = out
+    if ok.any():
+        pts[ok] = surface.frame(uu[ok], vv[ok], order=0).r
     return pts
 
 
@@ -73,19 +47,14 @@ def mesh_from_grid(pts, ok, window, shape) -> Mesh:
     A quad is emitted only when all four corners are valid and finite.
     """
     ok = ok & np.all(np.isfinite(pts), axis=-1)
-    index = np.full(ok.shape, -1, dtype=int)
+    index = np.full(ok.shape, -1, dtype=np.int64)
     index[ok] = np.arange(int(ok.sum()))
-    faces = []
     cell = ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1]
-    for i, j in zip(*np.nonzero(cell)):
-        faces.append(
-            (
-                int(index[i, j]),
-                int(index[i, j + 1]),
-                int(index[i + 1, j + 1]),
-                int(index[i + 1, j]),
-            )
-        )
+    i, j = np.nonzero(cell)
+    faces = np.stack(
+        [index[i, j], index[i, j + 1], index[i + 1, j + 1], index[i + 1, j]],
+        axis=-1,
+    )
     return Mesh(pts[ok], faces, ok, tuple(int(s) for s in shape), tuple(window), index)
 
 
@@ -112,35 +81,33 @@ def field_graph_mesh(fieldobj, window=(-2.0, 2.0, -2.0, 2.0), shape=(100, 100)) 
     return mesh_from_grid(pts, ok, window, shape)
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+def _records(template: str, rows) -> str:
+    """One `template` line per row of `rows`, formatted by a single `%`."""
+    return (template * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def obj_text(mesh: Mesh, polylines=(), comment: str = "") -> str:
-    """ASCII OBJ body: v / f plus l records for extra polylines."""
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append("# " + part)
-    for p in mesh.vertices:
-        lines.append("v %s %s %s" % (_fmt(p[0]), _fmt(p[1]), _fmt(p[2])))
-    extra_base = len(mesh.vertices)
+    """ASCII OBJ body: v / f plus l records for extra polylines.
+
+    Coordinates are written as "%.17g" of each float, so they read back
+    exactly; face and polyline ids are 1-based.
+    """
+    blocks = ["# %s\n" % part for part in comment.splitlines()]
+    blocks.append(_records("v %.17g %.17g %.17g\n", mesh.vertices))
+    next_id = len(mesh.vertices) + 1
     poly_records = []
     for poly in polylines:
         poly = np.asarray(poly, dtype=float)
         if not np.all(np.isfinite(poly)):
             raise ValueError("polyline contains non-finite coordinates")
-        ids = []
-        for p in poly:
-            lines.append("v %s %s %s" % (_fmt(p[0]), _fmt(p[1]), _fmt(p[2])))
-            extra_base += 1
-            ids.append(extra_base)
-        poly_records.append(ids)
-    for quad in mesh.faces:
-        lines.append("f %d %d %d %d" % tuple(i + 1 for i in quad))
-    for ids in poly_records:
-        lines.append("l " + " ".join(str(i) for i in ids))
-    return "\n".join(lines) + "\n"
+        blocks.append(_records("v %.17g %.17g %.17g\n", poly))
+        ids = range(next_id, next_id + len(poly))
+        poly_records.append("l %s\n" % " ".join(str(i) for i in ids))
+        next_id += len(poly)
+    faces = np.asarray(mesh.faces, dtype=np.int64).reshape(-1, 4)
+    blocks.append(_records("f %d %d %d %d\n", faces + 1))
+    blocks.extend(poly_records)
+    return "".join(blocks) or "\n"
 
 
 def atomic_write_text(path, text: str):

@@ -234,3 +234,38 @@ def test_ruled_command_emits_ruling_polylines(tmp_path):
     for poly in polys:
         for idx in poly:
             assert 1 <= idx <= len(verts)
+
+
+_RULED = ["ruled", "--A", "0", "--B", "0", "--C", "0", "--D", "0.5",
+          "--lambda-range", "-2,2", "--grid", "10x10"]
+_GENERATE = ["generate", "--grid", "10x10"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _GENERATE + ["--surface", "r3@theta=1e400", "--range", "0,1,0,1"],
+        _GENERATE + ["--surface", "r3@theta=-1e999", "--range", "0,1,0,1"],
+        _GENERATE + ["--surface", "conv(1e400*r1, 0.5*r3)",
+                     "--range", "0,1,0,1"],
+        _GENERATE + ["--surface", "field:poly(1e400*x^2)",
+                     "--range", "0,1,0,1"],
+        _GENERATE + ["--surface", "field:poly(1e200*1e200*x + y)",
+                     "--range", "0,1,0,1"],
+        _GENERATE + ["--surface", "field:elliptic(a1=1e400)",
+                     "--range", "0,1,0,1"],
+        _GENERATE + ["--surface", "field:sum(1e400*poly(x))",
+                     "--range", "0,1,0,1"],
+        _GENERATE + ["--surface", "r1", "--range", "nan,1,0,1"],
+        _GENERATE + ["--surface", "r1", "--range", "0,1,0,1e400"],
+        _GENERATE + ["--surface", "r1", "--range", "-inf,1,0,1"],
+        _RULED + ["--phi-range", "0,nan"],
+        _RULED[:2] + ["inf"] + _RULED[3:] + ["--phi-range", "0,1"],
+        _RULED[:8] + ["nan"] + _RULED[9:] + ["--phi-range", "0,1"],
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x.obj"
+    assert main(argv + ["-o", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()

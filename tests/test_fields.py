@@ -111,6 +111,24 @@ def test_fd_stencil_on_sextic_keeps_its_truncation_error(h):
     assert abs(fd_bilaplacian(F, 0.7, 0.3, h) - expected) < 1e-8
 
 
+def test_fd_stencil_on_sum_of_polynomials_is_exact():
+    # P = -0.2x^5 + 0.6x^2y^2 + 1.1x^3y + 3: the sum states P's monomials,
+    # so its node increments are formed without cancellation
+    P = make_polynomial_field({(5, 0): -0.2, (2, 2): 0.6, (3, 1): 1.1,
+                               (0, 0): 3.0})
+    S = sum_fields([(1.0, P)])
+    x, y, h = 1.9, -1.7, 2.5e-3
+    assert abs(fd_bilaplacian(S, x, y, h) - P.bilaplacian(x, y)) < 1e-8
+
+
+def test_sum_field_monomials_need_every_term():
+    P = make_polynomial_field({(2, 1): 1.0, (0, 0): 2.0})
+    Q = make_polynomial_field({(2, 1): 3.0})
+    assert sum_fields([(2.0, P), (-1.0, Q)]).monomials() == {
+        (2, 1): -1.0, (0, 0): 4.0}
+    assert sum_fields([(1.0, P), (1.0, ELLIPTIC)]).monomials() is None
+
+
 def test_fd_stencil_error_drops_by_four_per_halving():
     F = HYPERBOLIC
     x, y = 1.3, 0.8

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from lagmin.cli import _merge_meshes
 from lagmin.fields import make_elliptic_field
 from lagmin.meshing import (
     Mesh,
@@ -12,7 +13,6 @@ from lagmin.meshing import (
     mesh_from_grid,
     obj_text,
     surface_mesh,
-    thread_count,
     write_obj,
 )
 from lagmin.reconstruct import reconstruct_surface
@@ -109,29 +109,117 @@ def test_obj_output_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_threaded_evaluation_matches_serial(monkeypatch):
-    S = building_block("r6")
-    monkeypatch.delenv("LAGMIN_THREADS", raising=False)
-    serial = surface_mesh(S, (-2, 2, -2, 2), (40, 40))
-    monkeypatch.setenv("LAGMIN_THREADS", "4")
-    assert thread_count() == 4
-    threaded = surface_mesh(S, (-2, 2, -2, 2), (40, 40))
-    assert np.array_equal(serial.vertices, threaded.vertices)
-    assert serial.faces == threaded.faces
-
-
-def test_thread_count_default_and_bad_values(monkeypatch):
-    monkeypatch.delenv("LAGMIN_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("LAGMIN_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("LAGMIN_THREADS", "bogus")
-    assert thread_count() == 1
-
-
 def test_atomic_write_replaces_file(tmp_path):
     target = tmp_path / "out.txt"
     target.write_text("old")
     atomic_write_text(str(target), "new contents\n")
     assert target.read_text() == "new contents\n"
     assert os.listdir(tmp_path) == ["out.txt"]  # no stray temp files
+
+
+# -- byte identity with the per-line reference layout -----------------
+
+
+def _reference_obj_text(mesh, polylines=(), comment=""):
+    """The OBJ layout written one record at a time, one float at a time."""
+    def fmt(x):
+        return "%.17g" % float(x)
+
+    lines = ["# " + part for part in comment.splitlines()]
+    for p in mesh.vertices:
+        lines.append("v %s %s %s" % (fmt(p[0]), fmt(p[1]), fmt(p[2])))
+    extra_base = len(mesh.vertices)
+    poly_records = []
+    for poly in polylines:
+        ids = []
+        for p in np.asarray(poly, dtype=float):
+            lines.append("v %s %s %s" % (fmt(p[0]), fmt(p[1]), fmt(p[2])))
+            extra_base += 1
+            ids.append(extra_base)
+        poly_records.append(ids)
+    for quad in mesh.faces:
+        lines.append("f %d %d %d %d" % tuple(int(i) + 1 for i in quad))
+    for ids in poly_records:
+        lines.append("l " + " ".join(str(i) for i in ids))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_faces(ok, index):
+    """Quads from a Python loop over the grid cells, row-major."""
+    faces = []
+    for i in range(ok.shape[0] - 1):
+        for j in range(ok.shape[1] - 1):
+            if ok[i, j] and ok[i, j + 1] and ok[i + 1, j + 1] and ok[i + 1, j]:
+                faces.append((int(index[i, j]), int(index[i, j + 1]),
+                              int(index[i + 1, j + 1]), int(index[i + 1, j])))
+    return faces
+
+
+def _guarded_mesh_with_nans():
+    F = make_elliptic_field(a1=1.0, a3=-1.0).with_guard(0.3)
+    S = reconstruct_surface(F)
+    u, v = grid_axes((-1, 1, -1, 1), (23, 17))
+    uu, vv = np.meshgrid(u, v)
+    ok = np.broadcast_to(S.is_safe(uu, vv), uu.shape).copy()
+    pts = np.full(ok.shape + (3,), np.nan)
+    pts[ok] = S.frame(uu[ok], vv[ok], order=0).r
+    pts[3, 5, 1] = np.nan          # non-finite points outside the guard too
+    pts[10, 0, 2] = np.inf
+    assert not ok.all()
+    return mesh_from_grid(pts, ok, (-1, 1, -1, 1), (23, 17))
+
+
+def _empty_mesh(n_vertices):
+    return Mesh(vertices=np.arange(3.0 * n_vertices).reshape(-1, 3) / 7.0,
+                faces=np.zeros((0, 4), dtype=np.int64),
+                valid=np.ones((1, max(n_vertices, 1)), dtype=bool),
+                shape=(max(n_vertices, 1), 1))
+
+
+def test_mesh_from_grid_faces_match_cell_loop():
+    mesh = _guarded_mesh_with_nans()
+    assert np.issubdtype(mesh.faces.dtype, np.integer)
+    assert mesh.faces.shape == (len(mesh.faces), 4)
+    expected = _reference_faces(mesh.valid, mesh.index)
+    assert 0 < len(expected) < 22 * 16
+    assert [tuple(int(i) for i in q) for q in mesh.faces] == expected
+
+
+@pytest.mark.parametrize(
+    "make, polylines, comment",
+    [
+        (_guarded_mesh_with_nans, (), "guarded grid with NaNs"),
+        (_guarded_mesh_with_nans, (), "first line\n\nthird line\n"),
+        (_guarded_mesh_with_nans,
+         (np.array([[0.0, -0.0, 1e-300], [1.5, 2.0 / 3.0, -7.25e17]]),
+          np.array([[np.pi, np.e, 0.1], [2.0, 3.0, 4.0], [5.0, 6.0, 7.0]])),
+         "two polylines"),
+        (lambda: _empty_mesh(4), (), "no faces"),
+        (lambda: _empty_mesh(0), (), ""),
+    ],
+    ids=["nan-grid", "multiline-comment", "two-polylines", "no-faces",
+         "empty"],
+)
+def test_obj_text_matches_reference_bytes(make, polylines, comment):
+    mesh = make()
+    text = obj_text(mesh, polylines=polylines, comment=comment)
+    assert text == _reference_obj_text(mesh, polylines, comment)
+
+
+def test_obj_text_of_empty_body_is_one_newline():
+    assert obj_text(_empty_mesh(0)) == "\n"
+    assert _reference_obj_text(_empty_mesh(0)) == "\n"
+
+
+def test_merge_meshes_offsets_faces_by_vertex_counts():
+    a = surface_mesh(building_block("r5"), (-1, 1, -1, 1), (4, 3))
+    b = _guarded_mesh_with_nans()
+    c = surface_mesh(building_block("r1"), (0.5, 1, 0.5, 1), (3, 5))
+    merged = _merge_meshes([(a, 0.0), (b, 6.0), (c, 12.0)])
+    na, nb = len(a.vertices), len(b.vertices)
+    assert np.issubdtype(merged.faces.dtype, np.integer)
+    assert np.array_equal(
+        merged.faces, np.concatenate([a.faces, b.faces + na, c.faces + na + nb])
+    )
+    assert np.array_equal(merged.vertices[na:na + nb, 0], b.vertices[:, 0] + 6.0)
+    assert len(merged.vertices) == na + nb + len(c.vertices)
