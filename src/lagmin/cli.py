@@ -40,8 +40,10 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *a, **kw):
         super().__init__(*a, **kw)
-        # accept comma-joined negative numerics like "-2,2,-2,2" as values
-        self._negative_number_matcher = re.compile(r"^-[\d.]")
+        # accept comma-joined negative numerics like "-2,2,-2,2" as values,
+        # and -inf / -nan too, so that they meet the finite-number checks
+        self._negative_number_matcher = re.compile(r"^-(?:[\d.]|inf|nan)",
+                                                   re.IGNORECASE)
 
     def error(self, message):
         raise _UsageError(message)

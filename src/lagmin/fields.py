@@ -76,8 +76,8 @@ class ScalarField:
         return ()
 
     def monomials(self):
-        """{(p, q): c} with F = sum c·x^p·y^q for polynomial families;
-        None for every other field."""
+        """{(p, q): c} with F = sum c·x^p·y^q for fields that are
+        polynomials; None for every other field."""
         return None
 
     def is_safe(self, x, y):
@@ -155,19 +155,20 @@ class EllipticField(ScalarField):
             return ((0.0, 0.0),)
         return ()
 
+    def _polynomial_part(self):
+        return {
+            (0, 2): self.c1,
+            (1, 1): self.c2,
+            (2, 0): self.c3,
+            (1, 0): self.d1,
+            (0, 1): self.d2,
+        }
+
+    def monomials(self):
+        return None if self.singular_centers() else self._polynomial_part()
+
     def _jet(self, x, y, order):
-        out = jet_polynomial(
-            x,
-            y,
-            {
-                (0, 2): self.c1,
-                (1, 1): self.c2,
-                (2, 0): self.c3,
-                (1, 0): self.d1,
-                (0, 1): self.d2,
-            },
-            order,
-        )
+        out = jet_polynomial(x, y, self._polynomial_part(), order)
         if _nonzero(self.a1, self.a2, self.a3, self.a4):
             factor = jet_polynomial(
                 x,
@@ -242,10 +243,8 @@ class HyperbolicField(ScalarField):
             return ((0.0, 0.0),)
         return ()
 
-    def _jet(self, x, y, order):
-        # In Cartesian form with rho^2 = x^2 + y^2 the whole family is
-        # P0 + P1*ln(rho^2) + P2/rho^2 for three fixed polynomials.
-        poly = {
+    def _polynomial_part(self):
+        return {
             (3, 0): self.c2 + self.alpha4,
             (1, 2): self.c2 + self.alpha4,
             (2, 1): self.c1 + self.beta4,
@@ -256,7 +255,14 @@ class HyperbolicField(ScalarField):
             (2, 0): self.gamma2,
             (0, 2): self.gamma2,
         }
-        out = jet_polynomial(x, y, poly, order)
+
+    def monomials(self):
+        return None if self.singular_centers() else self._polynomial_part()
+
+    def _jet(self, x, y, order):
+        # In Cartesian form with rho^2 = x^2 + y^2 the whole family is
+        # P0 + P1*ln(rho^2) + P2/rho^2 for three fixed polynomials.
+        out = jet_polynomial(x, y, self._polynomial_part(), order)
         logc = self._log_coeffs()
         if _nonzero(*logc.values()):
             out = out + jet_polynomial(x, y, logc, order) * jet_log_rsq(x, y, order)
@@ -506,116 +512,13 @@ class KelvinField(ScalarField):
 # -- constructors -----------------------------------------------------
 
 
-def make_elliptic_field(
-    a1=0.0,
-    a2=0.0,
-    a3=0.0,
-    a4=0.0,
-    b1=0.0,
-    b2=0.0,
-    b3=0.0,
-    c1=0.0,
-    c2=0.0,
-    c3=0.0,
-    d1=0.0,
-    d2=0.0,
-    *,
-    guard=GUARD_EPS,
-    branch=0,
-) -> EllipticField:
-    return EllipticField(
-        a1, a2, a3, a4, b1, b2, b3, c1, c2, c3, d1, d2, guard=guard, branch=branch
-    )
-
-
-def make_hyperbolic_field(
-    a1=0.0,
-    a2=0.0,
-    a3=0.0,
-    b1=0.0,
-    b2=0.0,
-    c1=0.0,
-    c2=0.0,
-    alpha1=0.0,
-    alpha2=0.0,
-    alpha3=0.0,
-    alpha4=0.0,
-    beta1=0.0,
-    beta2=0.0,
-    beta3=0.0,
-    beta4=0.0,
-    gamma1=0.0,
-    gamma2=0.0,
-    gamma3=0.0,
-    gamma4=0.0,
-    *,
-    guard=GUARD_EPS,
-) -> HyperbolicField:
-    return HyperbolicField(
-        a1,
-        a2,
-        a3,
-        b1,
-        b2,
-        c1,
-        c2,
-        alpha1,
-        alpha2,
-        alpha3,
-        alpha4,
-        beta1,
-        beta2,
-        beta3,
-        beta4,
-        gamma1,
-        gamma2,
-        gamma3,
-        gamma4,
-        guard=guard,
-    )
-
-
-def make_parabolic_field(
-    alpha0=0.0,
-    alpha1=0.0,
-    alpha2=0.0,
-    alpha3=0.0,
-    beta0=0.0,
-    beta1=0.0,
-    beta2=0.0,
-    beta3=0.0,
-    gamma0=0.0,
-    gamma1=0.0,
-    gamma2=0.0,
-    gamma3=0.0,
-    *,
-    guard=GUARD_EPS,
-) -> ParabolicField:
-    return ParabolicField(
-        alpha0,
-        alpha1,
-        alpha2,
-        alpha3,
-        beta0,
-        beta1,
-        beta2,
-        beta3,
-        gamma0,
-        gamma1,
-        gamma2,
-        gamma3,
-        guard=guard,
-    )
-
-
-def make_exceptional_field(
-    a=0.0, b=0.0, c=0.0, d=0.0, A=0.0, B=0.0, C=0.0, D=0.0, *, guard=GUARD_EPS
-) -> ExceptionalField:
-    return ExceptionalField(a, b, c, d, A, B, C, D, guard=guard)
-
-
-def make_remark_counterexample(*, guard=GUARD_EPS) -> RootQuarticField:
-    return RootQuarticField(guard=guard)
+# The family constructors are the classes: coefficients in field order,
+# `guard` and `branch` keyword-only.
+make_elliptic_field = EllipticField
+make_hyperbolic_field = HyperbolicField
+make_parabolic_field = ParabolicField
+make_exceptional_field = ExceptionalField
+make_remark_counterexample = RootQuarticField
 
 
 def make_polynomial_field(coeffs, *, guard=GUARD_EPS) -> PolynomialField:
@@ -648,11 +551,6 @@ def pushforward_inversion(F: ScalarField, *, guard=None) -> KelvinField:
 
 
 # -- module-level evaluation helpers ----------------------------------
-
-
-def eval_jet(F: ScalarField, x, y) -> Jet:
-    """Order-4 jet of F at (x, y); SingularPoint inside the guard."""
-    return F.jet(x, y, 4)
 
 
 def bilaplacian(F: ScalarField, x, y):
@@ -688,7 +586,7 @@ def fd_bilaplacian(F: ScalarField, x, y, h):
     so double-precision value noise alone would swamp the estimate for
     small h.  The stencil weights multiply the increments F(node) − F(x, y)
     rather than the node values.  For fields that state their monomials
-    (`PolynomialField`, `ParabolicField`) each increment is formed monomial
+    (see `ScalarField.monomials`) each increment is formed monomial
     by monomial from the exact offsets k·h, so no two O(|F|) numbers are
     subtracted; for every other field it is the difference of the values
     at the node and the center.  Either way the estimate uses only the

@@ -11,15 +11,16 @@ coefficients raise GrammarError.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
 from .errors import GrammarError
 from .fields import (
-    make_elliptic_field,
-    make_exceptional_field,
-    make_hyperbolic_field,
-    make_parabolic_field,
+    EllipticField,
+    ExceptionalField,
+    HyperbolicField,
+    ParabolicField,
     make_polynomial_field,
     sum_fields,
 )
@@ -43,24 +44,18 @@ field spec grammar:
   sum(w1*<field spec>, w2*<field spec>, ...)
 """ % (", ".join(BLOCK_NAMES),)
 
-_FIELD_KEYS = {
-    "elliptic": ("a1", "a2", "a3", "a4", "b1", "b2", "b3",
-                 "c1", "c2", "c3", "d1", "d2"),
-    "hyperbolic": ("a1", "a2", "a3", "b1", "b2", "c1", "c2",
-                   "alpha1", "alpha2", "alpha3", "alpha4",
-                   "beta1", "beta2", "beta3", "beta4",
-                   "gamma1", "gamma2", "gamma3", "gamma4"),
-    "parabolic": ("alpha0", "alpha1", "alpha2", "alpha3",
-                  "beta0", "beta1", "beta2", "beta3",
-                  "gamma0", "gamma1", "gamma2", "gamma3"),
-    "exceptional": ("a", "b", "c", "d", "A", "B", "C", "D"),
+_FIELD_CLASSES = {
+    "elliptic": EllipticField,
+    "hyperbolic": HyperbolicField,
+    "parabolic": ParabolicField,
+    "exceptional": ExceptionalField,
 }
 
-_FIELD_MAKERS = {
-    "elliptic": make_elliptic_field,
-    "hyperbolic": make_hyperbolic_field,
-    "parabolic": make_parabolic_field,
-    "exceptional": make_exceptional_field,
+# a spec names the coefficients; `guard` and `branch` (keyword-only) are
+# set by the caller
+_FIELD_KEYS = {
+    kind: tuple(f.name for f in dataclasses.fields(cls) if not f.kw_only)
+    for kind, cls in _FIELD_CLASSES.items()
 }
 
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -219,12 +214,12 @@ def parse_field(spec: str, *, branch: int = 0, guard: float = None):
         if not terms:
             raise GrammarError("sum(...) needs at least one term")
         f = sum_fields(terms)
-    elif kind in _FIELD_MAKERS:
+    elif kind in _FIELD_CLASSES:
         kw = _kwargs(_call_body(spec, kind), _FIELD_KEYS[kind],
                      kind + "(...)")
         if kind == "elliptic":
             kw["branch"] = int(branch)
-        f = _FIELD_MAKERS[kind](**kw)
+        f = _FIELD_CLASSES[kind](**kw)
     else:
         raise GrammarError(
             "unknown field family in %r (allowed: elliptic, hyperbolic, "

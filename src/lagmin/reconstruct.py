@@ -11,7 +11,9 @@ field coordinates: the surface point over (x, y) is
 `isotropic_image` goes the other way: take the oriented tangent plane of a
 parametrized surface and project it to the point model.  The round trip
 over a field graph is the identity (x, y, F(x, y)), which is what fixes the
-orientation convention used here.
+orientation convention used here.  `unit_normal` is the one place where
+that orientation is applied and where a vanishing r_u × r_v is detected;
+every normal, tangent plane and curvature in the package goes through it.
 
 Surface derivative jets come from analytic differentiation (field jets one
 order higher), never from finite differences, so curvature formulas
@@ -31,6 +33,9 @@ from .jets import jet_xy
 IMMERSION_TOL = 1e-10
 IDEAL_TOL = 1e-9
 
+# jet entries (i, j) = (d/du)^i (d/dv)^j of the SurfaceJet fields, in order
+_FRAME_ENTRIES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
 
 @dataclass
 class SurfaceJet:
@@ -43,6 +48,31 @@ class SurfaceJet:
     ruu: np.ndarray = None
     ruv: np.ndarray = None
     rvv: np.ndarray = None
+
+    @classmethod
+    def from_components(cls, X, Y, Z, order) -> "SurfaceJet":
+        """Frame of order `order` from the jets X, Y, Z of the three
+        coordinate functions."""
+        return cls(*(
+            np.stack([X.entry(i, j), Y.entry(i, j), Z.entry(i, j)], axis=-1)
+            for i, j in _FRAME_ENTRIES if i + j <= order
+        ))
+
+
+def unit_normal(S, ru, rv, u, v, what):
+    """Oriented unit normal of S at (u, v) from the first derivatives
+    there, and the length |r_u × r_v|.
+
+    Where that length is at most IMMERSION_TOL the normal is undefined:
+    NonImmersed("<what> undefined at N point(s)") is raised, or, when
+    `what` is None, those rows of the normal come back as NaN.
+    """
+    cr = np.cross(ru, rv)
+    ln = np.linalg.norm(cr, axis=-1)
+    bad = ln <= IMMERSION_TOL
+    if what is not None and np.any(bad):
+        raise NonImmersed("%s undefined at %d point(s)" % (what, int(np.sum(bad))))
+    return S._orient(cr / np.where(bad, np.nan, ln)[..., None], u, v), ln
 
 
 class ParamSurface:
@@ -63,20 +93,9 @@ class ParamSurface:
     def point(self, u, v):
         return self.frame(u, v, order=0).r
 
-    def raw_normal(self, u, v):
-        """Unnormalized r_u × r_v and its length (no orientation, no raise)."""
-        fr = self.frame(u, v, order=1)
-        cr = np.cross(fr.ru, fr.rv)
-        return cr, np.linalg.norm(cr, axis=-1)
-
     def normal(self, u, v):
-        cr, ln = self.raw_normal(u, v)
-        if np.any(ln <= IMMERSION_TOL):
-            raise NonImmersed(
-                "parametrization is not immersed at %d sampled point(s)"
-                % int(np.sum(ln <= IMMERSION_TOL))
-            )
-        return self._orient(cr / ln[..., None], u, v)
+        fr = self.frame(u, v, order=1)
+        return unit_normal(self, fr.ru, fr.rv, u, v, "normal")[0]
 
     def _orient(self, n, u, v):
         return n
@@ -114,19 +133,7 @@ class FieldSurface(GaussMappedSurface):
         X = ((jx * jx - jy * jy - 1.0) * fx + (jx * jy) * fy * 2.0 - jx * f0 * 2.0) * inv
         Y = ((jy * jy - jx * jx - 1.0) * fy + (jx * jy) * fx * 2.0 - jy * f0 * 2.0) * inv
         Z = (jx * fx * 2.0 + jy * fy * 2.0 - f0 * 2.0) * inv
-        def pick(i, j):
-            return np.stack(
-                [X.entry(i, j), Y.entry(i, j), Z.entry(i, j)], axis=-1
-            )
-        out = SurfaceJet(r=pick(0, 0))
-        if order >= 1:
-            out.ru = pick(1, 0)
-            out.rv = pick(0, 1)
-        if order >= 2:
-            out.ruu = pick(2, 0)
-            out.ruv = pick(1, 1)
-            out.rvv = pick(0, 2)
-        return out
+        return SurfaceJet.from_components(X, Y, Z, order)
 
 
 def reconstruct_surface(F: ScalarField) -> FieldSurface:
@@ -144,13 +151,7 @@ def isotropic_image(S: ParamSurface, u, v):
     ua = np.asarray(u, dtype=float)
     va = np.asarray(v, dtype=float)
     fr = S.frame(ua, va, order=1)
-    cr = np.cross(fr.ru, fr.rv)
-    ln = np.linalg.norm(cr, axis=-1)
-    if np.any(ln <= IMMERSION_TOL):
-        raise NonImmersed(
-            "tangent plane undefined at %d point(s)" % int(np.sum(ln <= IMMERSION_TOL))
-        )
-    n = S._orient(cr / ln[..., None], ua, va)
+    n, _ = unit_normal(S, fr.ru, fr.rv, ua, va, "tangent plane")
     w = 1.0 + n[..., 2]
     if np.any(np.abs(w) <= IDEAL_TOL):
         raise IdealImage("tangent plane maps to an ideal point (n3 = -1)")

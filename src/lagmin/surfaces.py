@@ -43,21 +43,6 @@ SQRT2 = math.sqrt(2.0)
 BLOCK_GUARD = 1e-6
 
 
-def _assemble(X, Y, Z, order) -> SurfaceJet:
-    def pick(i, j):
-        return np.stack([X.entry(i, j), Y.entry(i, j), Z.entry(i, j)], axis=-1)
-
-    out = SurfaceJet(r=pick(0, 0))
-    if order >= 1:
-        out.ru = pick(1, 0)
-        out.rv = pick(0, 1)
-    if order >= 2:
-        out.ruu = pick(2, 0)
-        out.ruv = pick(1, 1)
-        out.rvv = pick(0, 2)
-    return out
-
-
 # -- closed-form component builders (u, v are Gauss coordinates) ------
 
 
@@ -166,8 +151,7 @@ class BlockSurface(GaussMappedSurface):
     def frame(self, u, v, order=2) -> SurfaceJet:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        X, Y, Z = self._builder(u, v, order)
-        return _assemble(X, Y, Z, order)
+        return SurfaceJet.from_components(*self._builder(u, v, order), order)
 
 
 class RotatedSurface(GaussMappedSurface):
@@ -248,30 +232,16 @@ class ConvolutionSurface(GaussMappedSurface):
         return ok
 
     def frame(self, u, v, order=2) -> SurfaceJet:
-        out = None
+        # vars() lists a frame's parts in field order; parts beyond
+        # `order` are None in every term and stay None in the sum
+        total = None
         for w, s in self.terms:
-            fr = s.frame(u, v, order)
-            if out is None:
-                out = SurfaceJet(
-                    r=w * fr.r,
-                    ru=None if fr.ru is None else w * fr.ru,
-                    rv=None if fr.rv is None else w * fr.rv,
-                    ruu=None if fr.ruu is None else w * fr.ruu,
-                    ruv=None if fr.ruv is None else w * fr.ruv,
-                    rvv=None if fr.rvv is None else w * fr.rvv,
-                )
-            else:
-                out.r = out.r + w * fr.r
-                if order >= 1:
-                    out.ru = out.ru + w * fr.ru
-                    out.rv = out.rv + w * fr.rv
-                if order >= 2:
-                    out.ruu = out.ruu + w * fr.ruu
-                    out.ruv = out.ruv + w * fr.ruv
-                    out.rvv = out.rvv + w * fr.rvv
-        if out is None:
-            raise DomainMismatch("empty convolution")
-        return out
+            parts = [None if p is None else w * p
+                     for p in vars(s.frame(u, v, order)).values()]
+            total = parts if total is None else [
+                None if a is None else a + b for a, b in zip(total, parts)
+            ]
+        return SurfaceJet(*total)
 
 
 def convolve(terms) -> ConvolutionSurface:

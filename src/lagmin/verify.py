@@ -24,10 +24,14 @@ from .errors import (
 )
 from .fields import make_bump_field, make_polynomial_field, sum_fields
 from .isotropic import stereographic
-from .reconstruct import reconstruct_surface
+from .reconstruct import (
+    IMMERSION_TOL,
+    SurfaceJet,
+    reconstruct_surface,
+    unit_normal,
+)
 from .surfaces import BlockSurface, ConvolutionSurface, RotatedSurface
 
-IMMERSION_TOL = 1e-10
 K_TOL = 1e-12
 BISECT_TOL = 1e-12
 BIHARMONIC_TOL = 1e-9
@@ -56,8 +60,9 @@ class CheckReport:
         else:
             mx = float(np.max(res))
             rms = float(np.sqrt(np.mean(res * res)))
+        # a check that measured nothing has shown nothing: it fails
         return cls(check, int(res.size), mx, rms, float(tolerance),
-                   mx <= float(tolerance), dict(meta or {}))
+                   res.size > 0 and mx <= float(tolerance), dict(meta or {}))
 
 
 def _json_value(obj) -> str:
@@ -112,27 +117,28 @@ def write_reports(reports, path):
 # -- curvature and energy ---------------------------------------------
 
 
-def curvatures(S, u, v):
-    """Mean and Gauss curvature from the exact second-order frame."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    fr = S.frame(u, v, order=2)
+def mean_gauss_curvature(fr: SurfaceJet, n):
+    """(H, K) from the first and second fundamental forms of a
+    second-order frame with unit normal n."""
     E = np.sum(fr.ru * fr.ru, axis=-1)
     F = np.sum(fr.ru * fr.rv, axis=-1)
     G = np.sum(fr.rv * fr.rv, axis=-1)
-    cr = np.cross(fr.ru, fr.rv)
-    ln = np.linalg.norm(cr, axis=-1)
-    if np.any(ln <= IMMERSION_TOL):
-        raise NonImmersed(
-            "curvature undefined at %d point(s)" % int(np.sum(ln <= IMMERSION_TOL))
-        )
-    n = S._orient(cr / ln[..., None], u, v)
     L = np.sum(n * fr.ruu, axis=-1)
     M = np.sum(n * fr.ruv, axis=-1)
     N = np.sum(n * fr.rvv, axis=-1)
     den = E * G - F * F
     K = (L * N - M * M) / den
     H = (E * N - 2.0 * F * M + G * L) / (2.0 * den)
+    return H, K
+
+
+def curvatures(S, u, v):
+    """Mean and Gauss curvature from the exact second-order frame."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    fr = S.frame(u, v, order=2)
+    n, _ = unit_normal(S, fr.ru, fr.rv, u, v, "curvature")
+    H, K = mean_gauss_curvature(fr, n)
     if u.ndim == 0 and v.ndim == 0:
         return float(H), float(K)
     return H, K
@@ -149,20 +155,8 @@ def omega_integrand(S, u, v):
 def _local_energy(fieldobj, uu, vv, wts):
     S = reconstruct_surface(fieldobj)
     fr = S.frame(uu, vv, order=2)
-    E = np.sum(fr.ru * fr.ru, axis=-1)
-    F = np.sum(fr.ru * fr.rv, axis=-1)
-    G = np.sum(fr.rv * fr.rv, axis=-1)
-    cr = np.cross(fr.ru, fr.rv)
-    ln = np.linalg.norm(cr, axis=-1)
-    if np.any(ln <= IMMERSION_TOL):
-        raise NonImmersed("bump support touches a non-immersed point")
-    n = S._orient(cr / ln[..., None], uu, vv)
-    L = np.sum(n * fr.ruu, axis=-1)
-    M = np.sum(n * fr.ruv, axis=-1)
-    N = np.sum(n * fr.rvv, axis=-1)
-    den = E * G - F * F
-    K = (L * N - M * M) / den
-    H = (E * N - 2.0 * F * M + G * L) / (2.0 * den)
+    n, ln = unit_normal(S, fr.ru, fr.rv, uu, vv, "energy density")
+    H, K = mean_gauss_curvature(fr, n)
     if np.any(np.abs(K) <= K_TOL):
         raise ZeroGaussCurvature("bump support touches a K = 0 point")
     return float(np.sum(wts * (H * H - K) / K * ln))
@@ -204,10 +198,10 @@ def gaussmap_identity_residual(S, window=None, shape=(100, 100),
     """Round trip: the stereographic top view of the oriented unit
     normal at (u, v) must reproduce (u, v)."""
     if not getattr(S, "immersed", True):
-        return CheckReport.from_residuals(
-            "gaussmap-identity", [], tolerance,
-            {"note": "skipped: NonImmersed (degenerate curve locus)"},
-        )
+        # a documented exemption, not a measurement: it passes with n = 0
+        return CheckReport("gaussmap-identity", 0, 0.0, 0.0, float(tolerance),
+                           True,
+                           {"note": "skipped: NonImmersed (degenerate curve locus)"})
     if window is None:
         window = S.default_window
     u, v = meshing.grid_axes(window, shape)
@@ -217,12 +211,10 @@ def gaussmap_identity_residual(S, window=None, shape=(100, 100),
     fu = uu[ok]
     fv = vv[ok]
     fr = S.frame(fu, fv, order=1)
-    cr = np.cross(fr.ru, fr.rv)
-    ln = np.linalg.norm(cr, axis=-1)
+    n, ln = unit_normal(S, fr.ru, fr.rv, fu, fv, None)
     good = ln > IMMERSION_TOL
     skipped += int(np.sum(~good))
-    n = S._orient(cr[good] / ln[good, None], fu[good], fv[good])
-    top = stereographic(n)
+    top = stereographic(n[good])
     res = np.hypot(top[..., 0] - fu[good], top[..., 1] - fv[good])
     return CheckReport.from_residuals(
         "gaussmap-identity", res, tolerance,
@@ -451,24 +443,17 @@ def fd_curvature_check(S, *, seed=0, samples=20, step=1e-4,
     def f(a, b):
         return S.frame(a, b, order=0).r
 
-    ru = (f(u + h, v) - f(u - h, v)) / (2 * h)
-    rv = (f(u, v + h) - f(u, v - h)) / (2 * h)
-    ruu = (f(u + h, v) - 2 * f(u, v) + f(u - h, v)) / (h * h)
-    rvv = (f(u, v + h) - 2 * f(u, v) + f(u, v - h)) / (h * h)
-    ruv = (f(u + h, v + h) - f(u + h, v - h) - f(u - h, v + h)
-           + f(u - h, v - h)) / (4 * h * h)
-    E = np.sum(ru * ru, axis=-1)
-    Ff = np.sum(ru * rv, axis=-1)
-    G = np.sum(rv * rv, axis=-1)
-    cr = np.cross(ru, rv)
-    ln = np.linalg.norm(cr, axis=-1)
-    n = S._orient(cr / ln[..., None], u, v)
-    L = np.sum(n * ruu, axis=-1)
-    M = np.sum(n * ruv, axis=-1)
-    N = np.sum(n * rvv, axis=-1)
-    den = E * G - Ff * Ff
-    Kf = (L * N - M * M) / den
-    Hf = (E * N - 2 * Ff * M + G * L) / (2 * den)
+    fd = SurfaceJet(
+        r=None,
+        ru=(f(u + h, v) - f(u - h, v)) / (2 * h),
+        rv=(f(u, v + h) - f(u, v - h)) / (2 * h),
+        ruu=(f(u + h, v) - 2 * f(u, v) + f(u - h, v)) / (h * h),
+        rvv=(f(u, v + h) - 2 * f(u, v) + f(u, v - h)) / (h * h),
+        ruv=(f(u + h, v + h) - f(u + h, v - h) - f(u - h, v + h)
+             + f(u - h, v - h)) / (4 * h * h),
+    )
+    n, _ = unit_normal(S, fd.ru, fd.rv, u, v, "finite-difference curvature")
+    Hf, Kf = mean_gauss_curvature(fd, n)
     res = np.maximum(np.abs(H - Hf) / (1.0 + np.abs(Hf)),
                      np.abs(K - Kf) / (1.0 + np.abs(Kf)))
     return CheckReport.from_residuals(

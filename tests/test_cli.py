@@ -269,3 +269,30 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
     assert main(argv + ["-o", str(out)]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _GENERATE + ["--surface", "r1", "--range", "-inf,1,0,1"],
+        _GENERATE + ["--surface", "r1", "--range", "-nan,1,0,1"],
+        _RULED + ["--phi-range", "-inf,1"],
+        _RULED[:2] + ["-inf"] + _RULED[3:] + ["--phi-range", "0,1"],
+    ],
+)
+def test_negative_non_finite_values_are_read_as_values(tmp_path, capsys, argv):
+    # a leading "-inf"/"-nan" is a value, not an option: the usage error
+    # names the finite-number rule
+    assert main(argv + ["-o", str(tmp_path / "x.obj")]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["gaussmap", "stationarity"])
+def test_check_without_samples_fails(tmp_path, check):
+    # poly(x) reconstructs to a point: no sample survives either check
+    rep = tmp_path / "r.json"
+    code = main(["verify", "--surface", "field:poly(x)", "--checks", check,
+                 "--report", str(rep)])
+    assert code == 1
+    records = json.loads(rep.read_text())
+    assert records[0]["samples"] == 0 and records[0]["pass"] is False

@@ -238,3 +238,18 @@ def test_sum_and_bump_fields():
     assert abs(bump.value(1.0, 0.0) - 2.0) < VALUE_TOL
     j = bump.jet(1.0, 0.0, 4)
     assert np.isfinite(j.d).all()
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        make_elliptic_field(c1=2.3, c2=-1.7, c3=3.1, d1=0.9, d2=-2.2),
+        make_hyperbolic_field(c1=0.7, c2=-1.3, alpha1=0.4, beta1=-0.9,
+                              alpha4=0.5, beta4=1.1, gamma1=2.0, gamma2=-0.6),
+    ],
+)
+def test_fd_stencil_on_polynomial_only_families_is_exact(F):
+    # with no Arctan, log or inverse term the field states its monomials,
+    # so the stencil forms its node increments without cancellation
+    x, y, h = 1.9, -1.7, 2.5e-3
+    assert abs(fd_bilaplacian(F, x, y, h) - F.bilaplacian(x, y)) < 1e-8

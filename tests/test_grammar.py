@@ -98,3 +98,10 @@ def test_parse_surface_rejects_garbage():
     for bad in ("r99", "conv()", "ruled(1,2)", "r3@phi=1", "conv(r1,)"):
         with pytest.raises(GrammarError):
             parse_surface(bad)
+
+
+@pytest.mark.parametrize("spec", ["elliptic(guard=1)", "hyperbolic(branch=1)"])
+def test_field_specs_name_coefficients_only(spec):
+    # guard and branch are keyword-only fields, set by the caller
+    with pytest.raises(GrammarError):
+        parse_field(spec)

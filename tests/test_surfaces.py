@@ -226,3 +226,15 @@ def test_ruling_family_rejects_foreign_surface():
 
     with pytest.raises(ProvenanceMismatch):
         ruling_residual(building_block("r4"), fam)
+
+
+def test_convolution_frame_is_the_weighted_sum_of_term_frames():
+    terms = [(0.7, building_block("r1")), (-0.4, building_block("r2")),
+             (1.3, building_block("r3", 0.4))]
+    u = np.array([0.3, -1.1, 0.8])
+    v = np.array([0.9, 0.2, -1.4])
+    got = convolve(terms).frame(u, v, order=2)
+    frames = [(w, s.frame(u, v, order=2)) for w, s in terms]
+    for part in ("r", "ru", "rv", "ruu", "ruv", "rvv"):
+        want = sum(w * getattr(fr, part) for w, fr in frames)
+        assert np.array_equal(getattr(got, part), want)

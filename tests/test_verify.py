@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lagmin.errors import UnknownName
+from lagmin.errors import NonImmersed, UnknownName
 from lagmin.fields import (
     make_elliptic_field,
     make_polynomial_field,
@@ -185,3 +185,10 @@ def test_json_text_float_formatting():
     assert json_text(0.1) == "0.10000000000000001"
     assert json_text(True) == "true"
     assert json_text({"k": [1, 2.5]}) == '{"k": [1, 2.5]}'
+
+
+def test_curvatures_of_the_cycloid_block_are_undefined():
+    # r2 collapses onto a curve: r_u x r_v vanishes everywhere
+    with pytest.raises(NonImmersed, match="curvature undefined"):
+        curvatures(building_block("r2"), np.array([0.5, 1.2]),
+                   np.array([0.7, -0.3]))
