@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -19,7 +20,7 @@ import numpy as np
 from . import grammar, meshing, pencils, verify
 from .errors import GrammarError, IdealImage, LagminError, NonImmersed
 from .fields import sum_fields
-from .reconstruct import isotropic_image, reconstruct_surface
+from .reconstruct import isotropic_image
 from .surfaces import (
     block_field,
     building_block,
@@ -65,12 +66,9 @@ def _parse_floats(text, count, flag):
         raise _UsageError("%s wants %d comma-separated numbers, got %r"
                           % (flag, count, text))
     try:
-        values = tuple(float(p) for p in parts)
-    except ValueError:
-        raise _UsageError("%s wants numbers, got %r" % (flag, text))
-    if not all(math.isfinite(x) for x in values):
-        raise _UsageError("%s wants finite numbers, got %r" % (flag, text))
-    return values
+        return tuple(_finite_float(p) for p in parts)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError("%s %s" % (flag, exc))
 
 
 def _finite_float(text):
@@ -105,9 +103,13 @@ def _load_config(path):
                 % (lineno, key, ", ".join(_CONFIG_KEYS))
             )
         try:
-            cfg[key] = float(val.strip())
-        except ValueError:
-            raise _UsageError("config line %d: bad number %r" % (lineno, val))
+            value = _finite_float(val.strip())
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError("config line %d: %s %s" % (lineno, key, exc))
+        if value <= 0.0:
+            raise _UsageError("config line %d: %s wants a positive number, got %r"
+                              % (lineno, key, val.strip()))
+        cfg[key] = value
     return cfg
 
 
@@ -123,86 +125,47 @@ def _field_for(spec, branch, guard):
     if spec.startswith("ruled("):
         raise _UsageError("check needs a field-backed surface, not ruled(...)")
     if spec.startswith("conv("):
-        surf = grammar.parse_surface(spec)
-        terms = []
-        for w, s in surf.terms:
-            name = getattr(s, "name", None)
-            if name is None and hasattr(s, "base"):
-                terms.append((w, block_field(s.base.name, s.theta)))
-            else:
-                terms.append((w, block_field(name)))
-        return sum_fields(terms)
-    name, theta = grammar._parse_block_ref(spec)
-    f = block_field(name, theta or 0.0)
-    if guard is not None:
-        f = f.with_guard(guard)
-    return f
-
-
-def _family_for(S):
-    a1, a2, a3, theta = verify._canonical_weights(S)
-    return rulings_of_convolution(a1, a2, a3, theta)
+        # each term is a named block, or a named block rotated by theta
+        f = sum_fields([
+            (w, block_field(s.base.name, s.theta) if hasattr(s, "base")
+             else block_field(s.name))
+            for w, s in grammar.parse_surface(spec).terms
+        ])
+    else:
+        name, theta = grammar._parse_block_ref(spec)
+        f = block_field(name, theta or 0.0)
+    return f if guard is None else f.with_guard(guard)
 
 
 def _run_check(name, spec, args, cfg):
+    """Reports of one named check; `name` is one of CHECK_NAMES."""
     branch = getattr(args, "branch", 0)
     guard = cfg.get("guard")
-    tol = cfg.get(name)
     seed = args.seed
+    kw = {}
+    if name in cfg:
+        kw["ratio" if name == "stationarity" else "tolerance"] = cfg[name]
     if name == "biharmonic":
         F = _field_for(spec, branch, guard)
-        kw = {} if tol is None else {"tolerance": tol}
         return [verify.biharmonic_residual(F, seed=seed, **kw)]
-    if name == "gaussmap":
-        S = grammar.parse_surface(spec, branch=branch, guard=guard)
-        kw = {} if tol is None else {"tolerance": tol}
-        return [verify.gaussmap_identity_residual(S, **kw)]
-    if name == "ruling":
-        S = grammar.parse_surface(spec, branch=branch, guard=guard)
-        kw = {} if tol is None else {"tolerance": tol}
-        return [verify.ruling_residual(S, _family_for(S), **kw)]
-    if name == "curvature":
-        S = grammar.parse_surface(spec, branch=branch, guard=guard)
-        kw = {} if tol is None else {"tolerance": tol}
-        return [verify.fd_curvature_check(S, seed=seed, **kw)]
     if name == "stationarity":
         F = _field_for(spec, branch, guard)
-        kw = {} if tol is None else {"ratio": tol}
         return [verify.stationarity_check(F, seed=seed, **kw)]
     if name == "tangency":
         block, theta = grammar._parse_block_ref(spec.strip().replace(" ", ""))
         if theta:
             raise _UsageError("tangency plans exist for unrotated blocks only")
-        kw = {} if tol is None else {"tolerance": tol}
         return verify.tangency_check(block, **kw)
-    raise _UsageError(
-        "unknown check %r (allowed: %s)" % (name, ", ".join(CHECK_NAMES))
-    )
+    S = grammar.parse_surface(spec, branch=branch, guard=guard)
+    if name == "gaussmap":
+        return [verify.gaussmap_identity_residual(S, **kw)]
+    if name == "ruling":
+        family = rulings_of_convolution(*verify._canonical_weights(S))
+        return [verify.ruling_residual(S, family, **kw)]
+    return [verify.fd_curvature_check(S, seed=seed, **kw)]
 
 
 # -- meshing helpers ---------------------------------------------------
-
-
-def _isotropic_mesh(S, window, shape):
-    u, v = meshing.grid_axes(window, shape)
-    uu, vv = np.meshgrid(u, v)
-    ok = np.broadcast_to(S.is_safe(uu, vv), uu.shape).copy()
-    pts = np.full(ok.shape + (3,), np.nan)
-    fu = uu[ok]
-    fv = vv[ok]
-    if fu.size:
-        try:
-            pts[ok] = isotropic_image(S, fu, fv)
-        except (NonImmersed, IdealImage):
-            # fall back to per-point evaluation, dropping the bad spots
-            vals = np.full((fu.size, 3), np.nan)
-            for i in range(fu.size):
-                try:
-                    vals[i] = isotropic_image(S, fu[i : i + 1], fv[i : i + 1])
-                except (NonImmersed, IdealImage):
-                    pass
-            pts[ok] = vals
-    return meshing.mesh_from_grid(pts, ok, window, shape)
 
 
 def _merge_meshes(parts):
@@ -293,7 +256,21 @@ def _cmd_classify_pencil(args, cfg):
 def _cmd_isotropic(args, cfg):
     S = grammar.parse_surface(args.surface, branch=args.branch,
                               guard=cfg.get("guard"))
-    mesh = _isotropic_mesh(S, S.default_window, (100, 100))
+
+    def image(fu, fv):
+        try:
+            return isotropic_image(S, fu, fv)
+        except (NonImmersed, IdealImage):
+            # fall back to per-point evaluation, dropping the bad spots
+            vals = np.full((fu.size, 3), np.nan)
+            for i in range(fu.size):
+                try:
+                    vals[i] = isotropic_image(S, fu[i : i + 1], fv[i : i + 1])
+                except (NonImmersed, IdealImage):
+                    pass
+            return vals
+
+    mesh = meshing.grid_mesh(S.default_window, (100, 100), S.is_safe, image)
     meshing.write_obj(mesh, args.output,
                       comment="isotropic image of %s" % (args.surface,))
     return 0
@@ -312,8 +289,6 @@ _GALLERY = (
 
 
 def _cmd_gallery(args, cfg):
-    import os
-
     outdir = args.output
     os.makedirs(outdir, exist_ok=True)
     for fname, spec in _GALLERY:
@@ -431,7 +406,7 @@ def main(argv=None) -> int:
         print(file=sys.stderr)
         print(grammar.GRAMMAR_HELP, file=sys.stderr)
         return 2
-    except LagminError as exc:
+    except (LagminError, ValueError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
     except OSError as exc:

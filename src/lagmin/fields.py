@@ -448,6 +448,10 @@ class SumField(ScalarField):
             self, terms=tuple((w, f.with_branch(k)) for w, f in self.terms)
         )
 
+    def with_guard(self, eps: float) -> "SumField":
+        terms = tuple((w, f.with_guard(eps)) for w, f in self.terms)
+        return replace(self, guard=float(eps), terms=terms)
+
 
 @dataclass(frozen=True)
 class BumpField(ScalarField):
@@ -553,9 +557,8 @@ def pushforward_inversion(F: ScalarField, *, guard=None) -> KelvinField:
 # -- module-level evaluation helpers ----------------------------------
 
 
-def bilaplacian(F: ScalarField, x, y):
-    """F_xxxx + 2 F_xxyy + F_yyyy from the exact order-4 jet."""
-    return F.bilaplacian(x, y)
+# bilaplacian(F, x, y): F_xxxx + 2 F_xxyy + F_yyyy from the exact order-4 jet
+bilaplacian = ScalarField.bilaplacian
 
 
 def _power_increment(x, a, n):

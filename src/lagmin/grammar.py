@@ -273,6 +273,7 @@ def parse_surface(spec: str, *, branch: int = 0, guard: float = None):
             terms.append((w, building_block(name, theta)))
         if not terms:
             raise GrammarError("conv(...) needs at least one term")
-        return convolve(terms)
-    name, theta = _parse_block_ref(spec)
-    return building_block(name, theta)
+        surf = convolve(terms)
+    else:
+        surf = building_block(*_parse_block_ref(spec))
+    return surf if guard is None else surf.with_guard(guard)

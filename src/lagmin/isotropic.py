@@ -219,20 +219,6 @@ def _apply_gen_finite(name, params, x, y, z):
     raise AssertionError(name)
 
 
-def _curvature_action(name, params, a):
-    """How each generator moves the ideal-line label (= leading coefficient
-    of a model sphere through that ideal point)."""
-    if name in ("rotate", "shear", "offset", "xshift"):
-        return a
-    if name == "parab":
-        return a + 2.0
-    if name == "zscale":
-        return params["a"] * a
-    if name == "sqrt2":
-        return SQRT2 * a
-    raise AssertionError(name)
-
-
 def imtransform_apply(tf: IMTransform, q: IsoPoint) -> IsoPoint:
     for name, params in tf.word:
         if name == "invert":
@@ -247,7 +233,10 @@ def imtransform_apply(tf: IMTransform, q: IsoPoint) -> IsoPoint:
                 else:
                     q = IsoPoint.finite(q.x / r2, q.y / r2, q.z / r2)
         elif q.is_ideal:
-            q = IsoPoint.ideal(_curvature_action(name, params, q.ideal_label))
+            # the label is the leading coefficient of every model sphere
+            # through the ideal point, so it moves as that coefficient does
+            s = IMSphere(q.ideal_label, 0.0, 0.0, 0.0)
+            q = IsoPoint.ideal(_map_coeffs(name, params, s).a)
         else:
             q = IsoPoint.finite(*_apply_gen_finite(name, params, q.x, q.y, q.z))
     return q

@@ -1,9 +1,10 @@
 """Exact partial-derivative tables (jets) for scalar functions of two variables.
 
 A ``Jet`` stores every partial derivative d[i, j] = d^(i+j) f / dx^i dy^j with
-i + j <= order.  Arithmetic combines tables exactly (Leibniz rule for
-products, recursive division for reciprocals), so a field assembled from the
-primitives below carries closed-form derivatives with no symbolic or
+i + j <= order, for any order.  Arithmetic combines tables exactly: one
+Leibniz sum (`_leibniz`) serves products, reciprocals and square roots, and
+composition substitutes truncated Taylor series, so a field assembled from
+the primitives below carries closed-form derivatives with no symbolic or
 automatic-differentiation machinery behind it.  Entries may be scalars or
 numpy arrays of a common broadcast shape, which makes whole-grid evaluation a
 handful of vectorized operations.
@@ -14,11 +15,6 @@ import math
 
 import numpy as np
 
-# Binomial table big enough for order-4 Leibniz sums.
-_BINOM = np.array([[math.comb(i, k) if k <= i else 0 for k in range(5)] for i in range(5)])
-
-_FACT = [1, 1, 2, 6, 24]
-
 
 def _asfloat(x):
     """Coerce to a float ndarray without demoting extended precision."""
@@ -26,6 +22,20 @@ def _asfloat(x):
     if not np.issubdtype(x.dtype, np.floating):
         x = x.astype(float)
     return x
+
+
+def _leibniz(p, q, i, j, skip=()):
+    """Sum over a <= i, b <= j of C(i,a)·C(j,b)·p[a,b]·q[i−a,j−b], leaving
+    out the (a, b) terms listed in `skip`; the (i, j) entry of the product
+    of the tables p and q."""
+    acc = 0.0
+    for a in range(i + 1):
+        for b in range(j + 1):
+            if (a, b) in skip:
+                continue
+            c = math.comb(i, a) * math.comb(j, b)
+            acc = acc + c * p[a, b] * q[i - a, j - b]
+    return acc
 
 
 class Jet:
@@ -52,10 +62,7 @@ class Jet:
         d = np.zeros((order + 1, order + 1) + value.shape, dtype=value.dtype)
         d[0, 0] = value
         if order >= 1:
-            if axis == 0:
-                d[1, 0] = 1.0
-            else:
-                d[0, 1] = 1.0
+            d[(1, 0) if axis == 0 else (0, 1)] = 1.0
         return cls(d, order)
 
     @classmethod
@@ -138,12 +145,7 @@ class Jet:
         out = np.zeros((n + 1, n + 1) + shape, dtype=np.result_type(self.d, other.d))
         for i in range(n + 1):
             for j in range(n + 1 - i):
-                acc = 0.0
-                for a in range(i + 1):
-                    for b in range(j + 1):
-                        c = _BINOM[i, a] * _BINOM[j, b]
-                        acc = acc + c * self.d[a, b] * other.d[i - a, j - b]
-                out[i, j] = acc
+                out[i, j] = _leibniz(self.d, other.d, i, j)
         return Jet(out, n)
 
     __rmul__ = __mul__
@@ -165,14 +167,7 @@ class Jet:
         for t in range(1, n + 1):
             for i in range(t + 1):
                 j = t - i
-                acc = 0.0
-                for a in range(i + 1):
-                    for b in range(j + 1):
-                        if a == 0 and b == 0:
-                            continue
-                        c = _BINOM[i, a] * _BINOM[j, b]
-                        acc = acc + c * self.d[a, b] * out[i - a, j - b]
-                out[i, j] = -inv * acc
+                out[i, j] = -inv * _leibniz(self.d, out, i, j, ((0, 0),))
         return Jet(out, n)
 
     def sqrt(self):
@@ -185,13 +180,7 @@ class Jet:
         for t in range(1, n + 1):
             for i in range(t + 1):
                 j = t - i
-                acc = 0.0
-                for a in range(i + 1):
-                    for b in range(j + 1):
-                        if (a, b) == (0, 0) or (a, b) == (i, j):
-                            continue
-                        c = _BINOM[i, a] * _BINOM[j, b]
-                        acc = acc + c * out[a, b] * out[i - a, j - b]
+                acc = _leibniz(out, out, i, j, ((0, 0), (i, j)))
                 out[i, j] = (self.d[i, j] - acc) * half
         return Jet(out, n)
 
@@ -230,7 +219,7 @@ def compose(fjet: Jet, ujet: Jet, vjet: Jet) -> Jet:
     out = Jet.constant(0.0, n, shape)
     for a in range(n + 1):
         for b in range(n + 1 - a):
-            coeff = fjet.d[a, b] / (_FACT[a] * _FACT[b])
+            coeff = fjet.d[a, b] / (math.factorial(a) * math.factorial(b))
             out = out + pu[a] * pv[b] * coeff
     return out
 
@@ -255,40 +244,34 @@ def principal_angle(x, y):
     return a - np.pi * np.round(a / np.pi)
 
 
+def _gradient_jet(val, x, y, order, gradient):
+    """Jet of order `order` with value `val` whose first derivatives are
+    gradient(jx, jy, 1/(x²+y²)), built over coordinate jets one order
+    lower."""
+    if order == 0:
+        return Jet.constant(val, 0)
+    jx, jy = jet_xy(x, y, order - 1)
+    inv_r2 = (jx * jx + jy * jy).reciprocal()
+    return Jet.from_gradient(val, *gradient(jx, jy, inv_r2))
+
+
 def jet_arctan_ratio(x, y, order, branch=0):
     """Jet of Arctan(y/x) + branch*pi.  Defined away from the origin; the
     value (not the derivatives) jumps across x = 0."""
     x = _asfloat(x)
     y = _asfloat(y)
     val = principal_angle(x, y) + branch * np.pi
-    if order == 0:
-        d = np.zeros((1, 1) + val.shape, dtype=val.dtype)
-        d[0, 0] = val
-        return Jet(d, 0)
-    sub = order - 1
-    jx, jy = jet_xy(x, y, sub)
-    inv_r2 = (jx * jx + jy * jy).reciprocal()
-    gx = -jy * inv_r2
-    gy = jx * inv_r2
-    return Jet.from_gradient(val, gx, gy)
+    return _gradient_jet(val, x, y, order,
+                         lambda jx, jy, inv_r2: (-jy * inv_r2, jx * inv_r2))
 
 
 def jet_log_rsq(x, y, order):
     """Jet of ln(x^2 + y^2) away from the origin."""
     x = _asfloat(x)
     y = _asfloat(y)
-    r2 = x * x + y * y
-    val = np.log(r2)
-    if order == 0:
-        d = np.zeros((1, 1) + val.shape, dtype=val.dtype)
-        d[0, 0] = val
-        return Jet(d, 0)
-    sub = order - 1
-    jx, jy = jet_xy(x, y, sub)
-    inv_r2 = (jx * jx + jy * jy).reciprocal()
-    gx = 2.0 * jx * inv_r2
-    gy = 2.0 * jy * inv_r2
-    return Jet.from_gradient(val, gx, gy)
+    val = np.log(x * x + y * y)
+    return _gradient_jet(val, x, y, order, lambda jx, jy, inv_r2: (
+        2.0 * jx * inv_r2, 2.0 * jy * inv_r2))
 
 
 def jet_polynomial(x, y, coeffs, order):

@@ -34,13 +34,6 @@ def grid_axes(window, shape):
     return np.linspace(u0, u1, nu), np.linspace(v0, v1, nv)
 
 
-def _eval_points(surface, uu, vv, ok):
-    pts = np.full(ok.shape + (3,), np.nan)
-    if ok.any():
-        pts[ok] = surface.frame(uu[ok], vv[ok], order=0).r
-    return pts
-
-
 def mesh_from_grid(pts, ok, window, shape) -> Mesh:
     """Assemble a Mesh from grid-shaped points and a validity mask.
 
@@ -58,27 +51,29 @@ def mesh_from_grid(pts, ok, window, shape) -> Mesh:
     return Mesh(pts[ok], faces, ok, tuple(int(s) for s in shape), tuple(window), index)
 
 
+def grid_mesh(window, shape, is_safe, points) -> Mesh:
+    """Mesh of points(u, v), which maps flat parameter arrays to (n, 3)
+    points, over the valid points of the N x M grid of `window`."""
+    u, v = grid_axes(window, shape)
+    uu, vv = np.meshgrid(u, v)
+    ok = is_safe(uu, vv)
+    pts = np.full(ok.shape + (3,), np.nan)
+    if ok.any():
+        pts[ok] = points(uu[ok], vv[ok])
+    return mesh_from_grid(pts, ok, window, shape)
+
+
 def surface_mesh(surface, window=None, shape=(100, 100)) -> Mesh:
     """Evaluate the surface on an N x M grid and assemble valid quads."""
     if window is None:
         window = surface.default_window
-    u, v = grid_axes(window, shape)
-    uu, vv = np.meshgrid(u, v)
-    ok = np.broadcast_to(surface.is_safe(uu, vv), uu.shape).copy()
-    pts = _eval_points(surface, uu, vv, ok)
-    return mesh_from_grid(pts, ok, window, shape)
+    return grid_mesh(window, shape, surface.is_safe, surface.point)
 
 
 def field_graph_mesh(fieldobj, window=(-2.0, 2.0, -2.0, 2.0), shape=(100, 100)) -> Mesh:
     """Mesh of the graph (x, y, F(x, y)) with the field's own guards."""
-    u, v = grid_axes(window, shape)
-    uu, vv = np.meshgrid(u, v)
-    ok = np.broadcast_to(fieldobj.is_safe(uu, vv), uu.shape).copy()
-    pts = np.full(ok.shape + (3,), np.nan)
-    if ok.any():
-        vals = np.asarray(fieldobj.value(uu[ok], vv[ok]), dtype=float)
-        pts[ok] = np.stack([uu[ok], vv[ok], vals], axis=-1)
-    return mesh_from_grid(pts, ok, window, shape)
+    return grid_mesh(window, shape, fieldobj.is_safe, lambda x, y: np.stack(
+        [x, y, np.asarray(fieldobj.value(x, y), dtype=float)], axis=-1))
 
 
 def _records(template: str, rows) -> str:

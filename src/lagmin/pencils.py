@@ -46,6 +46,8 @@ class Cycle:
     def __post_init__(self):
         if self.a == 0.0 and self.b == 0.0 and self.c == 0.0 and self.d == 0.0:
             raise ValueError("cycle coefficients must not all vanish")
+        if not np.all(np.isfinite(self.vec())):
+            raise ValueError("cycle coefficients must be finite")
 
     def vec(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.d], dtype=float)
@@ -53,13 +55,6 @@ class Cycle:
     def q(self) -> float:
         """Inversive quadratic form b^2 + c^2 - 4ad."""
         return self.b * self.b + self.c * self.c - 4.0 * self.a * self.d
-
-    @property
-    def is_line(self) -> bool:
-        return self.a == 0.0
-
-    def is_circle(self) -> bool:
-        return self.a != 0.0 and self.q() > 0.0
 
     def evaluate(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -457,24 +452,40 @@ def gauss_pencil_of_cones(family, samples=9, phi_range=(-1.0, 1.0)) -> PencilCla
 # -- text interfaces ---------------------------------------------------
 
 
+def _cycle_record(rec) -> Cycle:
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object, got {rec!r}")
+    circle = "center" in rec
+    if circle:
+        center = rec["center"]
+        if not isinstance(center, list) or len(center) != 2:
+            raise ValueError(f"center wants two numbers, got {center!r}")
+        nums = [*center, rec["radius"]]
+    else:
+        nums = [rec[k] for k in "abcd"]
+    # exact types: JSON true/false load as bool, a subclass of int;
+    # Cycle itself rejects NaN and infinities
+    if not all(type(x) in (int, float) for x in nums):
+        raise ValueError(f"expected numbers, got {rec!r}")
+    nums = [float(x) for x in nums]
+    return Cycle.from_circle(nums[:2], nums[2]) if circle else Cycle(*nums)
+
+
 def parse_cycle_lines(text: str):
     """One JSON object per non-blank line, either cycle coefficients
-    {a, b, c, d} or a circle {center: [x, y], radius: r}."""
+    {a, b, c, d} or a circle {center: [x, y], radius: r}, all finite
+    numbers.  Any other line raises ValueError naming its line number."""
     out = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         raw = raw.strip()
         if not raw:
             continue
-        rec = json.loads(raw)
         try:
-            if "center" in rec:
-                out.append(Cycle.from_circle(rec["center"],
-                                             float(rec["radius"])))
-            else:
-                out.append(Cycle(float(rec["a"]), float(rec["b"]),
-                                 float(rec["c"]), float(rec["d"])))
+            out.append(_cycle_record(json.loads(raw)))
         except KeyError as exc:
             raise ValueError(f"line {ln}: missing cycle coefficient {exc}")
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"line {ln}: {exc}")
     return out
 
 

@@ -21,6 +21,7 @@ downstream see exact second derivatives.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,11 @@ class FieldSurface(GaussMappedSurface):
     def is_safe(self, u, v):
         return self.field.is_safe(u, v)
 
+    def with_guard(self, eps: float) -> "FieldSurface":
+        out = copy.copy(self)
+        out.field = self.field.with_guard(eps)
+        return out
+
     def frame(self, u, v, order=2) -> SurfaceJet:
         fj = self.field.jet(u, v, order + 1)
         fx = fj.shift(1, 0)
@@ -136,9 +142,8 @@ class FieldSurface(GaussMappedSurface):
         return SurfaceJet.from_components(X, Y, Z, order)
 
 
-def reconstruct_surface(F: ScalarField) -> FieldSurface:
-    """Surface enveloped by the plane family encoded in F (exact jets)."""
-    return FieldSurface(F)
+# The surface enveloped by the plane family encoded in a field F.
+reconstruct_surface = FieldSurface
 
 
 def isotropic_image(S: ParamSurface, u, v):

@@ -13,6 +13,7 @@ so frames are closed-form everywhere they are defined.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ from .fields import (
     ScalarField,
     make_polynomial_field,
 )
-from .jets import Jet, jet_arctan_ratio, jet_log_rsq, jet_polynomial, jet_xy
+from .jets import jet_arctan_ratio, jet_log_rsq, jet_polynomial, jet_xy
 from .geom_core import OrientedSphere
 from .reconstruct import (
     FieldSurface,
@@ -148,6 +149,11 @@ class BlockSurface(GaussMappedSurface):
             ok = ok & (np.abs(np.sqrt(r2) - 1.0) >= self.guard)
         return ok
 
+    def with_guard(self, eps: float) -> "BlockSurface":
+        out = copy.copy(self)
+        out.guard = float(eps)
+        return out
+
     def frame(self, u, v, order=2) -> SurfaceJet:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -175,13 +181,14 @@ class RotatedSurface(GaussMappedSurface):
         s0, t0, _, _ = self._params(u, v)
         return self.base.is_safe(s0, t0)
 
+    def with_guard(self, eps: float) -> "RotatedSurface":
+        return RotatedSurface(self.base.with_guard(eps), self.theta)
+
     def frame(self, u, v, order=2) -> SurfaceJet:
         s0, t0, c, s = self._params(u, v)
         bf = self.base.frame(s0, t0, order)
 
         def rot(vec):
-            if vec is None:
-                return None
             out = np.empty_like(vec)
             out[..., 0] = c * vec[..., 0] - s * vec[..., 1]
             out[..., 1] = s * vec[..., 0] + c * vec[..., 1]
@@ -231,6 +238,9 @@ class ConvolutionSurface(GaussMappedSurface):
             ok = ok & s.is_safe(u, v)
         return ok
 
+    def with_guard(self, eps: float) -> "ConvolutionSurface":
+        return ConvolutionSurface([(w, s.with_guard(eps)) for w, s in self.terms])
+
     def frame(self, u, v, order=2) -> SurfaceJet:
         # vars() lists a frame's parts in field order; parts beyond
         # `order` are None in every term and stay None in the sum
@@ -244,8 +254,7 @@ class ConvolutionSurface(GaussMappedSurface):
         return SurfaceJet(*total)
 
 
-def convolve(terms) -> ConvolutionSurface:
-    return ConvolutionSurface(terms)
+convolve = ConvolutionSurface
 
 
 class RuledPatch(ParamSurface):
@@ -309,8 +318,7 @@ class RuledPatch(ParamSurface):
         return out
 
 
-def ruled_surface(A, B, C, D) -> RuledPatch:
-    return RuledPatch(A, B, C, D)
+ruled_surface = RuledPatch
 
 
 # -- building-block registry ------------------------------------------
@@ -496,10 +504,6 @@ class RulingFamily:
         )
         return point, direction
 
-    def cyclo_line(self, phi: float) -> CycloLine:
-        point, direction = self.line(float(phi))
-        return CycloLine(np.append(point, 0.0), np.append(direction, 0.0))
-
     def gauss_point(self, phi, s):
         """Parameter-plane point at radius s on the Gauss line of phi."""
         phi = np.asarray(phi, dtype=float)
@@ -522,8 +526,7 @@ class RulingFamily:
         )
 
 
-def rulings_of_convolution(a1, a2, a3, theta=0.0) -> RulingFamily:
-    return RulingFamily(a1, a2, a3, theta)
+rulings_of_convolution = RulingFamily
 
 
 # -- cyclographic preimages -------------------------------------------
@@ -672,8 +675,7 @@ class PreimageFamily:
         base, direction = self.fn(float(phi))
         return CycloLine(base, direction)
 
-    def __call__(self, phi: float) -> CycloLine:
-        return self.line(phi)
+    __call__ = line
 
 
 def cyclographic_preimage(spec) -> PreimageFamily:

@@ -9,6 +9,7 @@ Residual checks return CheckReport records with a stable JSON form.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +31,8 @@ from .reconstruct import (
     reconstruct_surface,
     unit_normal,
 )
-from .surfaces import BlockSurface, ConvolutionSurface, RotatedSurface
+from .surfaces import (BlockSurface, ConvolutionSurface, RotatedSurface,
+                       building_block, cyclographic_preimage)
 
 K_TOL = 1e-12
 BISECT_TOL = 1e-12
@@ -65,9 +67,8 @@ class CheckReport:
                    res.size > 0 and mx <= float(tolerance), dict(meta or {}))
 
 
-def _json_value(obj) -> str:
-    import json as _json
-
+def json_text(obj) -> str:
+    """Deterministic JSON for report-like values (17-digit floats)."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -77,22 +78,17 @@ def _json_value(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, str):
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, dict):
         inner = ", ".join(
-            "%s: %s" % (_json.dumps(str(k)), _json_value(v)) for k, v in obj.items()
+            "%s: %s" % (json.dumps(str(k)), json_text(v)) for k, v in obj.items()
         )
         return "{" + inner + "}"
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in obj) + "]"
+        return "[" + ", ".join(json_text(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def json_text(value) -> str:
-    """Deterministic JSON for report-like values (17-digit floats)."""
-    return _json_value(value)
 
 
 def report_json(report: CheckReport) -> str:
@@ -106,7 +102,7 @@ def report_json(report: CheckReport) -> str:
         "pass": bool(report.passed),
         "meta": report.meta,
     }
-    return _json_value(payload)
+    return json_text(payload)
 
 
 def write_reports(reports, path):
@@ -206,7 +202,7 @@ def gaussmap_identity_residual(S, window=None, shape=(100, 100),
         window = S.default_window
     u, v = meshing.grid_axes(window, shape)
     uu, vv = np.meshgrid(u, v)
-    ok = np.broadcast_to(S.is_safe(uu, vv), uu.shape).copy()
+    ok = S.is_safe(uu, vv)
     skipped = int(ok.size - ok.sum())
     fu = uu[ok]
     fv = vv[ok]
@@ -577,8 +573,6 @@ def tangency_plan(block_name):
 def tangency_check(block_name, *, shape=(400, 400),
                    tolerance=TANGENCY_TOL):
     """All frozen sphere-tangency reports for one named block."""
-    from .surfaces import building_block, cyclographic_preimage
-
     S = building_block(block_name)
     reports = []
     for fam_name, pairs, window in tangency_plan(block_name):

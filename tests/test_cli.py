@@ -1,8 +1,12 @@
 """Command-line behavior: exit codes, reports, OBJ hygiene."""
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagmin.cli import main
 from lagmin.fields import make_elliptic_field
@@ -296,3 +300,116 @@ def test_check_without_samples_fails(tmp_path, check):
     assert code == 1
     records = json.loads(rep.read_text())
     assert records[0]["samples"] == 0 and records[0]["pass"] is False
+
+
+def test_value_error_from_a_check_is_an_error_exit(capsys):
+    # numpy rejects the negative sampling seed with a ValueError
+    code = main(["verify", "--surface", "r1", "--checks", "biharmonic",
+                 "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ValueError") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["biharmonic=nan", "guard=inf", "guard=-1",
+                                  "gaussmap=0", "guard=abc"])
+def test_config_values_must_be_finite_and_positive(tmp_path, capsys, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "x.obj"
+    code = main(["generate", "--surface", "r1", "--grid", "10x10",
+                 "--range", "-2,2,-2,2", "--config", str(cfg), "-o", str(out)])
+    assert code == 2
+    assert "config line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("record", [
+    '{"center":[0,0],"radius":NaN}',
+    '{"center":[0,0],"radius":Infinity}',
+    '{"center":[0],"radius":1}',
+    '{"center":"origin","radius":1}',
+    '{"center":[0,0,0],"radius":1}',
+    '{"center":[1e200,0],"radius":1}',
+    '{"a":1,"b":true,"c":0,"d":-1}',
+    '{"a":1,"b":"0","c":0,"d":-1}',
+    '[1,2]',
+    '{"a":1',
+])
+def test_malformed_circle_records_are_usage_errors(tmp_path, capsys, record):
+    src = tmp_path / "circles.json"
+    src.write_text('{"center":[0,0],"radius":1}\n%s\n'
+                   '{"center":[0,0],"radius":2}\n' % record)
+    code = main(["classify-pencil", "--input", str(src)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad circles file: line 2:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["r1", "r3@theta=0.5", "r1~",
+                                  "conv(1*r1,0.5*r3@theta=0.2)"])
+def test_config_guard_reaches_every_block_spec(tmp_path, spec):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("guard=0.5\n")
+    argv = ["generate", "--surface", spec, "--grid", "21x21",
+            "--range", "-2,2,-2,2", "-o"]
+    assert main(argv + [str(tmp_path / "plain.obj")]) == 0
+    assert main(argv + [str(tmp_path / "guarded.obj"),
+                        "--config", str(cfg)]) == 0
+    _, plain, _ = read_obj(tmp_path / "plain.obj")
+    _, guarded, _ = read_obj(tmp_path / "guarded.obj")
+    assert 0 < len(guarded) < len(plain)
+
+
+def test_config_guard_reaches_convolution_field_checks(tmp_path):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("guard=0.5\n")
+    argv = ["verify", "--surface", "conv(1*r1,0.5*r3)", "--checks",
+            "biharmonic", "--report"]
+    assert main(argv + [str(tmp_path / "plain.json")]) == 0
+    assert main(argv + [str(tmp_path / "guarded.json"),
+                        "--config", str(cfg)]) == 0
+    plain = json.loads((tmp_path / "plain.json").read_text())[0]
+    guarded = json.loads((tmp_path / "guarded.json").read_text())[0]
+    assert guarded["max_residual"] != plain["max_residual"]
+
+
+_JSON_SCALARS = (st.floats() | st.integers() | st.booleans() | st.none()
+                 | st.text(max_size=3))
+_CIRCLE_RECORDS = (
+    st.fixed_dictionaries({"center": st.lists(_JSON_SCALARS, max_size=3),
+                           "radius": _JSON_SCALARS})
+    | st.fixed_dictionaries({k: _JSON_SCALARS for k in "abcd"})
+    | st.fixed_dictionaries({"center": st.lists(st.floats(-3, 3), min_size=2,
+                                                max_size=2),
+                             "radius": st.floats(0.1, 3)})
+    | _JSON_SCALARS
+    | st.lists(_JSON_SCALARS, max_size=2)
+)
+_CONFIG_VALUES = (st.floats().map(repr) | st.integers().map(str)
+                  | st.text(alphabet="0123456789.-+einfa ", max_size=6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(-(10**20), 10**20),
+       key=st.sampled_from(["biharmonic", "guard"]), value=_CONFIG_VALUES,
+       records=st.lists(_CIRCLE_RECORDS, max_size=4))
+def test_seeds_configs_and_circle_files_keep_the_exit_contract(
+        tmp_path_factory, seed, key, value, records):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "c.cfg").write_text("%s=%s\n" % (key, value))
+    (work / "circles.json").write_text(
+        "".join(json.dumps(r) + "\n" for r in records))
+    runs = [["verify", "--surface", "r1", "--checks", "biharmonic",
+             "--seed", str(seed), "--config", str(work / "c.cfg")],
+            ["generate", "--surface", "r1", "--grid", "12x9",
+             "--range", "-2,2,-2,2", "--config", str(work / "c.cfg"),
+             "-o", str(work / "x.obj")],
+            ["classify-pencil", "--input", str(work / "circles.json")]]
+    for argv in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

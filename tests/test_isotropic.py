@@ -11,6 +11,7 @@ from lagmin.geom_core import (
     sphere_tangent_plane,
 )
 from lagmin.isotropic import (
+    GENERATORS,
     IMSphere,
     IMTransform,
     IsoPoint,
@@ -222,3 +223,24 @@ def test_generator_correspondence_report_is_honest():
 def test_unknown_generator_rejected():
     with pytest.raises(ValueError):
         IMTransform().then("twist")
+
+
+_GENERATOR_PARAMS = {"rotate": {"theta": 0.8}, "shear": {"a": 0.5, "b": -0.3},
+                     "parab": {}, "offset": {"h": 1.2}, "zscale": {"a": 1.7},
+                     "invert": {}, "sqrt2": {}, "xshift": {"t": 0.6}}
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATOR_PARAMS))
+def test_ideal_labels_follow_the_sphere_map(name):
+    # an ideal point labelled h lies on every model sphere with leading
+    # coefficient h; its image lies on every image sphere
+    assert set(_GENERATOR_PARAMS) == set(GENERATORS)
+    T = IMTransform().then(name, **_GENERATOR_PARAMS[name])
+    for h, b, c, d in ((0.0, 0.3, -0.2, 0.5), (1.5, -0.7, 0.4, 0.1),
+                       (-2.25, 0.0, 1.0, -0.4)):
+        q = imtransform_apply(T, IsoPoint.ideal(h))
+        image = imsphere_map(T, IMSphere(h, b, c, d))
+        if q.is_ideal:
+            assert q.ideal_label == pytest.approx(image.a, abs=1e-12)
+        else:
+            assert q.z == pytest.approx(image.height(q.x, q.y), abs=1e-12)

@@ -170,3 +170,70 @@ def test_batched_jets_match_per_point():
     for k in range(3):
         single = jet_arctan_ratio(xs[k], ys[k], 4)
         assert np.allclose(batch.d[..., k], single.d, atol=1e-13)
+
+
+# -- orders above four: one Leibniz sum, binomials and factorials from math
+
+HIGH = 6
+
+
+def _entries(order):
+    return [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
+
+
+def test_product_at_order_six_matches_expanded_polynomial():
+    x, y = 0.8, -1.1
+    ja = jet_polynomial(x, y, {(3, 0): 1.0, (1, 2): -2.0, (0, 1): 0.5}, HIGH)
+    jb = jet_polynomial(x, y, {(2, 2): 1.0, (0, 3): 3.0, (0, 0): -1.0}, HIGH)
+    # (x^3 - 2xy^2 + y/2)(x^2y^2 + 3y^3 - 1)
+    expanded = jet_polynomial(x, y, {
+        (5, 2): 1.0, (3, 3): 3.0, (3, 0): -1.0, (3, 4): -2.0, (1, 5): -6.0,
+        (1, 2): 2.0, (2, 3): 0.5, (0, 4): 1.5, (0, 1): -0.5}, HIGH)
+    assert np.allclose((ja * jb).d, expanded.d, rtol=1e-13, atol=1e-11)
+
+
+def _closed_form_power(x, y, p, order):
+    """Table of (1 + x + y)^p: every (i, j) derivative is the falling
+    factorial p(p-1)...(p-n+1)·(1 + x + y)^(p-n) with n = i + j."""
+    s = 1.0 + x + y
+    d = np.zeros((order + 1, order + 1))
+    for i, j in _entries(order):
+        n = i + j
+        d[i, j] = math.prod(p - k for k in range(n)) * s ** (p - n)
+    return d
+
+
+def test_reciprocal_and_sqrt_at_order_six_match_closed_forms():
+    x, y = 0.4, 0.3
+    f = jet_polynomial(x, y, {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0}, HIGH)
+    assert np.allclose(f.reciprocal().d, _closed_form_power(x, y, -1, HIGH),
+                       rtol=1e-12, atol=0)
+    assert np.allclose(f.sqrt().d, _closed_form_power(x, y, 0.5, HIGH),
+                       rtol=1e-12, atol=0)
+
+
+def test_log_and_arctan_jets_at_order_six_match_complex_derivatives():
+    # ln(x^2 + y^2) = 2 Re log z and Arctan(y/x) = Im log z (z = x + iy)
+    # off the branch cut, and d^n/dz^n log z = (-1)^(n-1) (n-1)! / z^n
+    x, y = 0.9, -0.6
+    z = complex(x, y)
+    log_jet = jet_log_rsq(x, y, HIGH)
+    atan_jet = jet_arctan_ratio(x, y, HIGH)
+    for i, j in _entries(HIGH):
+        n = i + j
+        if n == 0:
+            continue
+        dz = 1j ** j * (-1) ** (n - 1) * math.factorial(n - 1) / z ** n
+        assert abs(log_jet.entry(i, j) - 2.0 * dz.real) < 1e-11 * math.factorial(n)
+        assert abs(atan_jet.entry(i, j) - dz.imag) < 1e-11 * math.factorial(n)
+
+
+def test_compose_at_order_six_matches_expanded_polynomial():
+    x, y = 0.7, -0.5
+    ju = jet_polynomial(x, y, {(1, 0): 1.0, (0, 2): 1.0}, HIGH)     # x + y^2
+    jv = jet_polynomial(x, y, {(1, 1): 1.0}, HIGH)                  # xy
+    # P(u, v) = u^2 v + v^3
+    fjet = jet_polynomial(ju.value, jv.value, {(2, 1): 1.0, (0, 3): 1.0}, HIGH)
+    direct = jet_polynomial(
+        x, y, {(3, 1): 1.0, (2, 3): 2.0, (1, 5): 1.0, (3, 3): 1.0}, HIGH)
+    assert np.allclose(compose(fjet, ju, jv).d, direct.d, rtol=1e-13, atol=1e-12)
