@@ -3,11 +3,11 @@
 Graphs z = F(x, y) of biharmonic functions are the isotropic-model shadows
 of L-minimal surfaces, so everything downstream (reconstruction, rulings,
 verification) consumes these field objects.  Each family stores its
-coefficient vector and hands out exact partial-derivative tables up to
-order 4 through `jet`; the bilaplacian comes from the order-4 jet in closed
-form, with a 13-point finite-difference stencil as an independent
-cross-check.  Fields are frozen dataclasses: evaluation is pure and safe to
-run over whole grids at once.
+coefficient vector and hands out exact partial-derivative tables of any
+order through `jet` (order 4 by default); the bilaplacian comes from the
+order-4 jet in closed form, with a 13-point finite-difference stencil as an
+independent cross-check.  Fields are frozen dataclasses: evaluation is pure
+and safe to run over whole grids at once.
 
 Multi-valued terms: only Arctan(y/x) carries the branch integer (value
 plus branch*pi); the logarithm of x^2 + y^2 is single-valued off the

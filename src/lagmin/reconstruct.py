@@ -17,12 +17,14 @@ every normal, tangent plane and curvature in the package goes through it.
 
 Surface derivative jets come from analytic differentiation (field jets one
 order higher), never from finite differences, so curvature formulas
-downstream see exact second derivatives.
+downstream see exact derivatives.  A `SurfaceJet` of order n is one table
+d[i, j] = ∂uⁱ∂vʲ r of shape (n+1, n+1, ..., 3), the layout of a scalar
+`Jet` with a trailing axis for the three coordinates, so frames of any
+order are built, summed and transformed as whole tables.
 """
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,30 +36,32 @@ from .jets import jet_xy
 IMMERSION_TOL = 1e-10
 IDEAL_TOL = 1e-9
 
-# jet entries (i, j) = (d/du)^i (d/dv)^j of the SurfaceJet fields, in order
-_FRAME_ENTRIES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
-
-@dataclass
 class SurfaceJet:
-    """Position and partial derivatives of a parametrization, each an
-    (..., 3) array; second-order entries are None for low-order frames."""
+    """Position and partial derivatives of a parametrization, stored the
+    way a `Jet` stores a scalar: one table `d` of shape
+    (order+1, order+1, ..., 3) with d[i, j] = ∂uⁱ∂vʲ r for i + j <= order
+    (entries with i + j > order are zero).  `r`, `ru`, `rv`, `ruu`, `ruv`
+    and `rvv` are read-only views of the first six entries."""
 
-    r: np.ndarray
-    ru: np.ndarray = None
-    rv: np.ndarray = None
-    ruu: np.ndarray = None
-    ruv: np.ndarray = None
-    rvv: np.ndarray = None
+    __slots__ = ("d", "order")
+
+    def __init__(self, d, order):
+        self.d = d
+        self.order = order
 
     @classmethod
     def from_components(cls, X, Y, Z, order) -> "SurfaceJet":
         """Frame of order `order` from the jets X, Y, Z of the three
         coordinate functions."""
-        return cls(*(
-            np.stack([X.entry(i, j), Y.entry(i, j), Z.entry(i, j)], axis=-1)
-            for i, j in _FRAME_ENTRIES if i + j <= order
-        ))
+        return cls(np.stack([X.d, Y.d, Z.d], axis=-1), order)
+
+    r = property(lambda self: self.d[0, 0])
+    ru = property(lambda self: self.d[1, 0])
+    rv = property(lambda self: self.d[0, 1])
+    ruu = property(lambda self: self.d[2, 0])
+    ruv = property(lambda self: self.d[1, 1])
+    rvv = property(lambda self: self.d[0, 2])
 
 
 def unit_normal(S, ru, rv, u, v, what):

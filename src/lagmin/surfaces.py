@@ -186,27 +186,25 @@ class RotatedSurface(GaussMappedSurface):
 
     def frame(self, u, v, order=2) -> SurfaceJet:
         s0, t0, c, s = self._params(u, v)
-        bf = self.base.frame(s0, t0, order)
-
-        def rot(vec):
-            out = np.empty_like(vec)
-            out[..., 0] = c * vec[..., 0] - s * vec[..., 1]
-            out[..., 1] = s * vec[..., 0] + c * vec[..., 1]
-            out[..., 2] = vec[..., 2]
-            return out
-
-        out = SurfaceJet(r=rot(bf.r))
-        if order >= 1:
-            out.ru = rot(c * bf.ru - s * bf.rv)
-            out.rv = rot(s * bf.ru + c * bf.rv)
-        if order >= 2:
-            ruu = c * c * bf.ruu - 2.0 * c * s * bf.ruv + s * s * bf.rvv
-            ruv = c * s * bf.ruu + (c * c - s * s) * bf.ruv - c * s * bf.rvv
-            rvv = s * s * bf.ruu + 2.0 * c * s * bf.ruv + c * c * bf.rvv
-            out.ruu = rot(ruu)
-            out.ruv = rot(ruv)
-            out.rvv = rot(rvv)
-        return out
+        base = self.base.frame(s0, t0, order).d
+        # ∂u = c∂s − s∂t and ∂v = s∂s + c∂t, so d[i, j] pairs the
+        # coefficients of (c x − s y)ⁱ (s x + c y)ʲ, highest power of x
+        # first, with the base entries of order i + j; every sum starts
+        # from its first term, so the sign of a zero entry survives
+        d = np.zeros_like(base)
+        for i in range(order + 1):
+            for j in range(order + 1 - i):
+                coef = [1.0]
+                for a, b in [(c, -s)] * i + [(s, c)] * j:
+                    coef = ([coef[0] * a]
+                            + [p * b + q * a for p, q in zip(coef, coef[1:])]
+                            + [coef[-1] * b])
+                k = i + j
+                terms = [w * base[k - m, m] for m, w in enumerate(coef)]
+                d[i, j] = sum(terms[1:], terms[0])
+        x, y = d[..., 0], d[..., 1]
+        return SurfaceJet(np.stack([c * x - s * y, s * x + c * y, d[..., 2]],
+                                   axis=-1), order)
 
 
 class ConvolutionSurface(GaussMappedSurface):
@@ -242,16 +240,11 @@ class ConvolutionSurface(GaussMappedSurface):
         return ConvolutionSurface([(w, s.with_guard(eps)) for w, s in self.terms])
 
     def frame(self, u, v, order=2) -> SurfaceJet:
-        # vars() lists a frame's parts in field order; parts beyond
-        # `order` are None in every term and stay None in the sum
         total = None
         for w, s in self.terms:
-            parts = [None if p is None else w * p
-                     for p in vars(s.frame(u, v, order)).values()]
-            total = parts if total is None else [
-                None if a is None else a + b for a, b in zip(total, parts)
-            ]
-        return SurfaceJet(*total)
+            part = w * s.frame(u, v, order).d
+            total = part if total is None else total + part
+        return SurfaceJet(total, order)
 
 
 convolve = ConvolutionSurface
@@ -288,34 +281,23 @@ class RuledPatch(ParamSurface):
         lam = np.asarray(lam, dtype=float)
         phi, lam = np.broadcast_arrays(phi, lam)
         sn, cs = np.sin(phi), np.cos(phi)
-        zero = np.zeros_like(phi)
-        out = SurfaceJet(
-            r=np.stack(
-                [
-                    self.A * phi + lam * sn,
-                    self.B * phi + lam * cs,
-                    self.C * phi + self.D * np.cos(2 * phi),
-                ],
-                axis=-1,
-            )
-        )
-        if order >= 1:
-            out.ru = np.stack(
-                [
-                    self.A + lam * cs,
-                    self.B - lam * sn,
-                    self.C - 2.0 * self.D * np.sin(2 * phi),
-                ],
-                axis=-1,
-            )
-            out.rv = np.stack([sn, cs, zero], axis=-1)
-        if order >= 2:
-            out.ruu = np.stack(
-                [-lam * sn, -lam * cs, -4.0 * self.D * np.cos(2 * phi)], axis=-1
-            )
-            out.ruv = np.stack([cs, -sn, zero], axis=-1)
-            out.rvv = np.zeros(phi.shape + (3,))
-        return out
+        s2, c2 = np.sin(2 * phi), np.cos(2 * phi)
+        # ∂φᵏ sin φ = trig[k % 4], ∂φᵏ cos φ = trig[(k + 1) % 4] and
+        # ∂φᵏ cos 2φ = 2ᵏ trig2[k % 4]; r is linear in λ, so d[k, j >= 2] = 0
+        trig = (sn, cs, -sn, -cs)
+        trig2 = (c2, -s2, -c2, s2)
+        linear = ((self.A * phi, self.B * phi, self.C * phi),
+                  (self.A, self.B, self.C))
+        d = np.zeros((order + 1, order + 1) + phi.shape + (3,))
+        for k in range(order + 1):
+            sk, ck = trig[k % 4], trig[(k + 1) % 4]
+            wave = (lam * sk, lam * ck, self.D * 2.0 ** k * trig2[k % 4])
+            if k < 2:
+                wave = [p + w for p, w in zip(linear[k], wave)]
+            d[k, 0] = np.stack(wave, axis=-1)
+            if k < order:
+                d[k, 1, ..., :2] = np.stack([sk, ck], axis=-1)
+        return SurfaceJet(d, order)
 
 
 ruled_surface = RuledPatch

@@ -27,6 +27,7 @@ from .fields import make_bump_field, make_polynomial_field, sum_fields
 from .isotropic import stereographic
 from .reconstruct import (
     IMMERSION_TOL,
+    GaussMappedSurface,
     SurfaceJet,
     reconstruct_surface,
     unit_normal,
@@ -192,8 +193,14 @@ def first_variation(F, center, radius, amplitude, *, eps=1e-4, nodes=16):
 def gaussmap_identity_residual(S, window=None, shape=(100, 100),
                                tolerance=GAUSSMAP_TOL) -> CheckReport:
     """Round trip: the stereographic top view of the oriented unit
-    normal at (u, v) must reproduce (u, v)."""
-    if not getattr(S, "immersed", True):
+    normal at (u, v) must reproduce (u, v).  Only surfaces in Gauss
+    coordinates have such a round trip; any other parametrization, such
+    as a ruled patch in (phi, lambda), raises ProvenanceMismatch."""
+    if not isinstance(S, GaussMappedSurface):
+        raise ProvenanceMismatch(
+            f"surface {getattr(S, 'provenance', S)!r} is not in Gauss coordinates"
+        )
+    if not S.immersed:
         # a documented exemption, not a measurement: it passes with n = 0
         return CheckReport("gaussmap-identity", 0, 0.0, 0.0, float(tolerance),
                            True,
@@ -343,7 +350,7 @@ def _safe_samples(is_safe, rng, window, count, max_draw=100):
     for _ in range(max_draw):
         x = rng.uniform(u0, u1, count)
         y = rng.uniform(v0, v1, count)
-        ok = np.broadcast_to(is_safe(x, y), x.shape)
+        ok = is_safe(x, y)
         xs = np.concatenate([xs, x[ok]])
         ys = np.concatenate([ys, y[ok]])
         if xs.size >= count:
@@ -372,7 +379,7 @@ def biharmonic_residual(F, *, seed=0, samples=1000, margin=0.1,
     m2 = float(margin) ** 2
 
     def safe(x, y):
-        ok = np.broadcast_to(F.is_safe(x, y), np.broadcast(x, y).shape).copy()
+        ok = F.is_safe(x, y)
         for cx, cy in centers:
             ok &= (x - cx) ** 2 + (y - cy) ** 2 >= m2
         return ok
@@ -408,11 +415,9 @@ def fd_curvature_check(S, *, seed=0, samples=20, step=1e-4,
     h = float(step)
 
     def stencil_safe(x, y):
-        ok = np.ones(np.broadcast(x, y).shape, dtype=bool)
-        for dx in (-h, 0.0, h):
-            for dy in (-h, 0.0, h):
-                ok &= np.broadcast_to(S.is_safe(x + dx, y + dy), ok.shape)
-        return ok
+        return np.logical_and.reduce([S.is_safe(x + dx, y + dy)
+                                      for dx in (-h, 0.0, h)
+                                      for dy in (-h, 0.0, h)])
 
     u = np.empty(0)
     v = np.empty(0)
@@ -436,18 +441,19 @@ def fd_curvature_check(S, *, seed=0, samples=20, step=1e-4,
     v = v[: int(samples)]
     H, K = curvatures(S, u, v)
 
-    def f(a, b):
-        return S.frame(a, b, order=0).r
-
-    fd = SurfaceJet(
-        r=None,
-        ru=(f(u + h, v) - f(u - h, v)) / (2 * h),
-        rv=(f(u, v + h) - f(u, v - h)) / (2 * h),
-        ruu=(f(u + h, v) - 2 * f(u, v) + f(u - h, v)) / (h * h),
-        rvv=(f(u, v + h) - 2 * f(u, v) + f(u, v - h)) / (h * h),
-        ruv=(f(u + h, v + h) - f(u + h, v - h) - f(u - h, v + h)
-             + f(u - h, v - h)) / (4 * h * h),
-    )
+    # the nine stencil points, each evaluated once: p[i, j] = r(u + ih, v + jh)
+    du = {-1: u - h, 0: u, 1: u + h}
+    dv = {-1: v - h, 0: v, 1: v + h}
+    p = {(i, j): S.frame(du[i], dv[j], order=0).r
+         for i in (-1, 0, 1) for j in (-1, 0, 1)}
+    d = np.zeros((3, 3) + p[0, 0].shape)
+    d[0, 0] = p[0, 0]
+    d[1, 0] = (p[1, 0] - p[-1, 0]) / (2 * h)
+    d[0, 1] = (p[0, 1] - p[0, -1]) / (2 * h)
+    d[2, 0] = (p[1, 0] - 2 * p[0, 0] + p[-1, 0]) / (h * h)
+    d[0, 2] = (p[0, 1] - 2 * p[0, 0] + p[0, -1]) / (h * h)
+    d[1, 1] = (p[1, 1] - p[1, -1] - p[-1, 1] + p[-1, -1]) / (4 * h * h)
+    fd = SurfaceJet(d, 2)
     n, _ = unit_normal(S, fd.ru, fd.rv, u, v, "finite-difference curvature")
     Hf, Kf = mean_gauss_curvature(fd, n)
     res = np.maximum(np.abs(H - Hf) / (1.0 + np.abs(Hf)),

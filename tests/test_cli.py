@@ -302,6 +302,15 @@ def test_check_without_samples_fails(tmp_path, check):
     assert records[0]["samples"] == 0 and records[0]["pass"] is False
 
 
+@pytest.mark.parametrize("spec", ["ruled(1,0.5,0.3,0.2)", "ruled(0,0,0,0)"])
+def test_gaussmap_refuses_surfaces_not_in_gauss_coordinates(capsys, spec):
+    # (phi, lambda) are not Gauss coordinates: no round trip to measure
+    code = main(["verify", "--surface", spec, "--checks", "gaussmap"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ProvenanceMismatch") and err.count("\n") == 1
+
+
 def test_value_error_from_a_check_is_an_error_exit(capsys):
     # numpy rejects the negative sampling seed with a ValueError
     code = main(["verify", "--surface", "r1", "--checks", "biharmonic",

@@ -11,11 +11,22 @@ from lagmin.errors import (
     UnknownName,
     ZeroGaussCurvature,
 )
-from lagmin.fields import make_polynomial_field
+from lagmin.fields import (
+    EllipticField,
+    ExceptionalField,
+    HyperbolicField,
+    ParabolicField,
+    make_bump_field,
+    make_polynomial_field,
+    make_remark_counterexample,
+    pushforward_inversion,
+    sum_fields,
+)
 from lagmin.reconstruct import reconstruct_surface
 from lagmin.surfaces import (
     BLOCK_NAMES,
     CycloLine,
+    RotatedSurface,
     block_field,
     building_block,
     cone_spheres,
@@ -228,13 +239,88 @@ def test_ruling_family_rejects_foreign_surface():
         ruling_residual(building_block("r4"), fam)
 
 
-def test_convolution_frame_is_the_weighted_sum_of_term_frames():
+@pytest.mark.parametrize("order", [2, 3])
+def test_convolution_frame_is_the_weighted_sum_of_term_frames(order):
     terms = [(0.7, building_block("r1")), (-0.4, building_block("r2")),
              (1.3, building_block("r3", 0.4))]
     u = np.array([0.3, -1.1, 0.8])
     v = np.array([0.9, 0.2, -1.4])
-    got = convolve(terms).frame(u, v, order=2)
-    frames = [(w, s.frame(u, v, order=2)) for w, s in terms]
+    got = convolve(terms).frame(u, v, order=order)
+    frames = [(w, s.frame(u, v, order=order)) for w, s in terms]
     for part in ("r", "ru", "rv", "ruu", "ruv", "rvv"):
         want = sum(w * getattr(fr, part) for w, fr in frames)
         assert np.array_equal(getattr(got, part), want)
+
+
+def test_ruled_frame_table_at_order_4():
+    # each entry is the central difference of the entry one order below;
+    # r is linear in lambda, so columns j >= 2 vanish
+    rp = ruled_surface(1.0, 0.5, 0.3, 0.2)
+    phi = np.linspace(-3.0, 3.0, 7)
+    lam = np.linspace(-2.0, 2.0, 7)
+    h = 1e-5
+    d = rp.frame(phi, lam, order=4).d
+
+    def low(p, q):
+        return rp.frame(p, q, order=3).d
+
+    for k in range(1, 5):
+        fd = (low(phi + h, lam)[k - 1, 0] - low(phi - h, lam)[k - 1, 0]) / (2 * h)
+        assert np.max(np.abs(fd - d[k, 0])) < 1e-8
+    for k in range(4):
+        fd = (low(phi, lam + h)[k, 0] - low(phi, lam - h)[k, 0]) / (2 * h)
+        assert np.max(np.abs(fd - d[k, 1])) < 1e-8
+    for k in range(1, 4):
+        fd = (low(phi + h, lam)[k - 1, 1] - low(phi - h, lam)[k - 1, 1]) / (2 * h)
+        assert np.max(np.abs(fd - d[k, 1])) < 1e-8
+    assert not d[:, 2:].any()
+    # the order-2 entries are those of the order-2 frame
+    d2 = rp.frame(phi, lam, order=2).d
+    for i, j in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+        assert np.array_equal(d[i, j], d2[i, j])
+
+
+@pytest.mark.parametrize("name", ["r3", "r6", "r9", "r3~"])
+def test_rotated_frame_matches_the_rotated_field_at_order_4(name):
+    # these blocks have closed rotated fields, so rotating the frame of the
+    # block must give the reconstruction of the rotated field, entry by entry
+    theta = 0.7
+    u = np.array([0.3, -1.1, 0.8, 1.5])
+    v = np.array([0.9, 0.2, -1.4, 0.6])
+    got = RotatedSurface(building_block(name), theta).frame(u, v, order=4).d
+    want = reconstruct_surface(block_field(name, theta)).frame(u, v, order=4).d
+    assert got.shape == want.shape == (5, 5, 4, 3)
+    assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-12
+
+
+_SAFE_OBJECTS = {
+    **{name: building_block(name) for name in BLOCK_NAMES},
+    "r3@theta=0.5": building_block("r3", 0.5),
+    "r6~@theta=0.2": building_block("r6~", 0.2),
+    "conv": convolve([(1.0, building_block("r1")),
+                      (0.5, building_block("r3", 0.2))]),
+    "ruled": ruled_surface(1.0, 0.5, 0.3, 0.2),
+    "field:elliptic": EllipticField(a1=1.0, b2=0.3, d1=0.2),
+    "field:hyperbolic": HyperbolicField(a2=1.0, c2=1.0, alpha1=-1.0),
+    "field:parabolic": ParabolicField(alpha0=1.0, beta1=0.6),
+    "field:exceptional": ExceptionalField(a=0.2, A=1.0, B=0.5, c=0.3),
+    "field:poly": make_polynomial_field({(3, 0): 1.0, (0, 0): 0.5}),
+    "field:remark": make_remark_counterexample(),
+    "field:sum": sum_fields([(1.0, block_field("r1")), (0.5, block_field("r4"))]),
+    "field:bump": make_bump_field((0.2, -0.1), 0.8, 1.0),
+    "field:kelvin": pushforward_inversion(block_field("r6")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAFE_OBJECTS))
+def test_is_safe_returns_a_fresh_mask_of_the_broadcast_shape(name):
+    # callers AND masks in place, so every is_safe must hand out a new
+    # boolean array of the broadcast shape, also for scalar x array input
+    obj = _SAFE_OBJECTS[name]
+    x = np.linspace(-1.9, 1.7, 7)
+    for u, v in ((0.6, x), (x, -0.4), (x[:, None], x[None, :3])):
+        ok = obj.is_safe(u, v)
+        assert isinstance(ok, np.ndarray) and ok.dtype == bool
+        assert ok.shape == np.broadcast(u, v).shape
+        assert ok.flags.writeable
+        assert not np.shares_memory(ok, obj.is_safe(u, v))
