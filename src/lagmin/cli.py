@@ -185,6 +185,15 @@ def _merge_meshes(parts):
     )
 
 
+def _write_mesh(mesh, path, **kw):
+    """Write the OBJ; say on stderr how many grid points were dropped
+    for non-finite coordinates (overflow, invalid values), if any."""
+    if mesh.nonfinite:
+        print("note: dropped %d grid point(s) with non-finite coordinates"
+              % mesh.nonfinite, file=sys.stderr)
+    meshing.write_obj(mesh, path, **kw)
+
+
 # -- subcommands -------------------------------------------------------
 
 
@@ -194,9 +203,9 @@ def _cmd_generate(args, cfg):
     shape = _parse_grid(args.grid)
     window = _parse_floats(args.range, 4, "--range")
     mesh = meshing.surface_mesh(S, window, shape)
-    meshing.write_obj(mesh, args.output,
-                      comment="surface %s grid %s range %s"
-                      % (args.surface, args.grid, args.range))
+    _write_mesh(mesh, args.output,
+                comment="surface %s grid %s range %s"
+                % (args.surface, args.grid, args.range))
     return 0
 
 
@@ -211,9 +220,9 @@ def _cmd_ruled(args, cfg):
         point, direction = S.ruling(phi)
         polys.append(np.stack([point + l0 * direction,
                                point + l1 * direction]))
-    meshing.write_obj(mesh, args.output, polylines=polys,
-                      comment="ruled A=%g B=%g C=%g D=%g"
-                      % (args.A, args.B, args.C, args.D))
+    _write_mesh(mesh, args.output, polylines=polys,
+                comment="ruled A=%g B=%g C=%g D=%g"
+                % (args.A, args.B, args.C, args.D))
     return 0
 
 
@@ -271,8 +280,8 @@ def _cmd_isotropic(args, cfg):
             return vals
 
     mesh = meshing.grid_mesh(S.default_window, (100, 100), S.is_safe, image)
-    meshing.write_obj(mesh, args.output,
-                      comment="isotropic image of %s" % (args.surface,))
+    _write_mesh(mesh, args.output,
+                comment="isotropic image of %s" % (args.surface,))
     return 0
 
 

@@ -1,10 +1,16 @@
 """Grid meshing of parametrized surfaces and ASCII OBJ output.
 
-Vertices come from a regular parameter grid with the surface's guard
-mask applied; any grid cell touching a guarded or non-finite vertex is
-dropped rather than emitted as NaN.  OBJ output is plain `v`/`f` with
-optional `l` polylines and is written atomically (temp file + rename)
-so a crashed run never leaves a half-written mesh behind.
+The masked grid walk (`grid_points`) evaluates a surface on a regular
+parameter grid with its guard mask applied and returns the grid-shaped
+points with that mask; overflow and invalid values there are not
+warned about, they come back as non-finite points.  `mesh_from_grid`
+turns that result into vertices and quads: any grid cell touching a
+guarded or non-finite point is dropped rather than emitted as NaN, and
+`Mesh.nonfinite` counts the safe points dropped for non-finite
+coordinates.  Checks that need only the points (cone tangency) use the
+walk alone.  OBJ output is plain `v`/`f` with optional `l` polylines
+and is written atomically (temp file + rename) so a crashed run never
+leaves a half-written mesh behind.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ class Mesh:
     shape: tuple                    # (cols, rows) = grid N x M
     window: tuple = (0.0, 0.0, 0.0, 0.0)
     index: np.ndarray = field(default=None, repr=False)  # grid -> vertex id, -1 invalid
+    nonfinite: int = 0              # safe points dropped as non-finite
 
 
 def grid_axes(window, shape):
@@ -39,6 +46,7 @@ def mesh_from_grid(pts, ok, window, shape) -> Mesh:
 
     A quad is emitted only when all four corners are valid and finite.
     """
+    safe = ok
     ok = ok & np.all(np.isfinite(pts), axis=-1)
     index = np.full(ok.shape, -1, dtype=np.int64)
     index[ok] = np.arange(int(ok.sum()))
@@ -48,19 +56,33 @@ def mesh_from_grid(pts, ok, window, shape) -> Mesh:
         [index[i, j], index[i, j + 1], index[i + 1, j + 1], index[i + 1, j]],
         axis=-1,
     )
-    return Mesh(pts[ok], faces, ok, tuple(int(s) for s in shape), tuple(window), index)
+    nonfinite = int(np.count_nonzero(safe)) - int(np.count_nonzero(ok))
+    return Mesh(pts[ok], faces, ok, tuple(int(s) for s in shape), tuple(window),
+                index, nonfinite)
+
+
+def grid_points(window, shape, is_safe, points):
+    """The masked grid walk: `(pts, ok)` over the N x M grid of `window`.
+
+    `ok` is is_safe on the (rows, cols) grid and `pts` the (rows, cols, 3)
+    values of points(u, v), which maps flat parameter arrays to (n, 3)
+    points, at the rows where `ok` holds (NaN elsewhere).  Overflow and
+    invalid operations are left to show as non-finite points.
+    """
+    u, v = grid_axes(window, shape)
+    uu, vv = np.meshgrid(u, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = is_safe(uu, vv)
+        pts = np.full(ok.shape + (3,), np.nan)
+        if ok.any():
+            pts[ok] = points(uu[ok], vv[ok])
+    return pts, ok
 
 
 def grid_mesh(window, shape, is_safe, points) -> Mesh:
-    """Mesh of points(u, v), which maps flat parameter arrays to (n, 3)
-    points, over the valid points of the N x M grid of `window`."""
-    u, v = grid_axes(window, shape)
-    uu, vv = np.meshgrid(u, v)
-    ok = is_safe(uu, vv)
-    pts = np.full(ok.shape + (3,), np.nan)
-    if ok.any():
-        pts[ok] = points(uu[ok], vv[ok])
-    return mesh_from_grid(pts, ok, window, shape)
+    """Mesh of points(u, v) over the valid points of the grid of `window`."""
+    return mesh_from_grid(*grid_points(window, shape, is_safe, points),
+                          window, shape)
 
 
 def surface_mesh(surface, window=None, shape=(100, 100)) -> Mesh:

@@ -321,22 +321,37 @@ def ruling_residual(S, family, *, phis=None, lams=None,
 
 def tangency_residual(S, spheres, *, window=None, shape=(400, 400),
                       tolerance=TANGENCY_TOL) -> CheckReport:
-    """Max over spheres of the min contact gap | |r - m| - |R| | over
-    mesh vertices: small means every sphere of the family touches S."""
+    """Max over spheres of the min contact gap | |r - m| - |R| | over the
+    valid grid points (guarded and finite, the vertices `surface_mesh`
+    would keep): small means every sphere of the family touches S."""
     if shape[0] < 400 or shape[1] < 400:
         raise ValueError("mesh resolution must be at least 400x400")
-    mesh = meshing.surface_mesh(S, window, shape)
-    verts = mesh.vertices
+    window = window or S.default_window
+    pts, ok = meshing.grid_points(window, shape, S.is_safe, S.point)
+    X, Y, Z = pts[ok & np.all(np.isfinite(pts), axis=-1)].T.copy()
+    d = np.empty_like(X)
+    gaps = np.empty_like(X)
     minima = []
     for sp in spheres:
-        m = np.asarray(sp.m, dtype=float)
-        gaps = np.abs(np.linalg.norm(verts - m, axis=-1) - abs(float(sp.r)))
+        # |r - m| summed left to right, as np.linalg.norm adds (x, y, z)
+        mx, my, mz = np.asarray(sp.m, dtype=float)
+        np.subtract(X, mx, out=d)
+        np.multiply(d, d, out=gaps)
+        np.subtract(Y, my, out=d)
+        d *= d
+        gaps += d
+        np.subtract(Z, mz, out=d)
+        d *= d
+        gaps += d
+        np.sqrt(gaps, out=gaps)
+        gaps -= abs(float(sp.r))
+        np.abs(gaps, out=gaps)
         minima.append(float(np.min(gaps)))
     return CheckReport.from_residuals(
         "cone-tangency", minima, tolerance,
         {"grid": [int(shape[0]), int(shape[1])],
-         "window": [float(t) for t in (window or S.default_window)],
-         "vertices": int(len(verts))},
+         "window": [float(t) for t in window],
+         "vertices": int(len(X))},
     )
 
 

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -422,3 +423,29 @@ def test_seeds_configs_and_circle_files_keep_the_exit_contract(
             code = main(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+
+def test_non_finite_points_are_a_counted_drop(tmp_path, capfd):
+    out = tmp_path / "p.obj"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["generate", "--surface", "field:poly(x^99999999)",
+                     "--grid", "10x10", "--range", "0,2,0,2", "-o", str(out)])
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+    err = capfd.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert err == "note: dropped 50 grid point(s) with non-finite coordinates\n"
+    verts, faces, _ = read_obj(out)
+    assert len(verts) == 50 and len(faces) == 36
+
+
+def test_finite_meshes_say_nothing_on_stderr(tmp_path, capfd):
+    for argv in (["generate", "--surface", "r1", "--grid", "10x10",
+                  "--range", "-1,1,-1,1"],
+                 ["ruled", "--A", "1", "--B", "0.5", "--C", "0.3", "--D", "0.2",
+                  "--phi-range", "0,3", "--lambda-range", "-1,1",
+                  "--grid", "10x10"],
+                 ["isotropic", "--surface", "r1"]):
+        assert main(argv + ["-o", str(tmp_path / "x.obj")]) == 0
+        assert capfd.readouterr().err == ""

@@ -12,8 +12,16 @@ from lagmin.fields import (
     make_remark_counterexample,
     sum_fields,
 )
+from lagmin.geom_core import OrientedSphere
+from lagmin.grammar import parse_surface
+from lagmin.meshing import surface_mesh
 from lagmin.reconstruct import reconstruct_surface
-from lagmin.surfaces import building_block, block_field, rulings_of_convolution
+from lagmin.surfaces import (
+    block_field,
+    building_block,
+    cyclographic_preimage,
+    rulings_of_convolution,
+)
 from lagmin.verify import (
     CheckReport,
     biharmonic_residual,
@@ -155,6 +163,67 @@ def test_tangency_plan_frozen_and_guarded():
 def test_tangency_residual_rejects_coarse_mesh():
     with pytest.raises(ValueError):
         tangency_residual(building_block("r1"), [], shape=(100, 100))
+
+
+def _plan_spheres(block_name):
+    fam_name, pairs, window = tangency_plan(block_name)[0]
+    fam = cyclographic_preimage(fam_name)
+    return [fam.line(p).sphere(l) for p, l in pairs], window
+
+
+def _tangency_cases():
+    spheres, window = _plan_spheres("r1")     # R1's spheres have radius 0
+    # plus a sphere that holds grid points: signed gaps go negative there
+    others = _plan_spheres("r5")[0][::4] + [
+        OrientedSphere(building_block("r1").point(1.0, 0.7), -0.25)]
+    return {
+        # r1's 400x400 plan window
+        "r1-plan": (building_block("r1"), window, spheres),
+        # a guarded block: 7820 grid points masked
+        "r1-guarded": (building_block("r1").with_guard(0.5),
+                       (-2.0, 2.0, -2.0, 2.0), others),
+        # overflow: 46400 unguarded grid points with non-finite coordinates
+        "poly-overflow": (parse_surface("field:poly(x^2000)"),
+                          (0.0, 2.0, 0.0, 2.0), others),
+    }
+
+
+@pytest.mark.parametrize("case", ["r1-plan", "r1-guarded", "poly-overflow"])
+def test_tangency_gaps_are_the_mesh_vertex_gaps(case):
+    S, window, spheres = _tangency_cases()[case]
+    verts = surface_mesh(S, window, (400, 400)).vertices
+    with np.errstate(over="ignore"):    # squares of huge finite points
+        want = [float(np.min(np.abs(
+            np.linalg.norm(verts - np.asarray(sp.m, dtype=float), axis=-1)
+            - abs(float(sp.r))))) for sp in spheres]
+        got = [tangency_residual(S, [sp], window=window).max_residual
+               for sp in spheres]
+        rep = tangency_residual(S, spheres, window=window)
+    assert got == want
+    assert rep.meta["vertices"] == len(verts)
+    assert rep.max_residual == max(want)
+
+
+@pytest.mark.parametrize("block_name", ["r5", "r1~"])
+def test_tangency_fails_a_sphere_that_no_longer_reaches_the_block(block_name):
+    spheres, window = _plan_spheres(block_name)
+    S = building_block(block_name)
+    assert tangency_residual(S, spheres, window=window).passed
+    sp = spheres[7]
+    spheres[7] = OrientedSphere(sp.m, sp.r * (1 - 1e-3))
+    rep = tangency_residual(S, spheres, window=window)
+    assert not rep.passed
+    assert rep.max_residual > 1e-5
+
+
+@pytest.mark.xfail(strict=True, reason="the gap over grid points is also "
+                   "small for a sphere that crosses the block")
+def test_tangency_fails_a_sphere_that_crosses_the_block():
+    spheres, window = _plan_spheres("r5")
+    sp = spheres[7]
+    spheres[7] = OrientedSphere(sp.m, sp.r * (1 + 1e-3))
+    rep = tangency_residual(building_block("r5"), spheres, window=window)
+    assert not rep.passed
 
 
 def test_report_json_is_valid_and_stable():
