@@ -3,13 +3,19 @@
 Subcommands: generate, ruled, verify, classify-pencil, isotropic,
 gallery.  Exit codes: 0 success (and all checks passing), 1 check
 failure (reports are still written), 2 usage error (the spec grammar
-is printed).  All outputs are deterministic for fixed argv and seed.
+is printed) or error, running out of memory included.  All outputs are
+deterministic for fixed argv and seed.
+
+Each spec string is parsed once, by `grammar.parse_surface`.  Field
+checks read the parsed surface's `.field` (every surface in Gauss
+coordinates carries one), and the tangency check reads the block name
+from it.  Numbers on the command line and in config files are read by
+`grammar.parse_number`, in the syntax of spec numbers.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -19,14 +25,8 @@ import numpy as np
 
 from . import grammar, meshing, pencils, verify
 from .errors import GrammarError, IdealImage, LagminError, NonImmersed
-from .fields import sum_fields
-from .reconstruct import isotropic_image
-from .surfaces import (
-    block_field,
-    building_block,
-    ruled_surface,
-    rulings_of_convolution,
-)
+from .reconstruct import GaussMappedSurface, isotropic_image
+from .surfaces import building_block, ruled_surface, rulings_of_convolution
 
 CHECK_NAMES = ("biharmonic", "gaussmap", "ruling", "curvature",
                "stationarity", "tangency")
@@ -72,14 +72,12 @@ def _parse_floats(text, count, flag):
 
 
 def _finite_float(text):
-    """argparse type: a float that is neither inf nor nan."""
+    """argparse type: a finite number in the spec grammar's syntax, with
+    surrounding whitespace ignored."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
+        return grammar.parse_number(text.strip(), "")
+    except GrammarError:
         raise argparse.ArgumentTypeError("wants a finite number, got %r" % (text,))
-    return value
 
 
 def _load_config(path):
@@ -118,23 +116,10 @@ def _load_config(path):
 
 def _field_for(spec, branch, guard):
     """The scalar field behind a surface spec, for field-level checks."""
-    spec = spec.strip().replace(" ", "")
-    if spec.startswith("field:"):
-        return grammar.parse_field(spec[len("field:"):], branch=branch,
-                                   guard=guard)
-    if spec.startswith("ruled("):
+    S = grammar.parse_surface(spec, branch=branch, guard=guard)
+    if not isinstance(S, GaussMappedSurface):
         raise _UsageError("check needs a field-backed surface, not ruled(...)")
-    if spec.startswith("conv("):
-        # each term is a named block, or a named block rotated by theta
-        f = sum_fields([
-            (w, block_field(s.base.name, s.theta) if hasattr(s, "base")
-             else block_field(s.name))
-            for w, s in grammar.parse_surface(spec).terms
-        ])
-    else:
-        name, theta = grammar._parse_block_ref(spec)
-        f = block_field(name, theta or 0.0)
-    return f if guard is None else f.with_guard(guard)
+    return S.field
 
 
 def _run_check(name, spec, args, cfg):
@@ -142,9 +127,7 @@ def _run_check(name, spec, args, cfg):
     branch = getattr(args, "branch", 0)
     guard = cfg.get("guard")
     seed = args.seed
-    kw = {}
-    if name in cfg:
-        kw["ratio" if name == "stationarity" else "tolerance"] = cfg[name]
+    kw = {"tolerance": cfg[name]} if name in cfg else {}
     if name == "biharmonic":
         F = _field_for(spec, branch, guard)
         return [verify.biharmonic_residual(F, seed=seed, **kw)]
@@ -152,8 +135,8 @@ def _run_check(name, spec, args, cfg):
         F = _field_for(spec, branch, guard)
         return [verify.stationarity_check(F, seed=seed, **kw)]
     if name == "tangency":
-        block, theta = grammar._parse_block_ref(spec.strip().replace(" ", ""))
-        if theta:
+        block = grammar.parse_surface(spec).name
+        if block is None:
             raise _UsageError("tangency plans exist for unrotated blocks only")
         return verify.tangency_check(block, **kw)
     S = grammar.parse_surface(spec, branch=branch, guard=guard)
@@ -182,6 +165,7 @@ def _merge_meshes(parts):
     return SimpleNamespace(
         vertices=np.concatenate(verts) if verts else np.zeros((0, 3)),
         faces=np.concatenate(faces) if faces else np.zeros((0, 4), np.int64),
+        nonfinite=sum(mesh.nonfinite for mesh, _ in parts),
     )
 
 
@@ -216,10 +200,12 @@ def _cmd_ruled(args, cfg):
     window = (p0, p1, l0, l1)
     mesh = meshing.surface_mesh(S, window, _parse_grid(args.grid))
     polys = []
-    for phi in np.linspace(p0, p1, 9):
-        point, direction = S.ruling(phi)
-        polys.append(np.stack([point + l0 * direction,
-                               point + l1 * direction]))
+    # as in the grid walk, overflow shows as non-finite coordinates
+    with np.errstate(over="ignore", invalid="ignore"):
+        for phi in np.linspace(p0, p1, 9):
+            point, direction = S.ruling(phi)
+            polys.append(np.stack([point + l0 * direction,
+                                   point + l1 * direction]))
     _write_mesh(mesh, args.output, polylines=polys,
                 comment="ruled A=%g B=%g C=%g D=%g"
                 % (args.A, args.B, args.C, args.D))
@@ -311,26 +297,22 @@ def _cmd_gallery(args, cfg):
                 point, direction = fam.line(float(phi))
                 polys.append(np.stack([point - 2.0 * direction,
                                        point + 2.0 * direction]))
-            meshing.write_obj(mesh, path, polylines=polys,
-                              comment="convolution a=(1,0.3,0.6) theta=0 "
-                                      "with rulings phi in [-1.2,1.2]")
+            _write_mesh(mesh, path, polylines=polys,
+                        comment="convolution a=(1,0.3,0.6) theta=0 "
+                                "with rulings phi in [-1.2,1.2]")
         elif isinstance(spec, tuple):
             parts = []
             for k, name in enumerate(spec):
                 S = building_block(name)
                 parts.append((meshing.surface_mesh(S, shape=(60, 60)),
                               6.0 * k))
-            merged = _merge_meshes(parts)
-            meshing.atomic_write_text(
-                path,
-                meshing.obj_text(merged,
-                                 comment="blocks %s spaced 6 apart on x"
-                                 % (", ".join(spec),)),
-            )
+            _write_mesh(_merge_meshes(parts), path,
+                        comment="blocks %s spaced 6 apart on x"
+                        % (", ".join(spec),))
         else:
             S = grammar.parse_surface(spec)
             mesh = meshing.surface_mesh(S, shape=(100, 100))
-            meshing.write_obj(mesh, path, comment=spec)
+            _write_mesh(mesh, path, comment=spec)
     print("gallery: wrote %d meshes to %s" % (len(_GALLERY), outdir))
     return 0
 
@@ -417,6 +399,10 @@ def main(argv=None) -> int:
         return 2
     except (LagminError, ValueError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy raises a private subclass; name the builtin
+        print("error: MemoryError: %s" % (exc,), file=sys.stderr)
         return 2
     except OSError as exc:
         print("i/o error:", exc, file=sys.stderr)

@@ -6,7 +6,8 @@ Field specs:     elliptic(a1=1,a3=-1) | hyperbolic(...) | parabolic(...)
                  | exceptional(...) | poly(x^2*y - 0.5*x) | sum(w*spec, ...)
 
 Whitespace is ignored everywhere.  Unknown names and unknown keyword
-coefficients raise GrammarError.
+coefficients raise GrammarError.  `parse_number` is the one number reader,
+for spec strings and command-line values alike.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ def _strip(spec: str) -> str:
     return re.sub(r"\s+", "", spec)
 
 
-def _number(tok: str, where: str) -> float:
+def parse_number(tok: str, where: str) -> float:
+    """The finite number written as `tok`; the one number syntax of the
+    package, for spec strings and command-line values alike."""
     if not _NUM_RE.match(tok):
         raise GrammarError("expected a number in %s, got %r" % (where, tok))
     value = float(tok)
@@ -120,7 +123,7 @@ def _kwargs(body: str, allowed, where: str) -> dict:
             )
         if key in out:
             raise GrammarError("duplicate key %r in %s" % (key, where))
-        out[key] = _number(val, where)
+        out[key] = parse_number(val, where)
     return out
 
 
@@ -161,7 +164,7 @@ def _parse_monomial_term(term: str):
             else:
                 dy += k
         else:
-            coeff *= _number(factor, "poly(...)")
+            coeff *= parse_number(factor, "poly(...)")
     return (dx, dy), coeff
 
 
@@ -191,7 +194,7 @@ def _weight_split(item: str):
         elif ch == "*" and depth == 0:
             head = item[:i]
             if _NUM_RE.match(head):
-                return _number(head, "weight"), item[i + 1 :]
+                return parse_number(head, "weight"), item[i + 1 :]
             return 1.0, item
     return 1.0, item
 
@@ -240,7 +243,7 @@ def _parse_block_ref(spec: str):
         name, _, tail = spec.partition("@")
         if not tail.startswith("theta="):
             raise GrammarError("expected @theta=<num> in %r" % (spec,))
-        theta = _number(tail[len("theta="):], "theta")
+        theta = parse_number(tail[len("theta="):], "theta")
     if name not in BLOCK_NAMES:
         raise GrammarError(
             "unknown building block %r (allowed: %s)"
@@ -263,7 +266,7 @@ def parse_surface(spec: str, *, branch: int = 0, guard: float = None):
         parts = _split_top(body)
         if len(parts) != 4:
             raise GrammarError("ruled(...) takes exactly A,B,C,D")
-        return ruled_surface(*(_number(p, "ruled(...)") for p in parts))
+        return ruled_surface(*(parse_number(p, "ruled(...)") for p in parts))
     if spec.startswith("conv("):
         body = _call_body(spec, "conv")
         terms = []

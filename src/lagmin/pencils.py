@@ -169,7 +169,7 @@ def _intersect_span(c1, c2):
     return out
 
 
-def classify_family(cycles, *, rank_tol=RANK_TOL) -> PencilClass:
+def classify_family(cycles) -> PencilClass:
     """Type a finite cycle family: pencil (and which kind) or not.
 
     Rank of the row-normalized coefficient matrix decides pencil-hood;
@@ -181,7 +181,7 @@ def classify_family(cycles, *, rank_tol=RANK_TOL) -> PencilClass:
     mat = np.stack([cy.vec() for cy in cycles])
     mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
     sv = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(sv > rank_tol * sv[0]))
+    rank = int(np.sum(sv > RANK_TOL * sv[0]))
     svals = tuple(float(s) for s in sv)
     if rank >= 3:
         return PencilClass("not-a-pencil", (), rank, svals)

@@ -89,6 +89,7 @@ class ParamSurface:
     """Map (u, v) -> R³ with derivative jets and a provenance tag."""
 
     provenance = "surface"
+    name = None                 # the name of a named, unrotated block
     immersed = True
     default_window = (-2.0, 2.0, -2.0, 2.0)
 
@@ -114,7 +115,9 @@ class ParamSurface:
 class GaussMappedSurface(ParamSurface):
     """Surfaces in Gauss coordinates: (u, v) is the stereographic top view
     of the unit normal, and the normal sign is chosen per point to agree
-    with that preimage (the only orientation making the round trip hold)."""
+    with that preimage (the only orientation making the round trip hold).
+    Each one is the envelope of the planes encoded in a scalar field,
+    its `.field` (biharmonic for a Laguerre-minimal surface)."""
 
     def _orient(self, n, u, v):
         ref = inverse_stereographic(np.asarray(u, dtype=float), np.asarray(v, dtype=float))

@@ -8,6 +8,13 @@ family R(phi, lambda) = (A phi, B phi, C phi + D cos 2 phi) + lambda
 represented as lines in the space of oriented spheres (center, signed
 radius) in R^4.
 
+Each named block is one row of `_BLOCKS`: its closed-form builder (none
+for a tilde block, the reconstruction of its field), guards, immersion,
+and its field as a formula in (cos theta, sin theta), flagged where it
+holds for theta != 0.  Every surface in Gauss coordinates carries its
+field as `.field`, with its own guard: the block's field, the rotated
+block's rotated field, or the weighted sum of a convolution's.
+
 Block derivatives come from the same exact-jet arithmetic the fields use,
 so frames are closed-form everywhere they are defined.
 """
@@ -16,6 +23,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +38,7 @@ from .fields import (
     HyperbolicField,
     ScalarField,
     make_polynomial_field,
+    sum_fields,
 )
 from .jets import jet_arctan_ratio, jet_log_rsq, jet_polynomial, jet_xy
 from .geom_core import OrientedSphere
@@ -124,28 +133,110 @@ _b_r11 = _rational(
 )
 
 
+# -- the block table ---------------------------------------------------
+
+
+class _Block(NamedTuple):
+    builder: object          # (u, v, order) -> X, Y, Z jets; None: tilde block
+    field: object            # (cos theta, sin theta) -> the block's field
+    rotates: bool = False    # the field formula holds for theta != 0
+    origin_guard: bool = False
+    ring_guard: bool = False
+    immersed: bool = True
+
+
+_K3T = 1.0 / (4.0 * SQRT2)
+_LN2 = math.log(2.0)
+
+_BLOCKS = {
+    "r1": _Block(_b_r1, lambda c, s: EllipticField(a1=1.0, a3=-1.0),
+                 origin_guard=True),
+    # x*Arctan(y/x) - y; traces the cycloid point locus
+    "r2": _Block(_b_r2, lambda c, s: EllipticField(a2=1.0, d2=-1.0),
+                 origin_guard=True, immersed=False),
+    "r3": _Block(_b_r3, lambda c, s: EllipticField(
+        c1=0.5 * s * s, c2=c * s, c3=0.5 * c * c,
+        b1=-0.5 * s * s, b2=-c * s, b3=-0.5 * c * c,
+    ), rotates=True, origin_guard=True),
+    "r4": _Block(_b_r4, lambda c, s: HyperbolicField(
+        gamma1=-1.0, gamma2=-1.0, gamma3=-1.0, gamma4=1.0), origin_guard=True),
+    "r5": _Block(_b_r5, lambda c, s: HyperbolicField(
+        a2=1.0, c2=1.0, alpha1=-1.0), origin_guard=True, ring_guard=True),
+    "r6": _Block(_b_r6, lambda c, s: HyperbolicField(
+        b1=s, b2=c, c1=s, c2=c, alpha1=-2.0 * c, beta1=-2.0 * s
+    ), rotates=True, origin_guard=True, ring_guard=True),
+    "r7": _Block(_b_r7, lambda c, s: make_polynomial_field(
+        {(2, 0): 0.5 * c * c, (1, 1): c * s, (0, 2): 0.5 * s * s}
+    ), rotates=True),
+    "r8": _Block(_b_r8, lambda c, s: make_polynomial_field({(3, 0): 1.0})),
+    # x^2 y composed with the rotation by -theta
+    "r9": _Block(_b_r9, lambda c, s: make_polynomial_field(
+        {
+            (3, 0): -c * c * s,
+            (2, 1): c * c * c - 2.0 * c * s * s,
+            (1, 2): 2.0 * c * c * s - s * s * s,
+            (0, 3): c * s * s,
+        }
+    ), rotates=True),
+    "r10": _Block(_b_r10, lambda c, s: make_polynomial_field(
+        {(4, 0): 0.5, (2, 2): -1.5})),
+    "r11": _Block(_b_r11, lambda c, s: make_polynomial_field(
+        {(5, 0): 1.0, (3, 2): -5.0})),
+    "r1~": _Block(None, lambda c, s: EllipticField(
+        a1=1.0 / (2.0 * SQRT2), a3=-1.0 / SQRT2)),
+    "r3~": _Block(None, lambda c, s: EllipticField(
+        c1=s * s * _K3T, c2=2.0 * c * s * _K3T, c3=c * c * _K3T,
+        b1=-2.0 * s * s * _K3T, b2=-4.0 * c * s * _K3T, b3=-2.0 * c * c * _K3T,
+    ), rotates=True),
+    "r4~": _Block(None, lambda c, s: HyperbolicField(
+        gamma1=(_LN2 - 2.0) / (2.0 * SQRT2),
+        gamma2=-(2.0 + _LN2) / (4.0 * SQRT2),
+        gamma3=-1.0 / SQRT2,
+        gamma4=1.0 / (2.0 * SQRT2),
+    )),
+    "r6~": _Block(None, lambda c, s: HyperbolicField(
+        b1=s, b2=c, c1=0.25 * s, c2=0.25 * c, alpha1=-c, beta1=-s)),
+}
+
+BLOCK_NAMES = tuple(_BLOCKS)
+
+
+def block_field(name: str, theta: float = 0.0) -> ScalarField:
+    """The scalar field whose reconstruction is the named block (rotated by
+    theta where the family admits a closed coefficient form)."""
+    if name not in _BLOCKS:
+        raise UnknownName("no field for building block %r" % (name,))
+    block = _BLOCKS[name]
+    if theta != 0.0 and not block.rotates:
+        raise UnknownName(
+            "block %r has no closed rotated field; rotate the surface instead"
+            % (name,)
+        )
+    return block.field(math.cos(theta), math.sin(theta))
+
+
 class BlockSurface(GaussMappedSurface):
     """Closed-form building block evaluated through exact jets."""
 
-    def __init__(self, name, builder, origin_guard=False, ring_guard=False,
-                 immersed=True, window=(-2.0, 2.0, -2.0, 2.0)):
+    def __init__(self, name):
         self.name = name
         self.provenance = name
-        self._builder = builder
-        self._origin_guard = origin_guard
-        self._ring_guard = ring_guard
-        self.immersed = immersed
-        self.default_window = window
+        self._block = _BLOCKS[name]
+        self.immersed = self._block.immersed
         self.guard = BLOCK_GUARD
+
+    @property
+    def field(self) -> ScalarField:
+        return block_field(self.name).with_guard(self.guard)
 
     def is_safe(self, u, v):
         u = np.asarray(u)
         v = np.asarray(v)
         ok = np.ones(np.broadcast(u, v).shape, dtype=bool)
         r2 = u * u + v * v
-        if self._origin_guard:
+        if self._block.origin_guard:
             ok = ok & (r2 >= self.guard * self.guard)
-        if self._ring_guard:
+        if self._block.ring_guard:
             ok = ok & (np.abs(np.sqrt(r2) - 1.0) >= self.guard)
         return ok
 
@@ -157,7 +248,8 @@ class BlockSurface(GaussMappedSurface):
     def frame(self, u, v, order=2) -> SurfaceJet:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        return SurfaceJet.from_components(*self._builder(u, v, order), order)
+        return SurfaceJet.from_components(*self._block.builder(u, v, order),
+                                          order)
 
 
 class RotatedSurface(GaussMappedSurface):
@@ -176,6 +268,13 @@ class RotatedSurface(GaussMappedSurface):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         return c * u + s * v, -s * u + c * v, c, s
+
+    @property
+    def field(self) -> ScalarField:
+        # the closed rotated field, with the guard of the unrotated one;
+        # UnknownName where the block has none
+        return block_field(self.base.name, self.theta).with_guard(
+            self.base.field.guard)
 
     def is_safe(self, u, v):
         s0, t0, _, _ = self._params(u, v)
@@ -227,6 +326,12 @@ class ConvolutionSurface(GaussMappedSurface):
         uu, vv = np.meshgrid(gu, gv)
         if not np.any(self.is_safe(uu, vv)):
             raise DomainMismatch("convolution terms share no safe domain")
+        self.guard = BLOCK_GUARD
+
+    @property
+    def field(self) -> ScalarField:
+        return sum_fields([(w, s.field) for w, s in self.terms],
+                          guard=self.guard)
 
     def is_safe(self, u, v):
         u = np.asarray(u)
@@ -237,7 +342,9 @@ class ConvolutionSurface(GaussMappedSurface):
         return ok
 
     def with_guard(self, eps: float) -> "ConvolutionSurface":
-        return ConvolutionSurface([(w, s.with_guard(eps)) for w, s in self.terms])
+        out = ConvolutionSurface([(w, s.with_guard(eps)) for w, s in self.terms])
+        out.guard = float(eps)
+        return out
 
     def frame(self, u, v, order=2) -> SurfaceJet:
         total = None
@@ -303,124 +410,20 @@ class RuledPatch(ParamSurface):
 ruled_surface = RuledPatch
 
 
-# -- building-block registry ------------------------------------------
-
-_CLOSED_BLOCKS = {
-    "r1": dict(builder=_b_r1, origin_guard=True),
-    "r2": dict(builder=_b_r2, origin_guard=True, immersed=False),
-    "r3": dict(builder=_b_r3, origin_guard=True),
-    "r4": dict(builder=_b_r4, origin_guard=True),
-    "r5": dict(builder=_b_r5, origin_guard=True, ring_guard=True),
-    "r6": dict(builder=_b_r6, origin_guard=True, ring_guard=True),
-    "r7": dict(builder=_b_r7),
-    "r8": dict(builder=_b_r8),
-    "r9": dict(builder=_b_r9),
-    "r10": dict(builder=_b_r10),
-    "r11": dict(builder=_b_r11),
-}
-
-_TILDE_NAMES = ("r1~", "r3~", "r4~", "r6~")
-
-BLOCK_NAMES = tuple(_CLOSED_BLOCKS) + _TILDE_NAMES
-
-_K3T = 1.0 / (4.0 * SQRT2)
-_LN2 = math.log(2.0)
-
-
-def block_field(name: str, theta: float = 0.0) -> ScalarField:
-    """The scalar field whose reconstruction is the named block (rotated by
-    theta where the family admits a closed coefficient form)."""
-    c, s = math.cos(theta), math.sin(theta)
-    if name == "r1":
-        f = EllipticField(a1=1.0, a3=-1.0)
-        needs_zero_theta = True
-    elif name == "r2":
-        # x*Arctan(y/x) - y; traces the cycloid point locus
-        f = EllipticField(a2=1.0, d2=-1.0)
-        needs_zero_theta = True
-    elif name == "r3":
-        f = EllipticField(
-            c1=0.5 * s * s, c2=c * s, c3=0.5 * c * c,
-            b1=-0.5 * s * s, b2=-c * s, b3=-0.5 * c * c,
-        )
-        needs_zero_theta = False
-    elif name == "r4":
-        f = HyperbolicField(gamma1=-1.0, gamma2=-1.0, gamma3=-1.0, gamma4=1.0)
-        needs_zero_theta = True
-    elif name == "r5":
-        f = HyperbolicField(a2=1.0, c2=1.0, alpha1=-1.0)
-        needs_zero_theta = True
-    elif name == "r6":
-        f = HyperbolicField(
-            b1=s, b2=c, c1=s, c2=c, alpha1=-2.0 * c, beta1=-2.0 * s
-        )
-        needs_zero_theta = False
-    elif name == "r7":
-        f = make_polynomial_field({(2, 0): 0.5 * c * c, (1, 1): c * s, (0, 2): 0.5 * s * s})
-        needs_zero_theta = False
-    elif name == "r8":
-        f = make_polynomial_field({(3, 0): 1.0})
-        needs_zero_theta = True
-    elif name == "r9":
-        # x^2 y composed with the rotation by -theta
-        f = make_polynomial_field(
-            {
-                (3, 0): -c * c * s,
-                (2, 1): c * c * c - 2.0 * c * s * s,
-                (1, 2): 2.0 * c * c * s - s * s * s,
-                (0, 3): c * s * s,
-            }
-        )
-        needs_zero_theta = False
-    elif name == "r10":
-        f = make_polynomial_field({(4, 0): 0.5, (2, 2): -1.5})
-        needs_zero_theta = True
-    elif name == "r11":
-        f = make_polynomial_field({(5, 0): 1.0, (3, 2): -5.0})
-        needs_zero_theta = True
-    elif name == "r1~":
-        f = EllipticField(a1=1.0 / (2.0 * SQRT2), a3=-1.0 / SQRT2)
-        needs_zero_theta = True
-    elif name == "r3~":
-        f = EllipticField(
-            c1=s * s * _K3T, c2=2.0 * c * s * _K3T, c3=c * c * _K3T,
-            b1=-2.0 * s * s * _K3T, b2=-4.0 * c * s * _K3T, b3=-2.0 * c * c * _K3T,
-        )
-        needs_zero_theta = False
-    elif name == "r4~":
-        f = HyperbolicField(
-            gamma1=(_LN2 - 2.0) / (2.0 * SQRT2),
-            gamma2=-(2.0 + _LN2) / (4.0 * SQRT2),
-            gamma3=-1.0 / SQRT2,
-            gamma4=1.0 / (2.0 * SQRT2),
-        )
-        needs_zero_theta = True
-    elif name == "r6~":
-        f = HyperbolicField(
-            b1=s, b2=c, c1=0.25 * s, c2=0.25 * c, alpha1=-c, beta1=-s
-        )
-        needs_zero_theta = True
-    else:
-        raise UnknownName("no field for building block %r" % (name,))
-    if needs_zero_theta and theta != 0.0:
-        raise UnknownName(
-            "block %r has no closed rotated field; rotate the surface instead"
-            % (name,)
-        )
-    return f
+# -- building blocks by name -----------------------------------------
 
 
 def building_block(name: str, theta: float = None) -> ParamSurface:
     """Closed-form block by name; tilde variants are reconstructions of
     their fields (they have no standalone closed form)."""
-    if name in _CLOSED_BLOCKS:
-        surf = BlockSurface(name, **_CLOSED_BLOCKS[name])
-    elif name in _TILDE_NAMES:
+    if name not in _BLOCKS:
+        raise UnknownName("unknown building block %r" % (name,))
+    if _BLOCKS[name].builder is None:
         surf = FieldSurface(block_field(name))
         surf.provenance = name
         surf.name = name
     else:
-        raise UnknownName("unknown building block %r" % (name,))
+        surf = BlockSurface(name)
     if theta is not None and theta != 0.0:
         surf = RotatedSurface(surf, theta)
     return surf

@@ -32,8 +32,8 @@ from .reconstruct import (
     reconstruct_surface,
     unit_normal,
 )
-from .surfaces import (BlockSurface, ConvolutionSurface, RotatedSurface,
-                       building_block, cyclographic_preimage)
+from .surfaces import (ConvolutionSurface, RotatedSurface, building_block,
+                       cyclographic_preimage)
 
 K_TOL = 1e-12
 BISECT_TOL = 1e-12
@@ -159,15 +159,16 @@ def _local_energy(fieldobj, uu, vv, wts):
     return float(np.sum(wts * (H * H - K) / K * ln))
 
 
-def first_variation(F, center, radius, amplitude, *, eps=1e-4, nodes=16):
+def first_variation(F, center, radius, amplitude):
     """Central-difference d(Omega_local)/d(eps) of the bump perturbation.
 
     Omega_local integrates (H^2-K)/K dA over the bump's support square
-    with tensor Gauss-Legendre quadrature; Richardson extrapolation over
-    {eps, eps/2} removes the leading truncation term.
+    with a 16-node tensor Gauss-Legendre rule; Richardson extrapolation
+    over eps in {1e-4, 5e-5} removes the leading truncation term.
     """
+    eps = 1e-4
     bump = make_bump_field(center, radius, amplitude)
-    x, w = np.polynomial.legendre.leggauss(int(nodes))
+    x, w = np.polynomial.legendre.leggauss(16)
     r = float(radius)
     gu = center[0] + r * x
     gv = center[1] + r * x
@@ -182,18 +183,18 @@ def first_variation(F, center, radius, amplitude, *, eps=1e-4, nodes=16):
     def central(e):
         return (omega(e) - omega(-e)) / (2.0 * e)
 
-    d1 = central(float(eps))
-    d2 = central(float(eps) / 2.0)
+    d1 = central(eps)
+    d2 = central(eps / 2.0)
     return (4.0 * d2 - d1) / 3.0
 
 
 # -- residual checks ---------------------------------------------------
 
 
-def gaussmap_identity_residual(S, window=None, shape=(100, 100),
-                               tolerance=GAUSSMAP_TOL) -> CheckReport:
+def gaussmap_identity_residual(S, tolerance=GAUSSMAP_TOL) -> CheckReport:
     """Round trip: the stereographic top view of the oriented unit
-    normal at (u, v) must reproduce (u, v).  Only surfaces in Gauss
+    normal at (u, v) must reproduce (u, v) on the 100 x 100 grid of the
+    surface's default window.  Only surfaces in Gauss
     coordinates have such a round trip; any other parametrization, such
     as a ruled patch in (phi, lambda), raises ProvenanceMismatch."""
     if not isinstance(S, GaussMappedSurface):
@@ -205,8 +206,8 @@ def gaussmap_identity_residual(S, window=None, shape=(100, 100),
         return CheckReport("gaussmap-identity", 0, 0.0, 0.0, float(tolerance),
                            True,
                            {"note": "skipped: NonImmersed (degenerate curve locus)"})
-    if window is None:
-        window = S.default_window
+    window = S.default_window
+    shape = (100, 100)
     u, v = meshing.grid_axes(window, shape)
     uu, vv = np.meshgrid(u, v)
     ok = S.is_safe(uu, vv)
@@ -236,7 +237,7 @@ def _canonical_weights(S):
         if isinstance(surf, RotatedSurface):
             theta = surf.theta
             surf = surf.base
-        if isinstance(surf, BlockSurface) and surf.name in key:
+        if surf.name in key:
             return key[surf.name], theta
         raise ProvenanceMismatch(
             f"surface {getattr(surf, 'provenance', surf)!r} is not a kinematic block"
@@ -258,10 +259,9 @@ def _canonical_weights(S):
     return weights[0], weights[1], weights[2], (theta or 0.0)
 
 
-def ruling_residual(S, family, *, phis=None, lams=None,
-                    tolerance=RULING_TOL) -> CheckReport:
+def ruling_residual(S, family, *, tolerance=RULING_TOL) -> CheckReport:
     """Distance from ruling points to the surface at the matched Gauss
-    coordinates.
+    coordinates, for 13 angles phi in [-1.2, 1.2] and four lambdas.
 
     A ruling with direction (sin phi, cos phi, 0) meets the surface
     along the Gauss line (u, v) = s (cos phi, -sin phi); the radius s
@@ -275,10 +275,8 @@ def ruling_residual(S, family, *, phis=None, lams=None,
     if any(abs(g - w) > 1e-12 for g, w in zip(got, want)):
         raise ProvenanceMismatch(f"surface weights {got} != family weights {want}")
 
-    if phis is None:
-        phis = np.linspace(-1.2, 1.2, 13)
-    if lams is None:
-        lams = (-0.8, -0.3, 0.2, 0.7)
+    phis = np.linspace(-1.2, 1.2, 13)
+    lams = (-0.8, -0.3, 0.2, 0.7)
     residuals = []
     skipped = 0
     for phi in phis:
@@ -358,11 +356,11 @@ def tangency_residual(S, spheres, *, window=None, shape=(400, 400),
 # -- seeded point checks ----------------------------------------------
 
 
-def _safe_samples(is_safe, rng, window, count, max_draw=100):
+def _safe_samples(is_safe, rng, window, count):
     u0, u1, v0, v1 = window
     xs = np.empty(0)
     ys = np.empty(0)
-    for _ in range(max_draw):
+    for _ in range(100):
         x = rng.uniform(u0, u1, count)
         y = rng.uniform(v0, v1, count)
         ok = is_safe(x, y)
@@ -373,12 +371,12 @@ def _safe_samples(is_safe, rng, window, count, max_draw=100):
     raise ValueError("could not draw enough safe sample points")
 
 
-def biharmonic_residual(F, *, seed=0, samples=1000, margin=0.1,
-                        window=(-2.0, 2.0, -2.0, 2.0),
+def biharmonic_residual(F, *, seed=0, samples=1000,
                         tolerance=BIHARMONIC_TOL) -> CheckReport:
-    """|Laplacian^2 F| at seeded random safe points (exact jets).
+    """|Laplacian^2 F| at seeded random safe points (exact jets) of the
+    window [-2, 2]^2.
 
-    Samples stay `margin` away from the field's singular centers: the
+    Samples stay a margin of 0.1 away from the field's singular centers: the
     exact fourth derivatives cancel analytically but their individual
     terms grow like negative powers of the distance, so points right at
     the guard radius would measure rounding noise, not biharmonicity.
@@ -390,8 +388,10 @@ def biharmonic_residual(F, *, seed=0, samples=1000, margin=0.1,
     is only float64 the re-measure reproduces the first value and adds
     nothing.
     """
+    margin = 0.1
+    window = (-2.0, 2.0, -2.0, 2.0)
     centers = [(float(cx), float(cy)) for cx, cy in F.singular_centers()]
-    m2 = float(margin) ** 2
+    m2 = margin ** 2
 
     def safe(x, y):
         ok = F.is_safe(x, y)
@@ -409,25 +409,26 @@ def biharmonic_residual(F, *, seed=0, samples=1000, margin=0.1,
         res[undecided] = np.abs(F.bilaplacian(xl, yl))
     return CheckReport.from_residuals(
         "biharmonic", res, tolerance,
-        {"seed": int(seed), "margin": float(margin),
+        {"seed": int(seed), "margin": margin,
          "window": [float(t) for t in window]},
     )
 
 
-def fd_curvature_check(S, *, seed=0, samples=20, step=1e-4,
-                       rmin=0.3, rmax=1.5, curvature_cap=25.0,
+def fd_curvature_check(S, *, seed=0,
                        tolerance=CURVATURE_FD_TOL) -> CheckReport:
-    """Exact-jet H, K against finite-difference fundamental forms.
+    """Exact-jet H, K against finite-difference fundamental forms with
+    step h = 1e-4, at 20 seeded samples.
 
-    Samples live in the parameter annulus rmin <= |(u,v)| <= rmax and
-    are rejected where |H| + |K| exceeds `curvature_cap`: several
+    Samples live in the parameter annulus 0.3 <= |(u,v)| <= 1.5 and
+    are rejected where |H| + |K| exceeds 25: several
     blocks carry genuine curvature blowup loci (the conoid's axis
     image, the ring of the surfaces of revolution) where a fixed step
     cannot resolve the geometry, and curvature magnitude is exactly
     the scale that drives the truncation error there.
     """
+    samples, h = 20, 1e-4
+    rmin, rmax, curvature_cap = 0.3, 1.5, 25.0
     rng = np.random.default_rng(seed)
-    h = float(step)
 
     def stencil_safe(x, y):
         return np.logical_and.reduce([S.is_safe(x + dx, y + dy)
@@ -437,23 +438,23 @@ def fd_curvature_check(S, *, seed=0, samples=20, step=1e-4,
     u = np.empty(0)
     v = np.empty(0)
     draws = 0
-    while u.size < int(samples) and draws < 100:
+    while u.size < samples and draws < 100:
         draws += 1
-        ang = rng.uniform(0.0, 2.0 * np.pi, 2 * int(samples))
-        rad = rng.uniform(float(rmin), float(rmax), 2 * int(samples))
+        ang = rng.uniform(0.0, 2.0 * np.pi, 2 * samples)
+        rad = rng.uniform(rmin, rmax, 2 * samples)
         x = rad * np.cos(ang)
         y = rad * np.sin(ang)
         ok = stencil_safe(x, y)
         if not ok.any():
             continue
         He, Ke = curvatures(S, x[ok], y[ok])
-        keep = (np.abs(He) + np.abs(Ke)) <= float(curvature_cap)
+        keep = (np.abs(He) + np.abs(Ke)) <= curvature_cap
         u = np.concatenate([u, x[ok][keep]])
         v = np.concatenate([v, y[ok][keep]])
-    if u.size < int(samples):
+    if u.size < samples:
         raise ValueError("could not draw enough resolvable sample points")
-    u = u[: int(samples)]
-    v = v[: int(samples)]
+    u = u[:samples]
+    v = v[:samples]
     H, K = curvatures(S, u, v)
 
     # the nine stencil points, each evaluated once: p[i, j] = r(u + ih, v + jh)
@@ -476,25 +477,25 @@ def fd_curvature_check(S, *, seed=0, samples=20, step=1e-4,
     return CheckReport.from_residuals(
         "curvature-fd", res, tolerance,
         {"seed": int(seed), "step": h,
-         "annulus": [float(rmin), float(rmax)]},
+         "annulus": [rmin, rmax]},
     )
 
 
-def stationarity_check(F, *, seed=0, bumps=5, control=None,
-                       ratio=STATIONARITY_RATIO, box=(0.5, 1.4),
-                       radii=(0.25, 0.45)) -> CheckReport:
+def stationarity_check(F, *, seed=0, bumps=5,
+                       tolerance=STATIONARITY_RATIO) -> CheckReport:
     """|dOmega| of F against the (non-stationary) x^4 control on the
-    same seeded random bumps; each residual is the ratio of the two."""
-    if control is None:
-        control = make_polynomial_field({(4, 0): 1.0})
+    same seeded random bumps; each residual is the ratio of the two.
+    Bump centers have 0.5 <= |x|, |y| <= 1.4 and radii lie in
+    [0.25, 0.45]."""
+    control = make_polynomial_field({(4, 0): 1.0})
     rng = np.random.default_rng(seed)
     ratios = []
     tried = 0
     while len(ratios) < int(bumps) and tried < 60 * int(bumps):
         tried += 1
-        cx = rng.uniform(*box) * (1 if rng.uniform() < 0.5 else -1)
-        cy = rng.uniform(*box) * (1 if rng.uniform() < 0.5 else -1)
-        r = rng.uniform(*radii)
+        cx = rng.uniform(0.5, 1.4) * (1 if rng.uniform() < 0.5 else -1)
+        cy = rng.uniform(0.5, 1.4) * (1 if rng.uniform() < 0.5 else -1)
+        r = rng.uniform(0.25, 0.45)
         try:
             d = first_variation(F, (cx, cy), r, 1.0)
             dc = first_variation(control, (cx, cy), r, 1.0)
@@ -504,7 +505,7 @@ def stationarity_check(F, *, seed=0, bumps=5, control=None,
             continue
         ratios.append(abs(d) / abs(dc))
     return CheckReport.from_residuals(
-        "stationarity", ratios, ratio,
+        "stationarity", ratios, tolerance,
         {"seed": int(seed), "bumps": int(bumps), "tried": tried},
     )
 

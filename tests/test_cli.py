@@ -2,14 +2,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagmin.cli import main
+import lagmin.cli
+from lagmin.cli import _merge_meshes, main
 from lagmin.fields import make_elliptic_field
 
 
@@ -449,3 +454,137 @@ def test_finite_meshes_say_nothing_on_stderr(tmp_path, capfd):
                  ["isotropic", "--surface", "r1"]):
         assert main(argv + ["-o", str(tmp_path / "x.obj")]) == 0
         assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("check, spec, spaced", [
+    ("biharmonic", "r3@theta=0.5", "r3@theta=\t0.5"),
+    ("stationarity", "r3", "r\t3"),
+    ("curvature", "r3@theta=0.5", "r3 @theta=\t0.5"),
+    ("gaussmap", "r1", "r\t1"),
+    ("tangency", "r1", "\tr\t1 "),
+])
+def test_whitespace_in_a_spec_changes_no_report(tmp_path, check, spec, spaced):
+    # every check reads the spec through the one parser, which ignores
+    # whitespace of any kind
+    reports = []
+    for k, text in enumerate((spec, spaced)):
+        rep = tmp_path / ("r%d.json" % k)
+        assert main(["verify", "--surface", text, "--checks", check,
+                     "--report", str(rep)]) == 0
+        reports.append(rep.read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("spec", ["r3@theta=0.5", "r1~@theta=0.1",
+                                  "conv(1*r1,0.5*r2)", "field:poly(x^2)",
+                                  "ruled(1,0.5,0.3,0.2)"])
+def test_tangency_wants_an_unrotated_named_block(capsys, spec):
+    code = main(["verify", "--surface", spec, "--checks", "tangency"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error: tangency plans exist for unrotated "
+                          "blocks only\n")
+
+
+def test_config_tolerance_reaches_stationarity(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("stationarity=1e-12\n")
+    rep = tmp_path / "r.json"
+    assert main(["verify", "--surface", "r3", "--checks", "stationarity",
+                 "--config", str(cfg), "--report", str(rep)]) == 1
+    assert json.loads(rep.read_text())[0]["tolerance"] == 1e-12
+
+
+def test_ruling_overflow_is_reported_without_warnings(tmp_path, capfd):
+    out = tmp_path / "r.obj"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["ruled", "--A", "1e308", "--B", "0", "--C", "0",
+                     "--D", "0", "--phi-range", "0,3", "--lambda-range", "0,1",
+                     "--grid", "4x4", "-o", str(out)])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert capfd.readouterr().err == (
+        "note: dropped 8 grid point(s) with non-finite coordinates\n"
+        "error: ValueError: polyline contains non-finite coordinates\n")
+    assert not out.exists()
+
+
+def test_running_out_of_memory_is_an_error_exit(tmp_path):
+    # the address-space limit is set in the child before numpy is
+    # imported, so the 20000 x 20000 grid is never allocated without it
+    script = (
+        "import resource, sys\n"
+        "limit = 1536 * 1024 * 1024\n"
+        "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "if hard != resource.RLIM_INFINITY:\n"
+        "    limit = min(limit, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+        "from lagmin.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(lagmin.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "x.obj"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "generate", "--surface", "r1",
+         "--grid", "20000x20000", "--range", "-2,2,-2,2", "-o", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: MemoryError: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_GENERATE + ["--surface", "r1", "--range", "1_0,2,0,1"],
+     "usage error: --range wants a finite number, got '1_0'"),
+    (_RULED[:2] + ["1_0"] + _RULED[3:] + ["--phi-range", "0,1"],
+     "usage error: argument --A: wants a finite number, got '1_0'"),
+])
+def test_numbers_are_read_in_the_spec_syntax(tmp_path, capsys, argv, message):
+    # float() reads 1_0 as 10; the spec grammar, like r3@theta=1_0, does not
+    out = tmp_path / "x.obj"
+    assert main(argv + ["-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message + "\n")
+    assert not out.exists()
+
+
+def test_config_numbers_are_read_in_the_spec_syntax(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("guard=1_0\n")
+    out = tmp_path / "x.obj"
+    assert main(["generate", "--surface", "r1", "--grid", "10x10",
+                 "--range", "-2,2,-2,2", "--config", str(cfg),
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "usage error: config line 1: guard wants a finite number, "
+        "got '1_0'\n")
+    assert not out.exists()
+
+
+def test_merged_meshes_carry_their_dropped_points():
+    parts = [(SimpleNamespace(vertices=np.zeros((n, 3)),
+                              faces=np.zeros((0, 4), np.int64), nonfinite=k),
+              6.0 * i)
+             for i, (n, k) in enumerate([(4, 2), (3, 0), (5, 7)])]
+    merged = _merge_meshes(parts)
+    assert len(merged.vertices) == 12 and merged.nonfinite == 9
+
+
+def test_gallery_writes_every_mesh_through_the_drop_note(tmp_path, capfd,
+                                                         monkeypatch):
+    written = []
+
+    def write(mesh, path, **kw):
+        written.append(os.path.basename(path))
+        real_write(mesh, path, **kw)
+
+    real_write = lagmin.cli._write_mesh
+    monkeypatch.setattr(lagmin.cli, "_write_mesh", write)
+    assert main(["gallery", "-o", str(tmp_path)]) == 0
+    assert sorted(written) == sorted(os.listdir(tmp_path))
+    assert len(written) == 6
+    assert capfd.readouterr().err == ""

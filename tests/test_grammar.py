@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from lagmin.errors import GrammarError
-from lagmin.fields import EllipticField, PolynomialField, SumField
+from lagmin.errors import GrammarError, UnknownName
+from lagmin.fields import EllipticField, PolynomialField, SumField, sum_fields
 from lagmin.grammar import parse_field, parse_surface
 from lagmin.reconstruct import FieldSurface
-from lagmin.surfaces import ConvolutionSurface, RotatedSurface, RuledPatch
+from lagmin.surfaces import (
+    BLOCK_NAMES,
+    ConvolutionSurface,
+    RotatedSurface,
+    RuledPatch,
+    block_field,
+)
 
 
 def test_parse_field_families():
@@ -105,3 +111,33 @@ def test_field_specs_name_coefficients_only(spec):
     # guard and branch are keyword-only fields, set by the caller
     with pytest.raises(GrammarError):
         parse_field(spec)
+
+
+_ROTATED = [("r3", 0.5), ("r6", -0.7), ("r7", 1.1), ("r9", 0.3), ("r3~", 0.2)]
+
+
+@pytest.mark.parametrize("name, theta",
+                         [(n, 0.0) for n in BLOCK_NAMES] + _ROTATED)
+def test_a_block_spec_carries_its_field(name, theta):
+    spec = name if theta == 0.0 else "%s@theta=%r" % (name, theta)
+    assert parse_surface(spec).field == block_field(name, theta)
+    guarded = parse_surface(spec, guard=0.5).field
+    assert guarded == block_field(name, theta).with_guard(0.5)
+
+
+@pytest.mark.parametrize("guard", [None, 0.5])
+def test_a_convolution_carries_the_weighted_sum_of_its_fields(guard):
+    spec = "conv(1*r1, 0.5*r2, 0.3*r3@theta=0.4, -2*r7@theta=1)"
+    want = sum_fields([(1.0, block_field("r1")), (0.5, block_field("r2")),
+                       (0.3, block_field("r3", 0.4)),
+                       (-2.0, block_field("r7", 1.0))])
+    if guard is not None:
+        want = want.with_guard(guard)
+    assert parse_surface(spec, guard=guard).field == want
+
+
+def test_a_rotated_block_without_a_closed_rotated_field_says_so():
+    with pytest.raises(UnknownName, match="no closed rotated field"):
+        parse_surface("r1@theta=0.5").field
+    with pytest.raises(UnknownName, match="no closed rotated field"):
+        parse_surface("conv(1*r3, 1*r4@theta=0.5)").field
