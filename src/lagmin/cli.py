@@ -134,12 +134,11 @@ def _run_check(name, spec, args, cfg):
     if name == "stationarity":
         F = _field_for(spec, branch, guard)
         return [verify.stationarity_check(F, seed=seed, **kw)]
-    if name == "tangency":
-        block = grammar.parse_surface(spec).name
-        if block is None:
-            raise _UsageError("tangency plans exist for unrotated blocks only")
-        return verify.tangency_check(block, **kw)
     S = grammar.parse_surface(spec, branch=branch, guard=guard)
+    if name == "tangency":
+        if S.name is None:
+            raise _UsageError("tangency plans exist for unrotated blocks only")
+        return verify.tangency_check(S, **kw)
     if name == "gaussmap":
         return [verify.gaussmap_identity_residual(S, **kw)]
     if name == "ruling":

@@ -1,16 +1,42 @@
 """Exact partial-derivative tables (jets) for scalar functions of two variables.
 
 A ``Jet`` stores every partial derivative d[i, j] = d^(i+j) f / dx^i dy^j with
-i + j <= order, for any order.  Arithmetic combines tables exactly: one
-Leibniz sum (`_leibniz`) serves products, reciprocals and square roots, and
-composition substitutes truncated Taylor series, so a field assembled from
-the primitives below carries closed-form derivatives with no symbolic or
+i + j <= order, for any order.  Arithmetic combines tables exactly: Leibniz
+sums serve products, reciprocals and square roots, and composition
+substitutes truncated Taylor series, so a field assembled from the
+primitives below carries closed-form derivatives with no symbolic or
 automatic-differentiation machinery behind it.  Entries may be scalars or
 numpy arrays of a common broadcast shape, which makes whole-grid evaluation a
 handful of vectorized operations.
+
+Every Leibniz sum follows one term plan per (order, operation), built once
+(`_Plan`).  It lists each entry's terms (a, b, i−a, j−b, C(i,a)·C(j,b)) in
+the order of a double loop over a <= i, then b <= j, and every entry is
+summed as 0.0 + t0 + t1 + ... with each term formed as (c·p)·q.  Two
+kernels run the plan and give the same bits (a NaN's sign aside, which
+IEEE 754 leaves open and numpy's loops do not keep), in the tables' own
+precision, long double included:
+
+- rounds, for small tables: gather every term's factors at once, scale,
+  multiply, then add the r-th term of every entry that has one in one
+  slice add per round (entries sorted by falling term count, so each
+  round is a prefix) and take the table from the sums at the end: about
+  6 + R numpy calls a product, R <= 9 at order 4;
+- in place, for large tables: add term by term into each entry with
+  ``out=``, so no term allocates a temporary.
+
+The rounds kernel holds (buffer rows + the largest stage's terms) elements
+per point at once.  Measured on 2 vCPUs (Intel Xeon, numpy 2.4.6), it was
+1.5–8× faster than a per-entry Python loop at orders 1–4 from 1 to 256
+points; beyond about 2^14 held elements (1820 points for an order-1
+product, 190 at order 4) its cost jumped several-fold, while in-place
+accumulation stayed 1.1–2× faster than the loop up to 1.6e5 points.  So
+the switch (`ROUNDS_MAX_ELEMENTS`) weighs the operands' point count
+against that bound.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,23 +45,143 @@ import numpy as np
 def _asfloat(x):
     """Coerce to a float ndarray without demoting extended precision."""
     x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.floating):
+    if x.dtype.kind != "f":
         x = x.astype(float)
     return x
 
 
-def _leibniz(p, q, i, j, skip=()):
-    """Sum over a <= i, b <= j of C(i,a)·C(j,b)·p[a,b]·q[i−a,j−b], leaving
-    out the (a, b) terms listed in `skip`; the (i, j) entry of the product
-    of the tables p and q."""
-    acc = 0.0
-    for a in range(i + 1):
-        for b in range(j + 1):
-            if (a, b) in skip:
-                continue
-            c = math.comb(i, a) * math.comb(j, b)
-            acc = acc + c * p[a, b] * q[i - a, j - b]
-    return acc
+# -- Leibniz term plans --------------------------------------------------
+
+# The rounds kernel holds a buffer row per entry and every term of a stage
+# at every point at once; it runs while that is at most this many elements,
+# and larger tables accumulate in place (see the module docstring).
+ROUNDS_MAX_ELEMENTS = 2**14
+
+
+def _frozen(values, dtype=np.intp):
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+class _Stage:
+    """The Leibniz terms of a group of table entries that can be summed
+    together.  `entries` lists each entry's cell (i, j) and its terms
+    (a, b, i−a, j−b, C(i,a)·C(j,b)) in the order the sum adds them: a
+    double loop over a <= i, then b <= j.  Entries are sorted by falling
+    term count and own buffer rows lo, lo+1, ...  The flat term arrays run
+    round by round: round r holds the r-th term of the first k entries,
+    from flat index `start`, for each (start, k) in `rounds`.  `pi` and
+    `qi` are the rows of each term's factors in the flattened operands
+    (table cells a·(order+1)+b, or buffer rows for factors the operation
+    itself computes); `coef` is None when every coefficient is 1."""
+
+    __slots__ = ("entries", "lo", "hi", "cells", "pi", "qi", "coef", "rounds")
+
+    def __init__(self, cells, skip, lo, cell, p_row, q_row):
+        entries = []
+        for i, j in cells:
+            terms = [(a, b, i - a, j - b, math.comb(i, a) * math.comb(j, b))
+                     for a in range(i + 1) for b in range(j + 1)
+                     if (a, b) not in skip(i, j)]
+            entries.append(((i, j), tuple(terms)))
+        entries.sort(key=lambda e: -len(e[1]))
+        self.entries = tuple(entries)
+        self.lo, self.hi = lo, lo + len(entries)
+        flat, rounds = [], []
+        for r in range(len(entries[0][1])):
+            k = sum(len(terms) > r for _, terms in entries)
+            rounds.append((len(flat), k))
+            flat += [terms[r] for _, terms in entries[:k]]
+        self.rounds = tuple(rounds)
+        self.cells = _frozen([cell(i, j) for (i, j), _ in entries])
+        self.pi = _frozen([p_row(a, b) for a, b, _, _, _ in flat])
+        self.qi = _frozen([q_row(a, b) for _, _, a, b, _ in flat])
+        coef = [c for *_, c in flat]
+        self.coef = (None if all(c == 1 for c in coef)
+                     else _frozen(coef, float).reshape(-1, 1))
+
+    def add_sums(self, P, Q, buf):
+        """Add every entry's Leibniz sum into its rows of `buf` (zero
+        there): P and Q are the flattened factor tables, one row per cell
+        or buffer row, one column per point."""
+        if not self.rounds:
+            return
+        terms = P.take(self.pi, 0)
+        if self.coef is not None:
+            terms *= self.coef
+        if terms.dtype != buf.dtype:
+            terms = terms.astype(buf.dtype)
+        terms *= Q.take(self.qi, 0)
+        for start, k in self.rounds:
+            acc = buf[self.lo : self.lo + k]
+            acc += terms[start : start + k]
+
+    def accumulate(self, p, q, out, tmp):
+        """Add every entry's Leibniz sum into its cell of the table `out`
+        (zero there), one term at a time through the buffer `tmp`."""
+        for (i, j), terms in self.entries:
+            acc = out[i, j]
+            for a, b, qa, qb, c in terms:
+                if c == 1:
+                    np.multiply(p[a, b], q[qa, qb], out=tmp)
+                else:
+                    np.multiply(p[a, b], c, out=tmp)
+                    tmp *= q[qa, qb]
+                acc += tmp
+
+
+class _Plan:
+    """Every Leibniz sum behind one jet operation, as stages.  A product
+    ("mul") sums every entry in one stage.  A reciprocal or a square root
+    finds its entries by total degree, each from entries of lower degree,
+    so it has one stage per degree, and leaves out the terms that hold the
+    unknown entry: (0, 0) for "reciprocal", (0, 0) and (i, j) for "sqrt".
+    The rounds kernel sums into a buffer with one row per computed entry
+    (row 0 holds the (0, 0) entry of a reciprocal or square root) and a
+    last row of zeros; `perm` takes the table, cell by cell, from it."""
+
+    __slots__ = ("stages", "perm", "rows", "max_points")
+
+    def __init__(self, order, kind):
+        n1 = order + 1
+        row = {}
+        if kind == "mul":
+            groups = [[(i, j) for i in range(n1) for j in range(n1 - i)]]
+            skip = lambda i, j: ()
+        else:
+            row[0, 0] = 0
+            groups = [[(i, t - i) for i in range(t + 1)] for t in range(1, n1)]
+            skip = {"reciprocal": lambda i, j: ((0, 0),),
+                    "sqrt": lambda i, j: ((0, 0), (i, j))}[kind]
+        cell = lambda a, b: a * n1 + b
+        buffered = lambda a, b: row[a, b]
+        p_row = buffered if kind == "sqrt" else cell
+        q_row = cell if kind == "mul" else buffered
+        stages = []
+        for cells in groups:
+            stage = _Stage(cells, skip, len(row), cell, p_row, q_row)
+            for k, ((i, j), _) in enumerate(stage.entries):
+                row[i, j] = stage.lo + k
+            stages.append(stage)
+        self.stages = tuple(stages)
+        self.rows = len(row) + 1
+        held = self.rows + max(len(stage.pi) for stage in stages)
+        self.max_points = ROUNDS_MAX_ELEMENTS // held
+        self.perm = _frozen([row.get((i, j), len(row))
+                             for i in range(n1) for j in range(n1)])
+
+
+_plan = functools.lru_cache(maxsize=None)(_Plan)
+
+
+def _broadcast_tables(*tables):
+    """Views of jet tables broadcast against each other over their point
+    axes (every axis after the first two)."""
+    shape = np.broadcast_shapes(*(d.shape[2:] for d in tables))
+    padded = (d.reshape(d.shape[:2] + (1,) * (len(shape) + 2 - d.ndim)
+                        + d.shape[2:]) for d in tables)
+    return [np.broadcast_to(d, d.shape[:2] + shape) for d in padded]
 
 
 class Jet:
@@ -50,7 +196,9 @@ class Jet:
     @classmethod
     def constant(cls, value, order, shape=()):
         value = _asfloat(value)
-        shape = np.broadcast(np.empty(tuple(shape)), value).shape
+        shape = tuple(shape)
+        if value.shape and value.shape != shape:
+            shape = np.broadcast_shapes(shape, value.shape)
         d = np.zeros((order + 1, order + 1) + shape, dtype=value.dtype)
         d[0, 0] = value
         return cls(d, order)
@@ -141,11 +289,25 @@ class Jet:
         if other.order != self.order:
             raise ValueError("jet order mismatch")
         n = self.order
-        shape = np.broadcast(self.d[0, 0], other.d[0, 0]).shape
-        out = np.zeros((n + 1, n + 1) + shape, dtype=np.result_type(self.d, other.d))
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                out[i, j] = _leibniz(self.d, other.d, i, j)
+        p, q = self.d, other.d
+        if n == 0:
+            out = p * q
+            out += 0.0
+            return Jet(out, n)
+        if p.shape != q.shape:
+            p, q = _broadcast_tables(p, q)
+        dtype = np.result_type(p, q)
+        plan = _plan(n, "mul")
+        (stage,) = plan.stages
+        cells = (n + 1) ** 2
+        if p.size <= plan.max_points * cells:
+            P = p.reshape(cells, -1)
+            buf = np.zeros((plan.rows, P.shape[1]), dtype)
+            stage.add_sums(P, q.reshape(cells, -1), buf)
+            out = buf.take(plan.perm, 0).reshape(p.shape)
+        else:
+            out = np.zeros(p.shape, dtype)
+            stage.accumulate(p, q, out, np.empty(p.shape[2:], dtype))
         return Jet(out, n)
 
     __rmul__ = __mul__
@@ -159,30 +321,57 @@ class Jet:
         return self.reciprocal() * other
 
     def reciprocal(self):
-        n = self.order
-        out = np.zeros_like(self.d)
-        g0 = self.d[0, 0]
-        inv = 1.0 / g0
-        out[0, 0] = inv
-        for t in range(1, n + 1):
-            for i in range(t + 1):
-                j = t - i
-                out[i, j] = -inv * _leibniz(self.d, out, i, j, ((0, 0),))
-        return Jet(out, n)
+        return self._solve("reciprocal")
 
     def sqrt(self):
         """Jet of sqrt(f); requires f > 0."""
-        n = self.order
-        out = np.zeros_like(self.d)
-        s0 = np.sqrt(self.d[0, 0])
-        out[0, 0] = s0
-        half = 0.5 / s0
-        for t in range(1, n + 1):
-            for i in range(t + 1):
-                j = t - i
-                acc = _leibniz(out, out, i, j, ((0, 0), (i, j)))
-                out[i, j] = (self.d[i, j] - acc) * half
-        return Jet(out, n)
+        return self._solve("sqrt")
+
+    def _solve(self, kind):
+        """Jet of 1/f ("reciprocal") or sqrt(f) ("sqrt"), entry by entry
+        in order of total degree.  With g the table of f and h the one
+        sought, the Leibniz sum S over the terms that do not hold the
+        unknown entry gives h[i, j] = −(1/g[0, 0])·S for 1/f (terms
+        g[a, b]·h[i−a, j−b]) and h[i, j] = (g[i, j] − S)·(0.5/h[0, 0])
+        for sqrt(f) (terms h[a, b]·h[i−a, j−b])."""
+        g, n = self.d, self.order
+        recip = kind == "reciprocal"
+        if n == 0:
+            return Jet(1.0 / g if recip else np.sqrt(g), 0)
+        plan = _plan(n, kind)
+        cells = (n + 1) ** 2
+        rounds = g.size <= plan.max_points * cells
+        if rounds:
+            G = g.reshape(cells, -1)
+            h = np.zeros((plan.rows, G.shape[1]), g.dtype)
+            h00, g00 = h[0], G[0]
+        else:
+            h = np.zeros_like(g)
+            h00, g00 = h[0, 0], g[0, 0]
+            tmp = np.empty_like(h00)
+        if recip:
+            np.divide(1.0, g00, out=h00)
+            scale = -h00
+        else:
+            np.sqrt(g00, out=h00)
+            scale = 0.5 / h00
+        for stage in plan.stages:
+            if rounds:
+                stage.add_sums(G if recip else h, h, h)
+                blocks = [(h[stage.lo : stage.hi],
+                           None if recip else G.take(stage.cells, 0))]
+            else:
+                stage.accumulate(g if recip else h, h, h, tmp)
+                blocks = [(h[i, j], g[i, j]) for (i, j), _ in stage.entries]
+            for acc, gij in blocks:
+                if recip:
+                    np.multiply(scale, acc, out=acc)
+                else:
+                    np.subtract(gij, acc, out=acc)
+                    acc *= scale
+        if rounds:
+            h = h.take(plan.perm, 0).reshape(g.shape)
+        return Jet(h, n)
 
     def power(self, k):
         """Integer power via repeated multiplication."""
@@ -280,13 +469,35 @@ def jet_polynomial(x, y, coeffs, order):
     y = _asfloat(y)
     shape = np.broadcast(x, y).shape
     d = np.zeros((order + 1, order + 1) + shape, dtype=np.result_type(x, y))
-    for (p, q), c in coeffs.items():
-        if c == 0:
-            continue
-        for i in range(order + 1):
-            for j in range(order + 1 - i):
-                if i > p or j > q:
-                    continue
-                fall = (math.perm(p, i) * math.perm(q, j))
-                d[i, j] += c * fall * x ** (p - i) * y ** (q - j)
+    terms = [(p, q, c, i, j) for (p, q), c in coeffs.items() if c != 0
+             for i in range(min(p, order) + 1)
+             for j in range(min(q, order - i) + 1)]
+    xpow = _Powers(x, [p - i for p, _, _, i, _ in terms])
+    ypow = _Powers(y, [q - j for _, q, _, _, j in terms])
+    for t, (p, q, c, i, j) in enumerate(terms):
+        fall = (math.perm(p, i) * math.perm(q, j))
+        d[i, j] += c * fall * xpow.take(t, p - i) * ypow.take(t, q - j)
     return Jet(d, order)
+
+
+class _Powers:
+    """base ** k for the exponents of a call's terms, each computed once
+    and dropped after the last term that uses it: holding every power of
+    a 400² float64 grid for the whole call measured slower than computing
+    some of them twice."""
+
+    def __init__(self, base, exponents):
+        self.base = base
+        self.last = {k: t for t, k in enumerate(exponents)}
+        self.kept = {}
+
+    def take(self, t, k):
+        """base ** k for term t."""
+        value = self.kept.get(k)
+        if value is None:
+            value = self.base ** k
+        if self.last[k] == t:
+            self.kept.pop(k, None)
+        else:
+            self.kept[k] = value
+        return value

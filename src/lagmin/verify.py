@@ -32,7 +32,7 @@ from .reconstruct import (
     reconstruct_surface,
     unit_normal,
 )
-from .surfaces import (ConvolutionSurface, RotatedSurface, building_block,
+from .surfaces import (ConvolutionSurface, RotatedSurface,
                        cyclographic_preimage)
 
 K_TOL = 1e-12
@@ -592,12 +592,11 @@ def tangency_plan(block_name):
     return plans[block_name]
 
 
-def tangency_check(block_name, *, shape=(400, 400),
-                   tolerance=TANGENCY_TOL):
-    """All frozen sphere-tangency reports for one named block."""
-    S = building_block(block_name)
+def tangency_check(S, *, shape=(400, 400), tolerance=TANGENCY_TOL):
+    """All frozen sphere-tangency reports for a named block surface S
+    (with its guard, if any); the plan is looked up by `S.name`."""
     reports = []
-    for fam_name, pairs, window in tangency_plan(block_name):
+    for fam_name, pairs, window in tangency_plan(S.name):
         fam = cyclographic_preimage(fam_name)
         spheres = [fam.line(p).sphere(l) for p, l in pairs]
         rep = tangency_residual(S, spheres, window=window, shape=shape,

@@ -401,7 +401,7 @@ def test_criterion_13_cyclographic_tangency():
     worst = 0.0
     families = []
     for name in ("r1", "r4", "r5", "r6", "r7", "r8", "r9", "r10", "r11", "r1~", "r3~"):
-        for rep in tangency_check(name):
+        for rep in tangency_check(building_block(name)):
             worst = max(worst, rep.max_residual)
             families.append(rep.meta["family"])
             assert rep.samples == 15

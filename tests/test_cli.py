@@ -1,11 +1,13 @@
 """Command-line behavior: exit codes, reports, OBJ hygiene."""
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,8 @@ from hypothesis import strategies as st
 import lagmin.cli
 from lagmin.cli import _merge_meshes, main
 from lagmin.fields import make_elliptic_field
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_obj(path):
@@ -484,6 +488,24 @@ def test_tangency_wants_an_unrotated_named_block(capsys, spec):
     assert code == 2
     assert err.startswith("usage error: tangency plans exist for unrotated "
                           "blocks only\n")
+
+
+def test_config_guard_reaches_tangency(tmp_path):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("guard=0.5\n")
+    argv = ["verify", "--surface", "r1", "--checks", "tangency", "--report"]
+    main(argv + [str(tmp_path / "guarded.json"), "--config", str(cfg)])
+    assert main(argv + [str(tmp_path / "plain.json")]) == 0
+    (guarded,) = json.loads((tmp_path / "guarded.json").read_text())
+    (plain,) = json.loads((tmp_path / "plain.json").read_text())
+    assert plain["meta"]["vertices"] == 160000
+    assert 0 < guarded["meta"]["vertices"] < 160000
+    # without a guard the report is the one the benchmark pins
+    pins = json.loads((ROOT / "bench" / "digests.json").read_text())
+    if pins["numpy"] == np.__version__:
+        digest = hashlib.sha256((tmp_path / "plain.json").read_bytes())
+        assert (digest.hexdigest()
+                == pins["workloads"]["certify"]["tangency-r1.json"])
 
 
 def test_config_tolerance_reaches_stationarity(tmp_path):

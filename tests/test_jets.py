@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagmin.jets import (
     Jet,
+    _plan,
     compose,
     jet_arctan_ratio,
     jet_log_rsq,
@@ -164,12 +167,18 @@ def test_arctan_branch_offsets_value_only():
 
 
 def test_batched_jets_match_per_point():
-    xs = np.array([0.5, 1.1, -0.8])
-    ys = np.array([0.9, -0.4, 1.7])
+    # a batch large enough for the in-place kernel, points one at a time
+    # through the rounds kernel: the same bits
+    n = max(_plan(order, kind).max_points for order in range(1, 5)
+            for kind in ("mul", "reciprocal")) + 1
+    rng = np.random.default_rng(12)
+    r, t = rng.uniform(0.3, 2.0, n), rng.uniform(-np.pi, np.pi, n)
+    xs = np.concatenate([[0.5, 1.1, -0.8], r * np.cos(t)])
+    ys = np.concatenate([[0.9, -0.4, 1.7], r * np.sin(t)])
     batch = jet_arctan_ratio(xs, ys, 4)
-    for k in range(3):
+    for k in [0, 1, 2] + list(rng.choice(n + 3, 20, replace=False)):
         single = jet_arctan_ratio(xs[k], ys[k], 4)
-        assert np.allclose(batch.d[..., k], single.d, atol=1e-13)
+        assert np.array_equal(batch.d[..., k], single.d)
 
 
 # -- orders above four: one Leibniz sum, binomials and factorials from math
@@ -237,3 +246,122 @@ def test_compose_at_order_six_matches_expanded_polynomial():
     direct = jet_polynomial(
         x, y, {(3, 1): 1.0, (2, 3): 2.0, (1, 5): 1.0, (3, 3): 1.0}, HIGH)
     assert np.allclose(compose(fjet, ju, jv).d, direct.d, rtol=1e-13, atol=1e-12)
+
+
+# -- bit identity with the per-entry Leibniz loop ------------------------
+
+
+def _leibniz(p, q, i, j, skip=()):
+    """Sum over a <= i, b <= j of C(i,a)·C(j,b)·p[a,b]·q[i−a,j−b], leaving
+    out the (a, b) terms listed in `skip`, one term at a time."""
+    acc = 0.0
+    for a in range(i + 1):
+        for b in range(j + 1):
+            if (a, b) in skip:
+                continue
+            c = math.comb(i, a) * math.comb(j, b)
+            acc = acc + c * p[a, b] * q[i - a, j - b]
+    return acc
+
+
+def _product_reference(p, q, n):
+    shape = np.broadcast(p[0, 0], q[0, 0]).shape
+    out = np.zeros((n + 1, n + 1) + shape, dtype=np.result_type(p, q))
+    for i, j in _entries(n):
+        out[i, j] = _leibniz(p, q, i, j)
+    return out
+
+
+def _reciprocal_reference(g, n):
+    out = np.zeros_like(g)
+    inv = 1.0 / g[0, 0]
+    out[0, 0] = inv
+    for t in range(1, n + 1):
+        for i in range(t + 1):
+            out[i, t - i] = -inv * _leibniz(g, out, i, t - i, ((0, 0),))
+    return out
+
+
+def _sqrt_reference(g, n):
+    out = np.zeros_like(g)
+    s0 = np.sqrt(g[0, 0])
+    out[0, 0] = s0
+    half = 0.5 / s0
+    for t in range(1, n + 1):
+        for i in range(t + 1):
+            j = t - i
+            acc = _leibniz(out, out, i, j, ((0, 0), (i, j)))
+            out[i, j] = (g[i, j] - acc) * half
+    return out
+
+
+def assert_same_bits(got, want):
+    """Equal dtype, shape, values and signs of zero.  NaNs compare by
+    position only: IEEE 754 leaves the sign of a NaN result open, and
+    numpy's scalar and array loops return different operands' NaNs."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], want[~nan])
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+_BIG = max(_plan(order, kind).max_points for order in range(1, 7)
+           for kind in ("mul", "reciprocal", "sqrt")) + 1
+# point shapes of the two factors, broadcasting included; (64,) is below
+# every plan's kernel switch and (_BIG,) past it
+_SHAPES = [((), ()), ((1,), (1,)), ((3, 4), (3, 4)), ((), (3, 4)),
+           ((3, 4), ()), ((4,), (3, 4)), ((64,), (64,)), ((_BIG,), (_BIG,)),
+           ((), (_BIG,))]
+
+
+def _table(rng, order, shape, dtype, special):
+    d = rng.normal(size=(order + 1, order + 1) + shape)
+    d *= 10.0 ** rng.integers(-3, 4, size=d.shape)
+    hit = rng.random(d.shape) < special
+    d[hit] = rng.choice(_SPECIAL, size=int(hit.sum()))
+    return d.astype(dtype)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(order=st.integers(0, 6), shapes=st.sampled_from(_SHAPES),
+       dtypes=st.sampled_from([(np.float64, np.float64),
+                               (np.longdouble, np.longdouble),
+                               (np.float64, np.longdouble),
+                               (np.longdouble, np.float64)]),
+       special=st.sampled_from([0.0, 0.05, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_jet_arithmetic_has_the_bits_of_the_leibniz_loop(order, shapes, dtypes,
+                                                          special, seed):
+    rng = np.random.default_rng(seed)
+    p = _table(rng, order, shapes[0], dtypes[0], special)
+    q = _table(rng, order, shapes[1], dtypes[1], special)
+    with np.errstate(all="ignore"):
+        assert_same_bits((Jet(p, order) * Jet(q, order)).d,
+                         _product_reference(p, q, order))
+        for g in (p, q):
+            assert_same_bits(Jet(g, order).reciprocal().d,
+                             _reciprocal_reference(g, order))
+            assert_same_bits(Jet(g, order).sqrt().d, _sqrt_reference(g, order))
+
+
+def test_kernel_switch_falls_inside_the_tested_sizes():
+    for order in range(1, 7):
+        for kind in ("mul", "reciprocal", "sqrt"):
+            assert 64 <= _plan(order, kind).max_points < _BIG
+
+
+def test_polynomial_jet_has_the_bits_of_the_monomial_loop():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=300)
+    y = rng.normal(size=300).astype(np.longdouble)
+    coeffs = {(p, q): float(rng.normal()) for p in range(5) for q in range(4)}
+    for order in range(5):
+        want = np.zeros((order + 1, order + 1, 300), dtype=np.longdouble)
+        for (p, q), c in coeffs.items():
+            for i, j in _entries(order):
+                if i <= p and j <= q:
+                    fall = math.perm(p, i) * math.perm(q, j)
+                    want[i, j] += c * fall * x ** (p - i) * y ** (q - j)
+        assert_same_bits(jet_polynomial(x, y, coeffs, order).d, want)
