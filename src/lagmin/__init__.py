@@ -11,7 +11,6 @@ from .errors import (
     BadFit,
     DegenerateCone,
     DegenerateFamily,
-    DegenerateFit,
     DependentCircles,
     DomainMismatch,
     EmptyIntersection,

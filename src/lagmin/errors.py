@@ -9,10 +9,6 @@ class ZeroNormal(LagminError):
     """A plane normal with vanishing length cannot be normalized."""
 
 
-class DegenerateFit(LagminError):
-    """A least-squares fit did not reach the required residual."""
-
-
 class SingularPoint(LagminError):
     """Evaluation requested inside the guard band around a singular locus."""
 

@@ -9,6 +9,13 @@ order-4 jet in closed form, with a 13-point finite-difference stencil as an
 independent cross-check.  Fields are frozen dataclasses: evaluation is pure
 and safe to run over whole grids at once.
 
+The elliptic, hyperbolic, parabolic and polynomial families are
+`StatedField`s: each states its terms once, as a polynomial P0 plus one
+(Pk, gk) pair per singular part with gk one of Arctan(y/x), ln(x²+y²) and
+1/(x²+y²).  The origin is singular exactly when some Pk has a nonzero
+coefficient; the field is the polynomial P0 otherwise; the jet sums P0
+and each nonzero Pk·gk in the stated order.
+
 Multi-valued terms: only Arctan(y/x) carries the branch integer (value
 plus branch*pi); the logarithm of x^2 + y^2 is single-valued off the
 origin.  Evaluation inside the singular guard raises SingularPoint.
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -126,8 +134,43 @@ class ScalarField:
         return replace(self, guard=float(eps))
 
 
+def _jet_inv_rsq(x, y, order):
+    return jet_rsq(x, y, order).reciprocal()
+
+
 @dataclass(frozen=True)
-class EllipticField(ScalarField):
+class StatedField(ScalarField):
+    """A family P0 + Σ Pk·gk, stated once by `_terms`: each P is a
+    polynomial {(p, q): c} and each gk, singular at the origin, is
+    Arctan(y/x), ln(x²+y²) or 1/(x²+y²) as a jet builder (x, y, order).
+    The singular center, the monomials and the jet follow from the terms,
+    and only the singular parts with a nonzero coefficient take part."""
+
+    def _terms(self):
+        """(P0, ((P1, g1), (P2, g2), ...)), in evaluation order."""
+        raise NotImplementedError
+
+    def _parts(self):
+        P0, parts = self._terms()
+        return P0, [(P, g) for P, g in parts if _nonzero(*P.values())]
+
+    def singular_centers(self):
+        return ((0.0, 0.0),) if self._parts()[1] else ()
+
+    def monomials(self):
+        P0, parts = self._parts()
+        return None if parts else P0
+
+    def _jet(self, x, y, order):
+        P0, parts = self._parts()
+        out = jet_polynomial(x, y, P0, order)
+        for P, g in parts:
+            out = out + jet_polynomial(x, y, P, order) * g(x, y, order)
+        return out
+
+
+@dataclass(frozen=True)
+class EllipticField(StatedField):
     """(a1(x²+y²)+a2x+a3+a4y)·Arctan(y/x) + (b1y²+b2xy+b3x²)/(x²+y²)
     + c1y² + c2xy + c3x² + d1x + d2y.
 
@@ -150,49 +193,20 @@ class EllipticField(ScalarField):
 
     family = "elliptic"
 
-    def singular_centers(self):
-        if _nonzero(self.a1, self.a2, self.a3, self.a4, self.b1, self.b2, self.b3):
-            return ((0.0, 0.0),)
-        return ()
-
-    def _polynomial_part(self):
-        return {
-            (0, 2): self.c1,
-            (1, 1): self.c2,
-            (2, 0): self.c3,
-            (1, 0): self.d1,
-            (0, 1): self.d2,
-        }
-
-    def monomials(self):
-        return None if self.singular_centers() else self._polynomial_part()
-
-    def _jet(self, x, y, order):
-        out = jet_polynomial(x, y, self._polynomial_part(), order)
-        if _nonzero(self.a1, self.a2, self.a3, self.a4):
-            factor = jet_polynomial(
-                x,
-                y,
-                {
-                    (2, 0): self.a1,
-                    (0, 2): self.a1,
-                    (1, 0): self.a2,
-                    (0, 0): self.a3,
-                    (0, 1): self.a4,
-                },
-                order,
-            )
-            out = out + factor * jet_arctan_ratio(x, y, order, self.branch)
-        if _nonzero(self.b1, self.b2, self.b3):
-            num = jet_polynomial(
-                x, y, {(0, 2): self.b1, (1, 1): self.b2, (2, 0): self.b3}, order
-            )
-            out = out + num * jet_rsq(x, y, order).reciprocal()
-        return out
+    def _terms(self):
+        return (
+            {(0, 2): self.c1, (1, 1): self.c2, (2, 0): self.c3,
+             (1, 0): self.d1, (0, 1): self.d2},
+            (({(2, 0): self.a1, (0, 2): self.a1, (1, 0): self.a2,
+               (0, 0): self.a3, (0, 1): self.a4},
+              partial(jet_arctan_ratio, branch=self.branch)),
+             ({(0, 2): self.b1, (1, 1): self.b2, (2, 0): self.b3},
+              _jet_inv_rsq)),
+        )
 
 
 @dataclass(frozen=True)
-class HyperbolicField(ScalarField):
+class HyperbolicField(StatedField):
     """Fields linear on every circle centered at the origin.
 
     Reduced part: (a1(x²+y²)+a2x+a3)·ln(x²+y²) + (b1y+b2x)/(x²+y²)
@@ -224,58 +238,26 @@ class HyperbolicField(ScalarField):
 
     family = "hyperbolic"
 
-    def _log_coeffs(self):
-        return {
-            (2, 0): self.a1 + 0.5 * self.gamma4,
-            (0, 2): self.a1 + 0.5 * self.gamma4,
-            (1, 0): self.a2 + 0.5 * self.alpha2,
-            (0, 1): 0.5 * self.beta2,
-            (0, 0): self.a3 + 0.5 * self.gamma3,
-        }
-
-    def _inv_coeffs(self):
-        return {(1, 0): self.b2 + self.alpha3, (0, 1): self.b1 + self.beta3}
-
-    def singular_centers(self):
-        if _nonzero(*self._log_coeffs().values()) or _nonzero(
-            *self._inv_coeffs().values()
-        ):
-            return ((0.0, 0.0),)
-        return ()
-
-    def _polynomial_part(self):
-        return {
-            (3, 0): self.c2 + self.alpha4,
-            (1, 2): self.c2 + self.alpha4,
-            (2, 1): self.c1 + self.beta4,
-            (0, 3): self.c1 + self.beta4,
-            (1, 0): self.alpha1,
-            (0, 1): self.beta1,
-            (0, 0): self.gamma1,
-            (2, 0): self.gamma2,
-            (0, 2): self.gamma2,
-        }
-
-    def monomials(self):
-        return None if self.singular_centers() else self._polynomial_part()
-
-    def _jet(self, x, y, order):
+    def _terms(self):
         # In Cartesian form with rho^2 = x^2 + y^2 the whole family is
         # P0 + P1*ln(rho^2) + P2/rho^2 for three fixed polynomials.
-        out = jet_polynomial(x, y, self._polynomial_part(), order)
-        logc = self._log_coeffs()
-        if _nonzero(*logc.values()):
-            out = out + jet_polynomial(x, y, logc, order) * jet_log_rsq(x, y, order)
-        invc = self._inv_coeffs()
-        if _nonzero(*invc.values()):
-            out = out + jet_polynomial(x, y, invc, order) * jet_rsq(
-                x, y, order
-            ).reciprocal()
-        return out
+        return (
+            {(3, 0): self.c2 + self.alpha4, (1, 2): self.c2 + self.alpha4,
+             (2, 1): self.c1 + self.beta4, (0, 3): self.c1 + self.beta4,
+             (1, 0): self.alpha1, (0, 1): self.beta1, (0, 0): self.gamma1,
+             (2, 0): self.gamma2, (0, 2): self.gamma2},
+            (({(2, 0): self.a1 + 0.5 * self.gamma4,
+               (0, 2): self.a1 + 0.5 * self.gamma4,
+               (1, 0): self.a2 + 0.5 * self.alpha2,
+               (0, 1): 0.5 * self.beta2,
+               (0, 0): self.a3 + 0.5 * self.gamma3}, jet_log_rsq),
+             ({(1, 0): self.b2 + self.alpha3, (0, 1): self.b1 + self.beta3},
+              _jet_inv_rsq)),
+        )
 
 
 @dataclass(frozen=True)
-class ParabolicField(ScalarField):
+class ParabolicField(StatedField):
     """a(x)·y² + b(x)·y + c(x) with cubic a, b and the quintic correction
     c(x) = γ0+γ1x+γ2x²+γ3x³ − α2x⁴/3 − α3x⁵/5 that kills the bilaplacian.
 
@@ -297,26 +279,15 @@ class ParabolicField(ScalarField):
 
     family = "parabolic"
 
-    def monomials(self):
-        return {
-            (0, 2): self.alpha0,
-            (1, 2): self.alpha1,
-            (2, 2): self.alpha2,
-            (3, 2): self.alpha3,
-            (0, 1): self.beta0,
-            (1, 1): self.beta1,
-            (2, 1): self.beta2,
-            (3, 1): self.beta3,
-            (0, 0): self.gamma0,
-            (1, 0): self.gamma1,
-            (2, 0): self.gamma2,
-            (3, 0): self.gamma3,
-            (4, 0): -self.alpha2 / 3.0,
-            (5, 0): -self.alpha3 / 5.0,
-        }
-
-    def _jet(self, x, y, order):
-        return jet_polynomial(x, y, self.monomials(), order)
+    def _terms(self):
+        return (
+            {(0, 2): self.alpha0, (1, 2): self.alpha1, (2, 2): self.alpha2,
+             (3, 2): self.alpha3, (0, 1): self.beta0, (1, 1): self.beta1,
+             (2, 1): self.beta2, (3, 1): self.beta3, (0, 0): self.gamma0,
+             (1, 0): self.gamma1, (2, 0): self.gamma2, (3, 0): self.gamma3,
+             (4, 0): -self.alpha2 / 3.0, (5, 0): -self.alpha3 / 5.0},
+            (),
+        )
 
 
 @dataclass(frozen=True)
@@ -385,18 +356,15 @@ class RootQuarticField(ScalarField):
 
 
 @dataclass(frozen=True)
-class PolynomialField(ScalarField):
+class PolynomialField(StatedField):
     """Plain polynomial sum coeffs[(i, j)]·x^i·y^j; entire."""
 
     coeffs: tuple = ()
 
     family = "polynomial"
 
-    def monomials(self):
-        return dict(self.coeffs)
-
-    def _jet(self, x, y, order):
-        return jet_polynomial(x, y, self.monomials(), order)
+    def _terms(self):
+        return dict(self.coeffs), ()
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateFit, ZeroNormal
+from .errors import ZeroNormal
 from .geom_core import (
     Line3,
     OrientedPlane,
@@ -125,61 +125,29 @@ def imsphere_to_sphere(s: IMSphere) -> OrientedSphere:
 
 # -- lines --------------------------------------------------------------
 
-LINE_FIT_TOL = 1e-8
-_LINE_SAMPLES = 16
-
 
 def line_to_imcircle(line: Line3):
     """Image of the plane pencil through a line, returned as two model
     spheres of the special shape z = m3 (x^2+y^2-1) - m1 x - m2 y whose
-    intersection carries the image curve, plus the fit residual.
+    intersection carries the image curve.
 
-    The pencil is sampled, the linear system for (m1, m2, m3) is solved by
-    SVD, and the one-dimensional solution set is reported through a
-    particular solution plus the null direction.
+    A plane n . x + h = 0 through the line (p, d) has h = -n . p.  For a
+    unit n, x^2 + y^2 - 1 = -2 n3/(n3 + 1) at its image (n1, n2, h)/(n3 + 1),
+    so the image lies on the sphere exactly when h = -n . (m1, m2, 2 m3),
+    that is when n . (p - (m1, m2, 2 m3)) = 0.  That holds for every
+    n perpendicular to d iff (m1, m2, 2 m3) = p + t d; the members t = 0
+    and t = 1 (with d of unit length) are returned.
     """
     p = np.asarray(line.p, dtype=float)
     d = np.asarray(line.d, dtype=float)
     nd = np.linalg.norm(d)
     if nd < 1e-12:
         raise ZeroNormal("line direction has zero length")
-    d = d / nd
-    # orthonormal frame perpendicular to the line
-    seed = np.array([1.0, 0.0, 0.0]) if abs(d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(d, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(d, e1)
-
-    rows = []
-    rhs = []
-    for t in np.linspace(0.0, np.pi, _LINE_SAMPLES, endpoint=False):
-        n = np.cos(t) * e1 + np.sin(t) * e2
-        if abs(n[2] + 1.0) < 1e-6:
-            continue
-        h = -float(np.dot(n, p))
-        w = 1.0 / (n[2] + 1.0)
-        x, y, z = n[0] * w, n[1] * w, h * w
-        rows.append([-x, -y, x * x + y * y - 1.0])
-        rhs.append(z)
-    if len(rows) < 8:
-        raise DegenerateFit("too few usable pencil samples")
-    a = np.array(rows)
-    b = np.array(rhs)
-    u, sv, vt = np.linalg.svd(a, full_matrices=False)
-    null = vt[-1]
-    # rank-2 pseudo-inverse: genuine lines always leave one free direction
-    inv = np.where(sv > max(sv[0], 1.0) * 1e-10, 1.0 / np.where(sv == 0, 1.0, sv), 0.0)
-    w0 = vt.T @ (inv * (u.T @ b))
-    resid = a @ w0 - b
-    rms = float(np.sqrt(np.mean(resid**2)))
-    if rms > LINE_FIT_TOL:
-        raise DegenerateFit(f"pencil image is not a model-sphere intersection (rms {rms:.2e})")
 
     def member(m):
-        m1, m2, m3 = m
-        return IMSphere(a=2.0 * m3, b=-m1, c=-m2, d=-m3)
+        return IMSphere(a=m[2], b=-m[0], c=-m[1], d=-0.5 * m[2])
 
-    return member(w0), member(w0 + null), rms
+    return member(p), member(p + d / nd)
 
 
 # -- model transformations ---------------------------------------------

@@ -9,11 +9,12 @@ represented as lines in the space of oriented spheres (center, signed
 radius) in R^4.
 
 Each named block is one row of `_BLOCKS`: its closed-form builder (none
-for a tilde block, the reconstruction of its field), guards, immersion,
-and its field as a formula in (cos theta, sin theta), flagged where it
-holds for theta != 0.  Every surface in Gauss coordinates carries its
-field as `.field`, with its own guard: the block's field, the rotated
-block's rotated field, or the weighted sum of a convolution's.
+for a tilde block, the reconstruction of its field), ring guard,
+immersion, and its field as a formula in (cos theta, sin theta), flagged
+where it holds for theta != 0.  Every surface in Gauss coordinates carries
+its field as `.field`, with its own guard: the block's field (whose safe
+domain a block shares, less any ring band), the rotated block's rotated
+field, or the weighted sum of a convolution's.
 
 Block derivatives come from the same exact-jet arithmetic the fields use,
 so frames are closed-form everywhere they are defined.
@@ -34,13 +35,14 @@ from .errors import (
     UnknownName,
 )
 from .fields import (
+    GUARD_EPS,
     EllipticField,
     HyperbolicField,
     ScalarField,
     make_polynomial_field,
     sum_fields,
 )
-from .jets import jet_arctan_ratio, jet_log_rsq, jet_polynomial, jet_xy
+from .jets import _asfloat, jet_arctan_ratio, jet_log_rsq, jet_polynomial, jet_xy
 from .geom_core import OrientedSphere
 from .reconstruct import (
     FieldSurface,
@@ -50,7 +52,6 @@ from .reconstruct import (
 )
 
 SQRT2 = math.sqrt(2.0)
-BLOCK_GUARD = 1e-6
 
 
 # -- closed-form component builders (u, v are Gauss coordinates) ------
@@ -140,7 +141,6 @@ class _Block(NamedTuple):
     builder: object          # (u, v, order) -> X, Y, Z jets; None: tilde block
     field: object            # (cos theta, sin theta) -> the block's field
     rotates: bool = False    # the field formula holds for theta != 0
-    origin_guard: bool = False
     ring_guard: bool = False
     immersed: bool = True
 
@@ -149,22 +149,21 @@ _K3T = 1.0 / (4.0 * SQRT2)
 _LN2 = math.log(2.0)
 
 _BLOCKS = {
-    "r1": _Block(_b_r1, lambda c, s: EllipticField(a1=1.0, a3=-1.0),
-                 origin_guard=True),
+    "r1": _Block(_b_r1, lambda c, s: EllipticField(a1=1.0, a3=-1.0)),
     # x*Arctan(y/x) - y; traces the cycloid point locus
     "r2": _Block(_b_r2, lambda c, s: EllipticField(a2=1.0, d2=-1.0),
-                 origin_guard=True, immersed=False),
+                 immersed=False),
     "r3": _Block(_b_r3, lambda c, s: EllipticField(
         c1=0.5 * s * s, c2=c * s, c3=0.5 * c * c,
         b1=-0.5 * s * s, b2=-c * s, b3=-0.5 * c * c,
-    ), rotates=True, origin_guard=True),
+    ), rotates=True),
     "r4": _Block(_b_r4, lambda c, s: HyperbolicField(
-        gamma1=-1.0, gamma2=-1.0, gamma3=-1.0, gamma4=1.0), origin_guard=True),
+        gamma1=-1.0, gamma2=-1.0, gamma3=-1.0, gamma4=1.0)),
     "r5": _Block(_b_r5, lambda c, s: HyperbolicField(
-        a2=1.0, c2=1.0, alpha1=-1.0), origin_guard=True, ring_guard=True),
+        a2=1.0, c2=1.0, alpha1=-1.0), ring_guard=True),
     "r6": _Block(_b_r6, lambda c, s: HyperbolicField(
         b1=s, b2=c, c1=s, c2=c, alpha1=-2.0 * c, beta1=-2.0 * s
-    ), rotates=True, origin_guard=True, ring_guard=True),
+    ), rotates=True, ring_guard=True),
     "r7": _Block(_b_r7, lambda c, s: make_polynomial_field(
         {(2, 0): 0.5 * c * c, (1, 1): c * s, (0, 2): 0.5 * s * s}
     ), rotates=True),
@@ -223,31 +222,24 @@ class BlockSurface(GaussMappedSurface):
         self.provenance = name
         self._block = _BLOCKS[name]
         self.immersed = self._block.immersed
-        self.guard = BLOCK_GUARD
-
-    @property
-    def field(self) -> ScalarField:
-        return block_field(self.name).with_guard(self.guard)
+        self.field = block_field(name)
 
     def is_safe(self, u, v):
-        u = np.asarray(u)
-        v = np.asarray(v)
-        ok = np.ones(np.broadcast(u, v).shape, dtype=bool)
-        r2 = u * u + v * v
-        if self._block.origin_guard:
-            ok = ok & (r2 >= self.guard * self.guard)
+        ok = self.field.is_safe(u, v)
         if self._block.ring_guard:
-            ok = ok & (np.abs(np.sqrt(r2) - 1.0) >= self.guard)
+            u = np.asarray(u)
+            v = np.asarray(v)
+            ok = ok & (np.abs(np.sqrt(u * u + v * v) - 1.0) >= self.field.guard)
         return ok
 
     def with_guard(self, eps: float) -> "BlockSurface":
         out = copy.copy(self)
-        out.guard = float(eps)
+        out.field = self.field.with_guard(eps)
         return out
 
     def frame(self, u, v, order=2) -> SurfaceJet:
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+        u = _asfloat(u)
+        v = _asfloat(v)
         return SurfaceJet.from_components(*self._block.builder(u, v, order),
                                           order)
 
@@ -265,8 +257,8 @@ class RotatedSurface(GaussMappedSurface):
 
     def _params(self, u, v):
         c, s = math.cos(self.theta), math.sin(self.theta)
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+        u = _asfloat(u)
+        v = _asfloat(v)
         return c * u + s * v, -s * u + c * v, c, s
 
     @property
@@ -326,7 +318,7 @@ class ConvolutionSurface(GaussMappedSurface):
         uu, vv = np.meshgrid(gu, gv)
         if not np.any(self.is_safe(uu, vv)):
             raise DomainMismatch("convolution terms share no safe domain")
-        self.guard = BLOCK_GUARD
+        self.guard = GUARD_EPS
 
     @property
     def field(self) -> ScalarField:

@@ -149,12 +149,20 @@ def omega_integrand(S, u, v):
     return (H * H - K) / K
 
 
+def _changes_sign(a):
+    return bool(np.any(a > 0.0) and np.any(a < 0.0))
+
+
 def _local_energy(fieldobj, uu, vv, wts):
+    """(H^2 - K)/K dA summed over the nodes; refused where K or the oriented
+    area element (r_u x r_v) . n changes sign there (a singular curve)."""
     S = reconstruct_surface(fieldobj)
     fr = S.frame(uu, vv, order=2)
     n, ln = unit_normal(S, fr.ru, fr.rv, uu, vv, "energy density")
+    if _changes_sign(np.sum(np.cross(fr.ru, fr.rv) * n, axis=-1)):
+        raise NonImmersed("bump support straddles a fold of the surface")
     H, K = mean_gauss_curvature(fr, n)
-    if np.any(np.abs(K) <= K_TOL):
+    if np.any(np.abs(K) <= K_TOL) or _changes_sign(K):
         raise ZeroGaussCurvature("bump support touches a K = 0 point")
     return float(np.sum(wts * (H * H - K) / K * ln))
 
@@ -191,12 +199,27 @@ def first_variation(F, center, radius, amplitude):
 # -- residual checks ---------------------------------------------------
 
 
+def _remeasured(measure, x, y, tolerance):
+    """measure(x, y), re-measured in `np.longdouble` (which keeps the new
+    value) wherever the float64 residual exceeds `tolerance`; where
+    `np.longdouble` is float64 this reproduces the first value."""
+    res = measure(x, y)
+    undecided = res > tolerance
+    if np.any(undecided):
+        res[undecided] = measure(x[undecided].astype(np.longdouble),
+                                 y[undecided].astype(np.longdouble))
+    return res
+
+
 def gaussmap_identity_residual(S, tolerance=GAUSSMAP_TOL) -> CheckReport:
     """Round trip: the stereographic top view of the oriented unit
     normal at (u, v) must reproduce (u, v) on the 100 x 100 grid of the
     surface's default window.  Only surfaces in Gauss
     coordinates have such a round trip; any other parametrization, such
-    as a ruled patch in (phi, lambda), raises ProvenanceMismatch."""
+    as a ruled patch in (phi, lambda), raises ProvenanceMismatch.  Where
+    nearly parallel tangents leave float64 noise above the tolerance the
+    points beyond it are re-measured in `np.longdouble`, frame included
+    (`_remeasured`)."""
     if not isinstance(S, GaussMappedSurface):
         raise ProvenanceMismatch(
             f"surface {getattr(S, 'provenance', S)!r} is not in Gauss coordinates"
@@ -212,16 +235,21 @@ def gaussmap_identity_residual(S, tolerance=GAUSSMAP_TOL) -> CheckReport:
     uu, vv = np.meshgrid(u, v)
     ok = S.is_safe(uu, vv)
     skipped = int(ok.size - ok.sum())
-    fu = uu[ok]
-    fv = vv[ok]
-    fr = S.frame(fu, fv, order=1)
-    n, ln = unit_normal(S, fr.ru, fr.rv, fu, fv, None)
-    good = ln > IMMERSION_TOL
+
+    def gap(u, v):
+        fr = S.frame(u, v, order=1)
+        n, ln = unit_normal(S, fr.ru, fr.rv, u, v, None)
+        top = stereographic(n)
+        res = np.hypot(top[..., 0] - u, top[..., 1] - v)
+        res[np.isnan(res)] = np.inf          # fails the check
+        res[~(ln > IMMERSION_TOL)] = np.nan  # normal undefined: skipped
+        return res
+
+    res = _remeasured(gap, uu[ok], vv[ok], tolerance)
+    good = ~np.isnan(res)
     skipped += int(np.sum(~good))
-    top = stereographic(n[good])
-    res = np.hypot(top[..., 0] - fu[good], top[..., 1] - fv[good])
     return CheckReport.from_residuals(
-        "gaussmap-identity", res, tolerance,
+        "gaussmap-identity", res[good], tolerance,
         {"grid": [int(shape[0]), int(shape[1])],
          "window": [float(t) for t in window],
          "skipped": skipped},
@@ -381,12 +409,8 @@ def biharmonic_residual(F, *, seed=0, samples=1000,
     terms grow like negative powers of the distance, so points right at
     the guard radius would measure rounding noise, not biharmonicity.
     Near the margin that cancellation can still leave float64 noise
-    above the tolerance, so every sample whose double-precision residual
-    exceeds `tolerance` is evaluated again in `np.longdouble` and the
-    re-measured value is the one reported.  Samples already within the
-    tolerance keep their double-precision value.  Where `np.longdouble`
-    is only float64 the re-measure reproduces the first value and adds
-    nothing.
+    above the tolerance, so the samples beyond it are re-measured in
+    `np.longdouble` (`_remeasured`).
     """
     margin = 0.1
     window = (-2.0, 2.0, -2.0, 2.0)
@@ -401,12 +425,8 @@ def biharmonic_residual(F, *, seed=0, samples=1000,
 
     rng = np.random.default_rng(seed)
     x, y = _safe_samples(safe, rng, window, int(samples))
-    res = np.abs(F.bilaplacian(x, y))
-    undecided = res > tolerance
-    if np.any(undecided):
-        xl = x[undecided].astype(np.longdouble)
-        yl = y[undecided].astype(np.longdouble)
-        res[undecided] = np.abs(F.bilaplacian(xl, yl))
+    res = _remeasured(lambda x, y: np.abs(F.bilaplacian(x, y)), x, y,
+                      tolerance)
     return CheckReport.from_residuals(
         "biharmonic", res, tolerance,
         {"seed": int(seed), "margin": margin,

@@ -610,3 +610,24 @@ def test_gallery_writes_every_mesh_through_the_drop_note(tmp_path, capfd,
     assert sorted(written) == sorted(os.listdir(tmp_path))
     assert len(written) == 6
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("spec, check, code", [
+    # biharmonic fields whose surfaces cross a singular curve: bumps that
+    # straddle it are refused, the others measure stationarity
+    ("field:parabolic(alpha0=1,alpha2=0.4,beta1=0.6,gamma0=0.3,gamma3=0.1)",
+     "stationarity", 0),
+    ("r3@theta=0.5", "stationarity", 0),
+    # nearly parallel tangents: the undecided samples are re-measured in
+    # long double, frame included
+    ("r3@theta=0.5", "gaussmap", 0),
+    # the non-stationary control still fails
+    ("field:poly(x^4)", "stationarity", 1),
+])
+def test_checks_on_surfaces_with_singular_curves(tmp_path, spec, check, code):
+    rep = tmp_path / "r.json"
+    assert main(["verify", "--surface", spec, "--checks", check,
+                 "--report", str(rep)]) == code
+    record = json.loads(rep.read_text())[0]
+    assert record["samples"] == (5 if check == "stationarity" else 10000)
+    assert record["pass"] is (code == 0)

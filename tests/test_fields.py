@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -253,3 +254,120 @@ def test_fd_stencil_on_polynomial_only_families_is_exact(F):
     # so the stencil forms its node increments without cancellation
     x, y, h = 1.9, -1.7, 2.5e-3
     assert abs(fd_bilaplacian(F, x, y, h) - F.bilaplacian(x, y)) < 1e-8
+
+
+# -- stated families: P0 + Σ Pk·gk written once per family -------------
+
+
+def _reference_jet(F, x, y, order):
+    """Each stated family's jet written out by hand, term by term, in the
+    order the family states them."""
+    from lagmin.jets import (jet_arctan_ratio, jet_log_rsq, jet_polynomial,
+                             jet_rsq)
+
+    def nonzero(*vals):
+        return any(v != 0.0 for v in vals)
+
+    if F.family == "elliptic":
+        out = jet_polynomial(x, y, {(0, 2): F.c1, (1, 1): F.c2, (2, 0): F.c3,
+                                    (1, 0): F.d1, (0, 1): F.d2}, order)
+        if nonzero(F.a1, F.a2, F.a3, F.a4):
+            factor = jet_polynomial(x, y, {(2, 0): F.a1, (0, 2): F.a1,
+                                           (1, 0): F.a2, (0, 0): F.a3,
+                                           (0, 1): F.a4}, order)
+            out = out + factor * jet_arctan_ratio(x, y, order, F.branch)
+        if nonzero(F.b1, F.b2, F.b3):
+            num = jet_polynomial(
+                x, y, {(0, 2): F.b1, (1, 1): F.b2, (2, 0): F.b3}, order)
+            out = out + num * jet_rsq(x, y, order).reciprocal()
+        return out
+    if F.family == "hyperbolic":
+        out = jet_polynomial(x, y, {
+            (3, 0): F.c2 + F.alpha4, (1, 2): F.c2 + F.alpha4,
+            (2, 1): F.c1 + F.beta4, (0, 3): F.c1 + F.beta4,
+            (1, 0): F.alpha1, (0, 1): F.beta1, (0, 0): F.gamma1,
+            (2, 0): F.gamma2, (0, 2): F.gamma2}, order)
+        logc = {(2, 0): F.a1 + 0.5 * F.gamma4, (0, 2): F.a1 + 0.5 * F.gamma4,
+                (1, 0): F.a2 + 0.5 * F.alpha2, (0, 1): 0.5 * F.beta2,
+                (0, 0): F.a3 + 0.5 * F.gamma3}
+        if nonzero(*logc.values()):
+            out = out + jet_polynomial(x, y, logc, order) * jet_log_rsq(
+                x, y, order)
+        invc = {(1, 0): F.b2 + F.alpha3, (0, 1): F.b1 + F.beta3}
+        if nonzero(*invc.values()):
+            out = out + jet_polynomial(x, y, invc, order) * jet_rsq(
+                x, y, order).reciprocal()
+        return out
+    if F.family == "parabolic":
+        return jet_polynomial(x, y, {
+            (0, 2): F.alpha0, (1, 2): F.alpha1, (2, 2): F.alpha2,
+            (3, 2): F.alpha3, (0, 1): F.beta0, (1, 1): F.beta1,
+            (2, 1): F.beta2, (3, 1): F.beta3, (0, 0): F.gamma0,
+            (1, 0): F.gamma1, (2, 0): F.gamma2, (3, 0): F.gamma3,
+            (4, 0): -F.alpha2 / 3.0, (5, 0): -F.alpha3 / 5.0}, order)
+    assert F.family == "polynomial"
+    return jet_polynomial(x, y, dict(F.coeffs), order)
+
+
+_ELLIPTIC_SINGULAR = ("a1", "a2", "a3", "a4", "b1", "b2", "b3")
+_HYPERBOLIC_SINGULAR = ("a1", "a2", "a3", "b1", "b2", "alpha2", "alpha3",
+                        "beta2", "beta3", "gamma3", "gamma4")
+
+
+def _stated_cases():
+    from lagmin.fields import EllipticField, HyperbolicField, PolynomialField
+
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for cls, n, singular in ((EllipticField, 12, _ELLIPTIC_SINGULAR),
+                             (HyperbolicField, 19, _HYPERBOLIC_SINGULAR)):
+        names = [f.name for f in dataclasses.fields(cls)
+                 if f.name not in ("guard", "branch")]
+        assert len(names) == n
+        coeffs = dict(zip(names, rng.normal(size=n).round(3)))
+        regular = {k: (0.0 if k in singular else v) for k, v in coeffs.items()}
+        cases.append(cls(**coeffs))
+        cases.append(cls(**coeffs, branch=1))
+        cases.append(cls(**regular))
+        cases.append(cls(**{k: (-0.0 if k in singular else v)
+                            for k, v in coeffs.items()}))
+        cases.append(cls(**{k: -0.0 for k in names}))
+        # one nonzero singular coefficient at a time
+        cases += [cls(**(regular | {k: coeffs[k]})) for k in singular]
+    cases.append(make_parabolic_field(*rng.normal(size=12).round(3)))
+    cases.append(make_parabolic_field(*([-0.0] * 12)))
+    cases.append(make_parabolic_field())
+    cases.append(make_polynomial_field(
+        {(p, q): c for (p, q), c in zip([(0, 0), (3, 1), (1, 4), (2, 2)],
+                                        rng.normal(size=4).round(3))}))
+    cases.append(PolynomialField((((0, 0), -0.0), ((2, 1), 1.5),
+                                  ((1, 3), -0.0))))
+    cases.append(PolynomialField(()))
+    return cases
+
+
+STATED = _stated_cases()
+
+
+@pytest.mark.parametrize("F", STATED, ids=lambda F: F.family)
+def test_stated_families_derive_centers_monomials_and_jet(F):
+    from lagmin.jets import jet_polynomial
+
+    rng = np.random.default_rng(3)
+    mono = F.monomials()
+    assert (F.singular_centers() == ()) == (mono is not None)
+    for shape in ((), (7,)):
+        r = rng.uniform(0.3, 2.0, shape)
+        t = rng.uniform(0.0, 2.0 * math.pi, shape)
+        x = np.asarray(r * np.cos(t))
+        y = np.asarray(r * np.sin(t))
+        for order in range(5):
+            got = F.jet(x, y, order).d
+            want = _reference_jet(F, x, y, order).d
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            if mono is not None:
+                poly = jet_polynomial(x, y, mono, order).d
+                assert np.array_equal(got, poly)
+                assert np.array_equal(np.signbit(got), np.signbit(poly))

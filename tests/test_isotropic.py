@@ -3,6 +3,7 @@ transformation generators."""
 import numpy as np
 import pytest
 
+from lagmin.errors import ZeroNormal
 from lagmin.geom_core import (
     Line3,
     OrientedPlane,
@@ -115,8 +116,7 @@ def test_line_image_is_pair_of_sphere_equations():
         ((0.0, 0.0, 5.0), (1.0, 0.0, 0.0)),
         ((1.0, -2.0, 0.5), (0.3, 0.4, 0.7)),
     ]:
-        s1, s2, rms = line_to_imcircle(Line3.through(p, d))
-        assert rms < 1e-8
+        s1, s2 = line_to_imcircle(Line3.through(p, d))
         # re-sample the pencil of planes through the line and verify both
         # fitted equations vanish on the images
         line = Line3.through(p, d)
@@ -134,7 +134,10 @@ def test_line_image_is_pair_of_sphere_equations():
             r2 = q.x * q.x + q.y * q.y
             e1 = s1.a / 2.0 * r2 + s1.b * q.x + s1.c * q.y + s1.d - q.z
             e2 = s2.a / 2.0 * r2 + s2.b * q.x + s2.c * q.y + s2.d - q.z
-            assert abs(e1) < 1e-8 and abs(e2) < 1e-8
+            # relative to the image height: near n3 = -1 the image point
+            # itself carries the rounding of 1/(n3 + 1)
+            scale = 1.0 + abs(q.z)
+            assert abs(e1) < 1e-12 * scale and abs(e2) < 1e-12 * scale
 
 
 def test_transform_examples():
@@ -244,3 +247,39 @@ def test_ideal_labels_follow_the_sphere_map(name):
             assert q.ideal_label == pytest.approx(image.a, abs=1e-12)
         else:
             assert q.z == pytest.approx(image.height(q.x, q.y), abs=1e-12)
+
+
+def _line_cases():
+    rng = np.random.default_rng(2026)
+    cases = [((0.3, -1.0, 2.0), (0.0, 0.0, 1.0)),    # vertical
+             ((1.5, 0.2, -0.7), (0.6, -0.8, 0.0)),   # horizontal
+             ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0))]
+    cases += [(rng.normal(size=3) * 2.0, rng.normal(size=3)) for _ in range(20)]
+    return cases
+
+
+@pytest.mark.parametrize("p, d", _line_cases())
+def test_line_image_lies_on_both_closed_form_spheres(p, d):
+    line = Line3.through(p, d)
+    s1, s2 = line_to_imcircle(line)
+    assert not np.allclose(s1.coeffs(), s2.coeffs())
+    seed = np.array([1.0, 0.0, 0.0]) if abs(line.d[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(line.d, seed)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(line.d, e1)
+    checked = 0
+    for t in np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False):
+        n = np.cos(t) * e1 + np.sin(t) * e2
+        q = plane_to_ipoint(OrientedPlane(n, -float(n @ line.p)))
+        if q.is_ideal or n[2] < -0.999:
+            continue
+        scale = 1.0 + abs(q.z) + q.x * q.x + q.y * q.y
+        for s in (s1, s2):
+            assert abs(s.height(q.x, q.y) - q.z) <= 1e-12 * scale
+        checked += 1
+    assert checked >= 45
+
+
+def test_line_image_needs_a_direction():
+    with pytest.raises(ZeroNormal):
+        line_to_imcircle(Line3(np.zeros(3), np.zeros(3)))

@@ -324,3 +324,70 @@ def test_is_safe_returns_a_fresh_mask_of_the_broadcast_shape(name):
         assert ok.shape == np.broadcast(u, v).shape
         assert ok.flags.writeable
         assert not np.shares_memory(ok, obj.is_safe(u, v))
+
+
+# -- block masks: the field's origin guard plus the ring band ----------
+
+# the masks every block had when its guards were columns of the table
+_ORIGIN_GUARDED = {"r1", "r2", "r3", "r4", "r5", "r6",
+                   "r1~", "r3~", "r4~", "r6~"}
+_RING_GUARDED = {"r5", "r6"}
+
+
+def _reference_mask(name, g, u, v):
+    r2 = u * u + v * v
+    ok = np.ones(r2.shape, dtype=bool)
+    if name in _ORIGIN_GUARDED:
+        ok = ok & (r2 >= g * g)
+    if name in _RING_GUARDED:
+        ok = ok & (np.abs(np.sqrt(r2) - 1.0) >= g)
+    return ok
+
+
+def _rotated(theta, u, v):
+    c, s = math.cos(theta), math.sin(theta)
+    return c * u + s * v, -s * u + c * v
+
+
+def _mask_grid(g):
+    rng = np.random.default_rng(11)
+    ang = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+    pts = [(0.0, 0.0), (g, 0.0), (-g, 0.0), (0.0, g), (0.0, -g),
+           (1.0, 0.0), (0.0, -1.0), (1.0 + g, 0.0), (1.0 - g, 0.0),
+           (0.0, 1.0 + g), (-(1.0 - g), 0.0), (0.6, 0.8)]
+    pts += [(g * math.cos(a), g * math.sin(a)) for a in ang]
+    pts += [(math.cos(a), math.sin(a)) for a in ang]
+    pts += list(zip(*rng.uniform(-2.0, 2.0, (2, 40))))
+    pts += list(zip(*rng.uniform(-1.5 * g, 1.5 * g, (2, 20))))
+    u, v = np.array(pts).T
+    return u, v
+
+
+@pytest.mark.parametrize("g", [1e-6, 0.5])
+def test_block_masks_are_the_field_guard_plus_the_ring_band(g):
+    u, v = _mask_grid(g)
+    for name in BLOCK_NAMES:
+        got = building_block(name).with_guard(g).is_safe(u, v)
+        assert np.array_equal(got, _reference_mask(name, g, u, v)), name
+        # scalar points give the same answers
+        for k in (0, 1, 5, 13, 30):
+            assert bool(building_block(name).with_guard(g).is_safe(u[k], v[k])) \
+                == bool(got[k]), (name, k)
+    for name, theta in (("r3", 0.5), ("r6", -0.7)):
+        got = building_block(name, theta).with_guard(g).is_safe(u, v)
+        want = _reference_mask(name, g, *_rotated(theta, u, v))
+        assert np.array_equal(got, want), (name, theta)
+    conv = convolve([(1.0, building_block("r1")),
+                     (0.5, building_block("r3", 0.2)),
+                     (0.3, building_block("r5"))]).with_guard(g)
+    want = (_reference_mask("r1", g, u, v) & _reference_mask("r5", g, u, v)
+            & _reference_mask("r3", g, *_rotated(0.2, u, v)))
+    assert np.array_equal(conv.is_safe(u, v), want)
+
+
+def test_block_guard_lives_on_the_block_field():
+    S = building_block("r5")
+    assert S.field.guard == 1e-6
+    T = S.with_guard(0.25)
+    assert T.field.guard == 0.25 and S.field.guard == 1e-6
+    assert T.field == block_field("r5").with_guard(0.25)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from lagmin.errors import NonImmersed, UnknownName
+from lagmin.errors import NonImmersed, UnknownName, ZeroGaussCurvature
 from lagmin.fields import (
+    ParabolicField,
     make_elliptic_field,
     make_polynomial_field,
     make_remark_counterexample,
@@ -15,7 +16,7 @@ from lagmin.fields import (
 from lagmin.geom_core import OrientedSphere
 from lagmin.grammar import parse_surface
 from lagmin.meshing import surface_mesh
-from lagmin.reconstruct import reconstruct_surface
+from lagmin.reconstruct import GaussMappedSurface, reconstruct_surface
 from lagmin.surfaces import (
     block_field,
     building_block,
@@ -261,3 +262,36 @@ def test_curvatures_of_the_cycloid_block_are_undefined():
     with pytest.raises(NonImmersed, match="curvature undefined"):
         curvatures(building_block("r2"), np.array([0.5, 1.2]),
                    np.array([0.7, -0.3]))
+
+
+def test_stationarity_refuses_a_bump_across_the_singular_curve():
+    # this bump's disk straddles the curve where r_u x r_v vanishes and
+    # K runs through infinity; its ratio grew with the node count
+    F = ParabolicField(alpha0=1.0, alpha2=0.4, beta1=0.6, gamma0=0.3,
+                       gamma3=0.1)
+    with pytest.raises((NonImmersed, ZeroGaussCurvature)):
+        first_variation(F, (0.525, -1.104), 0.373, 1.0)
+    assert first_variation(F, (0.9, 0.55), 0.35, 1.0) != 0.0
+
+
+class _Shifted(GaussMappedSurface):
+    """A surface whose parameters are off by du: not in Gauss coordinates."""
+
+    def __init__(self, base, du):
+        self.base = base
+        self.du = du
+
+    def is_safe(self, u, v):
+        return self.base.is_safe(u, v)
+
+    def frame(self, u, v, order=2):
+        return self.base.frame(np.asarray(u) + self.du, v, order)
+
+
+def test_gaussmap_remeasure_keeps_failing_a_shifted_surface():
+    S = building_block("r3", 0.5)
+    rep = gaussmap_identity_residual(S)
+    assert rep.passed and rep.samples == 10000
+    bad = gaussmap_identity_residual(_Shifted(S, 1e-6))
+    assert not bad.passed
+    assert bad.max_residual > 5e-7
