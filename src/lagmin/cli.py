@@ -3,8 +3,8 @@
 Subcommands: generate, ruled, verify, classify-pencil, isotropic,
 gallery.  Exit codes: 0 success (and all checks passing), 1 check
 failure (reports are still written), 2 usage error (the spec grammar
-is printed) or error, running out of memory included.  All outputs are
-deterministic for fixed argv and seed.
+is printed) or error, running out of memory or of stack included.  All
+outputs are deterministic for fixed argv and seed.
 
 Each spec string is parsed once, by `grammar.parse_surface`.  Field
 checks read the parsed surface's `.field` (every surface in Gauss
@@ -16,6 +16,7 @@ from it.  Numbers on the command line and in config files are read by
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -78,6 +79,18 @@ def _finite_float(text):
         return grammar.parse_number(text.strip(), "")
     except GrammarError:
         raise argparse.ArgumentTypeError("wants a finite number, got %r" % (text,))
+
+
+def _branch(text):
+    """argparse type: an integer k whose branch shift k*pi is a finite float."""
+    try:
+        k = int(text)
+        if math.isfinite(float(k) * math.pi):
+            return k
+    except (ValueError, OverflowError):
+        pass
+    raise argparse.ArgumentTypeError("wants an integer k with k*pi finite, got %r"
+                                     % (text,))
 
 
 def _load_config(path):
@@ -332,7 +345,7 @@ def _build_parser():
     p.add_argument("--surface", required=True)
     p.add_argument("--grid", required=True, help="NxM")
     p.add_argument("--range", required=True, help="u0,u1,v0,v1")
-    p.add_argument("--branch", type=int, default=0)
+    p.add_argument("--branch", type=_branch, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -354,7 +367,7 @@ def _build_parser():
     p.add_argument("--checks", required=True,
                    help="comma list from: %s" % (",".join(CHECK_NAMES),))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--branch", type=int, default=0)
+    p.add_argument("--branch", type=_branch, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_verify)
 
@@ -367,7 +380,7 @@ def _build_parser():
     p = sub.add_parser("isotropic", parents=[common],
                        help="mesh the isotropic-model graph of a surface")
     p.add_argument("--surface", required=True)
-    p.add_argument("--branch", type=int, default=0)
+    p.add_argument("--branch", type=_branch, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_isotropic)
 
@@ -402,6 +415,10 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         # numpy raises a private subclass; name the builtin
         print("error: MemoryError: %s" % (exc,), file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        # a spec nested too deep for the parser or the field's jet
+        print("error: RecursionError: %s" % (exc,), file=sys.stderr)
         return 2
     except OSError as exc:
         print("i/o error:", exc, file=sys.stderr)

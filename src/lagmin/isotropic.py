@@ -1,10 +1,14 @@
 """The isotropic model: oriented planes as points of a copy of R^3 completed
 by an ideal line.
 
-The projection sends the plane n . p + h = 0 to (n1, n2, h)/(n3 + 1); the
-single exceptional direction n = (0, 0, -1) goes to an ideal point labelled
-by h.  Oriented spheres turn into graphs of special quadratic polynomials
-("model spheres" below) and lines into intersections of two of them.
+`isotropic` is the one projection: it sends the plane n . p + h = 0 to
+(n1, n2, h)/(1 + n3), and `stereographic` is its top view.  The single
+exceptional direction n = (0, 0, -1), to IDEAL_TOL, goes to an ideal point
+labelled by h.  The one inverse is `inverse_stereographic`, the unit normal
+over a top view (x, y); `ipoint_to_plane` reads its plane from it.  Oriented
+spheres turn into graphs of special quadratic polynomials ("model spheres"
+below) and lines into intersections of two of them: the images of two
+point spheres on the line.
 """
 from __future__ import annotations
 
@@ -14,20 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ZeroNormal
-from .geom_core import (
-    Line3,
-    OrientedPlane,
-    OrientedSphere,
-    hesse_normalize,
-    lambda_transform,
-    offset_plane,
-    reflect_plane_z,
-    rotate_plane_z,
-    scale_plane,
-    translate_plane,
-)
+from .geom_core import Line3, OrientedPlane, OrientedSphere
 
-IDEAL_TOL = 1e-12  # how close n3 must be to -1 to count as the ideal direction
+IDEAL_TOL = 1e-9  # how close n3 must be to -1 to count as the ideal direction
 SQRT2 = float(np.sqrt(2.0))
 
 
@@ -80,21 +73,19 @@ class IMSphere:
         return np.array([self.a, self.b, self.c, self.d])
 
 
-def plane_to_ipoint(plane: OrientedPlane) -> IsoPoint:
-    n1, n2, n3 = (float(c) for c in plane.n)
-    if abs(n3 + 1.0) <= IDEAL_TOL:
-        return IsoPoint.ideal(plane.h)
-    w = 1.0 / (n3 + 1.0)
-    return IsoPoint.finite(n1 * w, n2 * w, plane.h * w)
+def isotropic(n, h):
+    """Model point (n1, n2, h)/(1 + n3) of the plane n . p + h = 0, for
+    unit normals n (..., 3) and offsets h (...); an (..., 3) array.
+    Callers send a normal within IDEAL_TOL of (0, 0, -1) to the ideal line
+    instead."""
+    n = np.asarray(n, dtype=float)
+    w = 1.0 + n[..., 2]
+    return np.stack([n[..., 0] / w, n[..., 1] / w, h / w], axis=-1)
 
 
-def ipoint_to_plane(point: IsoPoint) -> OrientedPlane:
-    if point.is_ideal:
-        return OrientedPlane(np.array([0.0, 0.0, -1.0]), float(point.ideal_label))
-    x, y, z = point.x, point.y, point.z
-    s = 1.0 + x * x + y * y
-    n = np.array([2.0 * x, 2.0 * y, 1.0 - x * x - y * y]) / s
-    return OrientedPlane(n, 2.0 * z / s)
+def stereographic(n):
+    """Top view (n1, n2)/(1 + n3) of a unit vector; vectorized over (..., 3)."""
+    return isotropic(n, 0.0)[..., :2]
 
 
 def inverse_stereographic(x, y):
@@ -105,10 +96,17 @@ def inverse_stereographic(x, y):
     return np.stack([2.0 * x / s, 2.0 * y / s, (1.0 - x * x - y * y) / s], axis=-1)
 
 
-def stereographic(n):
-    """Top view (n1, n2)/(1 + n3) of a unit vector; vectorized over (..., 3)."""
-    n = np.asarray(n, dtype=float)
-    return n[..., :2] / (1.0 + n[..., 2:3])
+def plane_to_ipoint(plane: OrientedPlane) -> IsoPoint:
+    if abs(1.0 + float(plane.n[2])) <= IDEAL_TOL:
+        return IsoPoint.ideal(plane.h)
+    return IsoPoint.finite(*isotropic(plane.n, float(plane.h)))
+
+
+def ipoint_to_plane(point: IsoPoint) -> OrientedPlane:
+    if point.is_ideal:
+        return OrientedPlane(np.array([0.0, 0.0, -1.0]), float(point.ideal_label))
+    x, y, z = point.x, point.y, point.z
+    return OrientedPlane(inverse_stereographic(x, y), 2.0 * z / (1.0 + x * x + y * y))
 
 
 def sphere_to_imsphere(sphere: OrientedSphere) -> IMSphere:
@@ -135,19 +133,17 @@ def line_to_imcircle(line: Line3):
     unit n, x^2 + y^2 - 1 = -2 n3/(n3 + 1) at its image (n1, n2, h)/(n3 + 1),
     so the image lies on the sphere exactly when h = -n . (m1, m2, 2 m3),
     that is when n . (p - (m1, m2, 2 m3)) = 0.  That holds for every
-    n perpendicular to d iff (m1, m2, 2 m3) = p + t d; the members t = 0
-    and t = 1 (with d of unit length) are returned.
+    n perpendicular to d iff (m1, m2, 2 m3) = p + t d: the sphere is the
+    image of the point sphere at p + t d.  Those at p and p + d/|d| are
+    returned.
     """
     p = np.asarray(line.p, dtype=float)
     d = np.asarray(line.d, dtype=float)
     nd = np.linalg.norm(d)
     if nd < 1e-12:
         raise ZeroNormal("line direction has zero length")
-
-    def member(m):
-        return IMSphere(a=m[2], b=-m[0], c=-m[1], d=-0.5 * m[2])
-
-    return member(p), member(p + d / nd)
+    return (sphere_to_imsphere(OrientedSphere(p, 0.0)),
+            sphere_to_imsphere(OrientedSphere(p + d / nd, 0.0)))
 
 
 # -- model transformations ---------------------------------------------
@@ -257,123 +253,3 @@ def imsphere_map(tf: IMTransform, s: IMSphere) -> IMSphere:
                 f"{q.z!r} vs {expected!r}"
             )
     return out
-
-
-# -- correspondence audit ----------------------------------------------
-
-
-def _lam_induced(x, y, z):
-    r2 = x * x + y * y
-    w = 2.0 / (np.sqrt(4.0 + r2 * r2) + 2.0 - r2)
-    return w * x, w * y, w * z
-
-
-# Claimed pairings between model-space generators and Euclidean Laguerre
-# maps, as commonly tabulated.  Each row is audited numerically against the
-# projection convention used here; rows that do not commute are reported
-# with the measured deviation and the derived induced map rather than
-# silently adjusted.
-_AUDIT_ROWS = (
-    (
-        "rotate", {"theta": 0.8},
-        "rotation about z by theta",
-        lambda p: rotate_plane_z(p, 0.8),
-        "(x, y) -> (x cos t - y sin t, x sin t + y cos t), z fixed",
-        lambda x, y, z: _apply_gen_finite("rotate", {"theta": 0.8}, x, y, z),
-    ),
-    (
-        "shear", {"a": 0.5, "b": -0.3},
-        "translation by (a, b, 0)",
-        lambda p: translate_plane(p, (0.5, -0.3, 0.0)),
-        "z -> z - a x - b y",
-        lambda x, y, z: (x, y, z - 0.5 * x + 0.3 * y),
-    ),
-    (
-        "parab", {},
-        "translation by (0, 0, 1)",
-        lambda p: translate_plane(p, (0.0, 0.0, 1.0)),
-        "z -> z + (x^2 + y^2 - 1)/2",
-        lambda x, y, z: (x, y, z + 0.5 * (x * x + y * y - 1.0)),
-    ),
-    (
-        "offset", {"h": 0.7},
-        "offset: all tangent sphere radii shift by h",
-        lambda p: offset_plane(p, 0.7),
-        "z -> z + h (1 + x^2 + y^2)/2",
-        lambda x, y, z: (x, y, z + 0.35 * (1.0 + x * x + y * y)),
-    ),
-    (
-        "zscale", {"a": 1.6},
-        "central dilation by a",
-        lambda p: scale_plane(p, 1.6),
-        "z -> a z",
-        lambda x, y, z: (x, y, 1.6 * z),
-    ),
-    (
-        "invert", {},
-        "reflection in the plane z = 0",
-        lambda p: reflect_plane_z(p),
-        "(x, y, z) -> (x, y, z)/(x^2 + y^2)",
-        lambda x, y, z: (x / (x * x + y * y), y / (x * x + y * y), z / (x * x + y * y)),
-    ),
-    (
-        "sqrt2", {},
-        "normal remap n3 -> (3 n3 + 1)/2, renormalized",
-        lambda_transform,
-        "(x, y, z) -> 2 (x, y, z)/(sqrt(4 + (x^2+y^2)^2) + 2 - x^2 - y^2)",
-        _lam_induced,
-    ),
-)
-
-
-def generator_correspondence_report(samples: int = 160, seed: int = 7) -> list:
-    """Audit the claimed generator pairings row by row.
-
-    For each row the Euclidean plane map is conjugated with the projection
-    and compared against the model generator on a sample of planes.  The
-    closed-form map the conjugation actually induces is recorded alongside
-    and cross-checked on the same samples.  Returns a machine-readable list
-    of dicts; rows are never forced to agree.
-    """
-    rng = np.random.default_rng(seed)
-    report = []
-    for gen_name, params, l_name, l_map, formula, induced in _AUDIT_ROWS:
-        tf = IMTransform().then(gen_name, **params)
-        devs = []
-        form_devs = []
-        used = 0
-        while used < samples:
-            n = rng.normal(size=3)
-            n /= np.linalg.norm(n)
-            if n[2] < -0.75:  # keep both source and image clear of the ideal direction
-                continue
-            plane = hesse_normalize(n, rng.normal())
-            q = plane_to_ipoint(plane)
-            via_euclid = plane_to_ipoint(l_map(plane))
-            via_model = imtransform_apply(tf, q)
-            if via_euclid.is_ideal or via_model.is_ideal:
-                continue
-            devs.append(np.linalg.norm(via_euclid.coords() - via_model.coords()))
-            form_devs.append(
-                np.linalg.norm(via_euclid.coords() - np.array(induced(q.x, q.y, q.z)))
-            )
-            used += 1
-        max_dev = float(np.max(devs))
-        form_dev = float(np.max(form_devs))
-        if form_dev > 1e-9:
-            raise AssertionError(
-                f"derived induced map for {gen_name!r} fails its own audit ({form_dev:.2e})"
-            )
-        report.append(
-            {
-                "generator": gen_name,
-                "parameters": dict(params),
-                "euclidean_map": l_name,
-                "samples": used,
-                "max_deviation": max_dev,
-                "matches": bool(max_dev < 1e-10),
-                "induced_map": formula,
-                "induced_map_deviation": form_dev,
-            }
-        )
-    return report

@@ -30,11 +30,10 @@ import numpy as np
 
 from .errors import IdealImage, NonImmersed
 from .fields import ScalarField
-from .isotropic import IsoPoint, inverse_stereographic
+from .isotropic import IDEAL_TOL, IsoPoint, inverse_stereographic, isotropic
 from .jets import jet_xy
 
 IMMERSION_TOL = 1e-10
-IDEAL_TOL = 1e-9
 
 
 class SurfaceJet:
@@ -169,11 +168,9 @@ def isotropic_image(S: ParamSurface, u, v):
     va = np.asarray(v, dtype=float)
     fr = S.frame(ua, va, order=1)
     n, _ = unit_normal(S, fr.ru, fr.rv, ua, va, "tangent plane")
-    w = 1.0 + n[..., 2]
-    if np.any(np.abs(w) <= IDEAL_TOL):
+    if np.any(np.abs(1.0 + n[..., 2]) <= IDEAL_TOL):
         raise IdealImage("tangent plane maps to an ideal point (n3 = -1)")
-    h = -np.sum(n * fr.r, axis=-1)
-    img = np.stack([n[..., 0] / w, n[..., 1] / w, h / w], axis=-1)
+    img = isotropic(n, -np.sum(n * fr.r, axis=-1))
     if ua.ndim == 0 and va.ndim == 0:
         return IsoPoint.finite(float(img[0]), float(img[1]), float(img[2]))
     return img

@@ -44,14 +44,13 @@ from .fields import (
 )
 from .jets import _asfloat, jet_arctan_ratio, jet_log_rsq, jet_polynomial, jet_xy
 from .geom_core import OrientedSphere
+from .isotropic import SQRT2
 from .reconstruct import (
     FieldSurface,
     GaussMappedSurface,
     ParamSurface,
     SurfaceJet,
 )
-
-SQRT2 = math.sqrt(2.0)
 
 
 # -- closed-form component builders (u, v are Gauss coordinates) ------

@@ -69,13 +69,15 @@ class CheckReport:
 
 
 def json_text(obj) -> str:
-    """Deterministic JSON for report-like values (17-digit floats)."""
+    """Deterministic strict JSON for report-like values: 17-digit floats,
+    and null for a non-finite one, which strict JSON cannot write."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
         return "null"
     if isinstance(obj, (float, np.floating)):
-        return "%.17g" % float(obj)
+        obj = float(obj)
+        return "%.17g" % obj if math.isfinite(obj) else "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, str):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lagmin.cli
+from lagmin import BLOCK_NAMES
 from lagmin.cli import _merge_meshes, main
 from lagmin.fields import make_elliptic_field
 
@@ -407,31 +408,87 @@ _CIRCLE_RECORDS = (
 )
 _CONFIG_VALUES = (st.floats().map(repr) | st.integers().map(str)
                   | st.text(alphabet="0123456789.-+einfa ", max_size=6))
+# branches whose k*pi overflows a float, and small ones that run
+_BRANCH_EDGES = (10**400, -(10**400), 10**308, -(10**308), 3, -3)
+_NUMBERS = (st.integers(-3, 3).map(str) | st.floats().map(repr)
+            | st.sampled_from(["1e400", "-1e999", "1e300", ".5", "-0"]))
+_BLOCKS = st.builds("{}{}".format, st.sampled_from(BLOCK_NAMES),
+                    st.just("") | _NUMBERS.map("@theta={}".format))
+_LEAF_FIELDS = (st.sampled_from(["poly(x^2*y-0.5*x+3)", "poly(x^4)",
+                                 "poly(x^99999)", "elliptic(a1=1,a3=-1)",
+                                 "hyperbolic(a2=0.3,c1=0.4,alpha1=1)"])
+                | _NUMBERS.map("parabolic(alpha0={},gamma3=0.1)".format)
+                | _NUMBERS.map("poly({}*x^2)".format))
+
+
+def _nested(leaf, weight, depth):
+    return "sum(%s*" % weight * depth + leaf + ")" * depth
+
+
+# sum(...) nests a few levels, or 500 to 1100 deep: past the stack of the
+# jet or of the parser
+_FIELDS = (st.builds(_nested, _LEAF_FIELDS, _NUMBERS, st.integers(0, 3))
+           | st.builds(_nested, _LEAF_FIELDS, st.just("1"),
+                       st.sampled_from([500, 1000, 1100])))
+
+
+_SPECS = (
+    _BLOCKS
+    | st.lists(st.tuples(_NUMBERS, _BLOCKS), min_size=1, max_size=3).map(
+        lambda terms: "conv(%s)" % ",".join("%s*%s" % t for t in terms))
+    | _FIELDS.map("field:{}".format)
+    | st.lists(_NUMBERS, min_size=4, max_size=4).map(
+        lambda c: "ruled(%s)" % ",".join(c))
+    | st.text(alphabet="r1~@theta=(),*.field:sum", max_size=12)
+)
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError("%s is not JSON" % name)
+    return json.loads(text, parse_constant=refuse)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(-(10**20), 10**20),
        key=st.sampled_from(["biharmonic", "guard"]), value=_CONFIG_VALUES,
-       records=st.lists(_CIRCLE_RECORDS, max_size=4))
+       records=st.lists(_CIRCLE_RECORDS, max_size=4),
+       spec=_SPECS, check=st.sampled_from(lagmin.cli.CHECK_NAMES),
+       branch=st.integers() | st.sampled_from(_BRANCH_EDGES))
 def test_seeds_configs_and_circle_files_keep_the_exit_contract(
-        tmp_path_factory, seed, key, value, records):
+        tmp_path_factory, seed, key, value, records, spec, check, branch):
+    # and spec strings, checks and branches: any argv exits 0, 1 or 2
+    # without a traceback, and every report it writes is strict JSON
     work = tmp_path_factory.mktemp("fuzz")
     (work / "c.cfg").write_text("%s=%s\n" % (key, value))
     (work / "circles.json").write_text(
         "".join(json.dumps(r) + "\n" for r in records))
+    reports = [work / "r1.json", work / "spec.json", work / "pencil.json"]
     runs = [["verify", "--surface", "r1", "--checks", "biharmonic",
-             "--seed", str(seed), "--config", str(work / "c.cfg")],
+             "--seed", str(seed), "--config", str(work / "c.cfg"),
+             "--report", str(reports[0])],
             ["generate", "--surface", "r1", "--grid", "12x9",
              "--range", "-2,2,-2,2", "--config", str(work / "c.cfg"),
              "-o", str(work / "x.obj")],
-            ["classify-pencil", "--input", str(work / "circles.json")]]
+            ["verify", "--surface", spec, "--checks", check,
+             "--seed", str(seed), "--branch", str(branch),
+             "--config", str(work / "c.cfg"), "--report", str(reports[1])],
+            ["generate", "--surface", spec, "--grid", "12x9",
+             "--range", "-2,2,-2,2", "--branch", str(branch),
+             "--config", str(work / "c.cfg"), "-o", str(work / "y.obj")],
+            ["classify-pencil", "--input", str(work / "circles.json"),
+             "--report", str(reports[2])]]
     for argv in runs:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             code = main(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+    for path in reports:
+        if path.exists():
+            _strict_json(path.read_text())
 
 
 def test_non_finite_points_are_a_counted_drop(tmp_path, capfd):
@@ -631,3 +688,47 @@ def test_checks_on_surfaces_with_singular_curves(tmp_path, spec, check, code):
     record = json.loads(rep.read_text())[0]
     assert record["samples"] == (5 if check == "stationarity" else 10000)
     assert record["pass"] is (code == 0)
+
+
+@pytest.mark.parametrize("spec, check", [("field:poly(x^99999)", "biharmonic"),
+                                         ("field:poly(1e300*x^2)", "stationarity")])
+def test_non_finite_residuals_are_reported_as_strict_json(tmp_path, spec, check):
+    rep = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["verify", "--surface", spec, "--checks", check,
+                     "--report", str(rep)])
+    assert code == 1
+    [record] = _strict_json(rep.read_text())
+    assert record["pass"] is False
+    assert record["max_residual"] is None and record["rms_residual"] is None
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--grid", "10x10", "--range", "0,1,0,1", "-o", "x.obj"],
+    ["verify", "--checks", "biharmonic"],
+    ["isotropic", "-o", "x.obj"],
+])
+@pytest.mark.parametrize("branch", [10**400, -(10**400), 10**308])
+def test_branches_without_a_finite_shift_are_usage_errors(tmp_path, capsys,
+                                                          command, branch):
+    argv = [a if a != "x.obj" else str(tmp_path / a) for a in command]
+    assert main(argv + ["--surface", "field:elliptic(a1=1)",
+                        "--branch", str(branch)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --branch: wants an integer")
+    assert not (tmp_path / "x.obj").exists()
+
+
+@pytest.mark.parametrize("branch", ["3", "-3"])
+def test_small_branches_still_run(branch):
+    assert main(["verify", "--surface", "field:elliptic(a1=1)",
+                 "--checks", "biharmonic", "--branch", branch]) == 0
+
+
+@pytest.mark.parametrize("depth", [500, 1000])
+def test_specs_nested_too_deep_are_an_error_exit(capsys, depth):
+    spec = "field:" + _nested("poly(x)", 1, depth)
+    assert main(["verify", "--surface", spec, "--checks", "biharmonic"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: RecursionError: ")

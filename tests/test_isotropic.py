@@ -8,20 +8,28 @@ from lagmin.geom_core import (
     Line3,
     OrientedPlane,
     OrientedSphere,
+    hesse_normalize,
+    lambda_transform,
+    offset_plane,
     random_unit_vectors,
+    reflect_plane_z,
+    rotate_plane_z,
+    scale_plane,
     sphere_tangent_plane,
+    translate_plane,
 )
 from lagmin.isotropic import (
     GENERATORS,
+    IDEAL_TOL,
     IMSphere,
     IMTransform,
     IsoPoint,
-    generator_correspondence_report,
     imsphere_map,
     imsphere_to_sphere,
     imtransform_apply,
     inverse_stereographic,
     ipoint_to_plane,
+    isotropic,
     line_to_imcircle,
     plane_to_ipoint,
     sphere_to_imsphere,
@@ -201,26 +209,91 @@ def test_sphere_map_agrees_with_point_pushes():
                 assert abs(out.height(q.x, q.y) - q.z) < 1e-9
 
 
-def test_generator_correspondence_report_is_honest():
-    # The tabulated Euclidean counterparts are an audit target, not arithmetic
-    # the package relies on.  Rows whose pairing holds in this projection
-    # convention must match tightly; rows that do not must report a real gap,
-    # and every row's derived induced map must reproduce the conjugation.
-    rep = generator_correspondence_report()
-    by_name = {row["generator"]: row for row in rep}
-    assert set(by_name) == {
-        "rotate", "shear", "parab", "offset", "zscale", "invert", "sqrt2",
-    }
-    for name in ("rotate", "zscale", "invert"):
-        assert by_name[name]["matches"], name
-        assert by_name[name]["max_deviation"] < 1e-9
-    for name in ("shear", "parab", "offset", "sqrt2"):
-        assert not by_name[name]["matches"], name
-        assert by_name[name]["max_deviation"] > 1e-3
-    for row in rep:
-        assert row["induced_map_deviation"] < 1e-9
-        assert row["samples"] >= 100
-        assert row["induced_map"]
+def _lam_induced(x, y, z):
+    r2 = x * x + y * y
+    w = 2.0 / (np.sqrt(4.0 + r2 * r2) + 2.0 - r2)
+    return w * x, w * y, w * z
+
+
+# Euclidean Laguerre maps of planes, paired with a model generator as they
+# are commonly tabulated, and the model map each one induces through the
+# projection.  None: the induced map is the generator itself.
+_PLANE_MAPS = {
+    "rotate": ({"theta": 0.8}, lambda p: rotate_plane_z(p, 0.8), None),
+    "shear": ({"a": 0.5, "b": -0.3},
+              lambda p: translate_plane(p, (0.5, -0.3, 0.0)),
+              lambda x, y, z: (x, y, z - 0.5 * x + 0.3 * y)),
+    "parab": ({}, lambda p: translate_plane(p, (0.0, 0.0, 1.0)),
+              lambda x, y, z: (x, y, z + 0.5 * (x * x + y * y - 1.0))),
+    "offset": ({"h": 0.7}, lambda p: offset_plane(p, 0.7),
+               lambda x, y, z: (x, y, z + 0.35 * (1.0 + x * x + y * y))),
+    "zscale": ({"a": 1.6}, lambda p: scale_plane(p, 1.6), None),
+    "invert": ({}, reflect_plane_z, None),
+    "sqrt2": ({}, lambda_transform, _lam_induced),
+}
+
+
+def _audit_planes(count=160, seed=7):
+    rng = np.random.default_rng(seed)
+    planes = []
+    while len(planes) < count:
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        if n[2] < -0.75:  # keep clear of the ideal direction
+            continue
+        planes.append(hesse_normalize(n, rng.normal()))
+    return planes
+
+
+@pytest.mark.parametrize("name", sorted(_PLANE_MAPS))
+def test_plane_maps_induce_their_model_maps(name):
+    # conjugating a Euclidean plane map with the projection gives the
+    # stated model map; only rotate, zscale and invert are the generator
+    # their Euclidean map is tabulated with
+    params, euclid, induced = _PLANE_MAPS[name]
+    tf = IMTransform().then(name, **params)
+    gen_dev = induced_dev = 0.0
+    for plane in _audit_planes():
+        q = plane_to_ipoint(plane)
+        image = plane_to_ipoint(euclid(plane)).coords()
+        by_gen = imtransform_apply(tf, q).coords()
+        by_induced = by_gen if induced is None else np.array(induced(q.x, q.y, q.z))
+        gen_dev = max(gen_dev, float(np.linalg.norm(image - by_gen)))
+        induced_dev = max(induced_dev, float(np.linalg.norm(image - by_induced)))
+    assert induced_dev <= 1e-9
+    if induced is None:
+        assert gen_dev <= 1e-9
+    else:
+        assert gen_dev > 1e-3
+
+
+def _projection_cases():
+    rng = np.random.default_rng(41)
+    n = list(random_unit_vectors(rng, 200))
+    for eps in (1e-3, 1e-6, 1e-8, 1e-9, 2e-9, 1e-12, 1e-16):
+        t = rng.normal(size=2)
+        n.append(np.array([*(np.sqrt(eps * (2.0 - eps)) * t / np.linalg.norm(t)),
+                           -1.0 + eps]))
+    n += [np.array([0.0, 0.0, -1.0]), np.array([0.3, -0.4, -1.0])]
+    return np.array(n), rng.normal(size=len(n))
+
+
+def test_projection_keeps_the_inline_arithmetic():
+    # the bits of the formula isotropic_image carried inline, including
+    # normals at and next to n3 = -1, where it divides by (nearly) zero
+    n, h = _projection_cases()
+    w = 1.0 + n[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inline = np.stack([n[..., 0] / w, n[..., 1] / w, h / w], axis=-1)
+        top = n[..., :2] / (1.0 + n[..., 2:3])
+        assert isotropic(n, h).tobytes() == inline.tobytes()
+        assert stereographic(n).tobytes() == top.tobytes()
+
+
+def test_one_ideal_tolerance():
+    for eps, ideal in ((0.5 * IDEAL_TOL, True), (2.0 * IDEAL_TOL, False)):
+        n = np.array([np.sqrt(eps * (2.0 - eps)), 0.0, -1.0 + eps])
+        assert plane_to_ipoint(OrientedPlane(n, 3.0)).is_ideal == ideal
 
 
 def test_unknown_generator_rejected():
@@ -278,6 +351,17 @@ def test_line_image_lies_on_both_closed_form_spheres(p, d):
             assert abs(s.height(q.x, q.y) - q.z) <= 1e-12 * scale
         checked += 1
     assert checked >= 45
+
+
+@pytest.mark.parametrize("p, d", _line_cases())
+def test_line_spheres_are_the_point_sphere_images(p, d):
+    # the spheres built by hand from m = p and m = p + d/|d| before
+    # `sphere_to_imsphere` of the point spheres replaced them: equal values
+    # (a zero may change its sign)
+    line = Line3.through(p, d)
+    dn = line.d / np.linalg.norm(line.d)
+    for m, s in zip((line.p, line.p + dn), line_to_imcircle(line)):
+        assert s.coeffs().tolist() == [m[2], -m[0], -m[1], -0.5 * m[2]]
 
 
 def test_line_image_needs_a_direction():
