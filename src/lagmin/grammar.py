@@ -100,6 +100,23 @@ def _split_top(text: str, sep: str = ","):
     return parts
 
 
+def _paren_groups(text: str) -> dict:
+    """One pass over `text`: for the index of each "(", the index of its
+    ")" and of the commas directly inside the pair."""
+    groups = {}
+    stack = []
+    for i, ch in enumerate(text):
+        if ch == "(":
+            stack.append((i, []))
+        elif ch == ")":
+            if stack:
+                start, commas = stack.pop()
+                groups[start] = (i, commas)
+        elif ch == "," and stack:
+            stack[-1][1].append(i)
+    return groups
+
+
 def _call_body(spec: str, name: str) -> str:
     if not (spec.startswith(name + "(") and spec.endswith(")")):
         raise GrammarError("malformed %s(...) spec: %r" % (name, spec))
@@ -183,39 +200,49 @@ def _parse_poly(body: str):
 # -- field specs -------------------------------------------------------
 
 
+_WEIGHT_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\*")
+_KIND_RE = re.compile(r"([a-z]+)\(")
+
+
 def _weight_split(item: str):
     """Leading `w*rest` if w parses as a number, else weight 1."""
-    depth = 0
-    for i, ch in enumerate(item):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            head = item[:i]
-            if _NUM_RE.match(head):
-                return parse_number(head, "weight"), item[i + 1 :]
-            return 1.0, item
+    m = _WEIGHT_RE.match(item)
+    if m:
+        return parse_number(m.group(1), "weight"), item[m.end():]
     return 1.0, item
 
 
 def parse_field(spec: str, *, branch: int = 0, guard: float = None):
     """Field object from a field spec string."""
     spec = _strip(spec)
-    if spec == "":
+    return _parse_field(spec, 0, len(spec), _paren_groups(spec), branch,
+                        guard)
+
+
+def _parse_field(text, lo, hi, groups, branch, guard):
+    """The field spelled by text[lo:hi]; `groups` is `_paren_groups(text)`,
+    so nested sum(...) bodies are split without scanning them again."""
+    if lo == hi:
         raise GrammarError("empty field spec")
-    m = re.match(r"^([a-z]+)\(", spec)
+    m = _KIND_RE.match(text, lo, hi)
     kind = m.group(1) if m else None
+    spec = text[lo:hi]
     if kind == "poly":
         f = _parse_poly(_call_body(spec, "poly"))
     elif kind == "sum":
-        body = _call_body(spec, "sum")
+        if not spec.endswith(")"):
+            _call_body(spec, "sum")             # raises: malformed
+        start, end = lo + 3, hi - 1
+        close, commas = groups.get(start, (None, []))
+        if close != end:
+            raise GrammarError("unbalanced parentheses in %r"
+                               % (text[start + 1:end],))
         terms = []
-        for item in _split_top(body):
-            w, sub = _weight_split(item)
-            terms.append((w, parse_field(sub, branch=branch, guard=guard)))
-        if not terms:
-            raise GrammarError("sum(...) needs at least one term")
+        for a, b in zip([start] + commas, commas + [end]):
+            w = _WEIGHT_RE.match(text, a + 1, b)
+            weight = parse_number(w.group(1), "weight") if w else 1.0
+            terms.append((weight, _parse_field(text, w.end() if w else a + 1,
+                                               b, groups, branch, guard)))
         f = sum_fields(terms)
     elif kind in _FIELD_CLASSES:
         kw = _kwargs(_call_body(spec, kind), _FIELD_KEYS[kind],

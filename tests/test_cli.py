@@ -704,6 +704,23 @@ def test_non_finite_residuals_are_reported_as_strict_json(tmp_path, spec, check)
     assert record["max_residual"] is None and record["rms_residual"] is None
 
 
+@pytest.mark.parametrize("spec, check", [("field:poly(x^99999)", "biharmonic"),
+                                         ("field:poly(1e300*x^2)", "stationarity")])
+def test_overflowing_checks_fail_without_runtime_warnings(tmp_path, spec, check):
+    src = os.path.dirname(os.path.dirname(lagmin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    rep = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lagmin.cli", "verify", "--surface", spec,
+         "--checks", check, "--report", str(rep)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    [record] = _strict_json(rep.read_text())
+    assert record["pass"] is False and record["max_residual"] is None
+
+
 @pytest.mark.parametrize("command", [
     ["generate", "--grid", "10x10", "--range", "0,1,0,1", "-o", "x.obj"],
     ["verify", "--checks", "biharmonic"],

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lagmin import grammar
 from lagmin.errors import GrammarError, UnknownName
 from lagmin.fields import EllipticField, PolynomialField, SumField, sum_fields
 from lagmin.grammar import parse_field, parse_surface
@@ -141,3 +142,19 @@ def test_a_rotated_block_without_a_closed_rotated_field_says_so():
         parse_surface("r1@theta=0.5").field
     with pytest.raises(UnknownName, match="no closed rotated field"):
         parse_surface("conv(1*r3, 1*r4@theta=0.5)").field
+
+
+def test_nested_sums_are_split_in_one_pass(monkeypatch):
+    # count the characters handed to the splitters: a depth-d nested
+    # sum(...) split level by level visits O(d^2) of them
+    visited = []
+    for name in ("_split_top", "_paren_groups"):
+        def counting(text, *args, _split=getattr(grammar, name, None)):
+            visited.append(len(text))
+            return _split(text, *args)
+        monkeypatch.setattr(grammar, name, counting, raising=False)
+    depth = 200
+    spec = "sum(" + "2*sum(" * depth + "poly(x^2)" + ")" * (depth + 1)
+    F = parse_field(spec)
+    assert F.value(0.5, 0.0) == 0.25 * 2.0 ** depth
+    assert sum(visited) <= 2 * len(spec)

@@ -1,12 +1,17 @@
+import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagmin.cli import _merge_meshes
 from lagmin.fields import make_elliptic_field
 from lagmin.meshing import (
     Mesh,
+    _scaled,
     atomic_write_text,
     field_graph_mesh,
     grid_axes,
@@ -209,6 +214,127 @@ def test_obj_text_matches_reference_bytes(make, polylines, comment):
 def test_obj_text_of_empty_body_is_one_newline():
     assert obj_text(_empty_mesh(0)) == "\n"
     assert _reference_obj_text(_empty_mesh(0)) == "\n"
+
+
+# -- the vectorised formatter against the reference, value by value ----
+
+
+def _vertex_mesh(values, faces=()):
+    """A mesh whose vertex coordinates are `values`, three to a row."""
+    vertices = np.asarray(values, dtype=float).reshape(-1, 3)
+    return Mesh(vertices=vertices,
+                faces=np.asarray(faces, dtype=np.int64).reshape(-1, 4),
+                valid=np.ones((1, max(len(vertices), 1)), dtype=bool),
+                shape=(max(len(vertices), 1), 1))
+
+
+def _assert_reference_bytes(values, faces=(), polylines=()):
+    values = list(values)
+    values += [0.5] * (-len(values) % 3)
+    mesh = _vertex_mesh(values, faces)
+    assert (obj_text(mesh, polylines=polylines)
+            == _reference_obj_text(mesh, polylines))
+
+
+_BITS = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_BITS.filter(math.isfinite), min_size=1, max_size=60))
+def test_any_finite_bit_pattern_matches_the_reference(values):
+    _assert_reference_bytes(values)
+
+
+# sign * 10^t, t uniform: the exponents -4..16 written in fixed notation
+_FIXED = st.builds(lambda s, t: s * 10.0 ** t, st.sampled_from((1.0, -1.0)),
+                   st.floats(-5.0, 17.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_FIXED | st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=60))
+def test_fixed_notation_values_match_the_reference(values):
+    _assert_reference_bytes(values)
+
+
+def test_zeros_subnormals_and_non_finite_values_match_the_reference():
+    tiny = np.finfo(float).tiny
+    _assert_reference_bytes([0.0, -0.0, 5e-324, -5e-324, tiny, -tiny,
+                             np.nextafter(tiny, 0.0), 2.5e-310, np.inf,
+                             -np.inf, np.nan, np.finfo(float).max])
+
+
+def test_powers_of_ten_and_their_neighbours_match_the_reference():
+    values = []
+    for k in range(-5, 18):
+        p = float(10.0 ** k)
+        values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    values += [-v for v in values]
+    _assert_reference_bytes(values)
+
+
+def _tie(e, q):
+    """x = q / 2^(17-e), q odd: x * 10^(16-e) = q * 5^(16-e) / 2, a tie
+    between two 17-digit significands of exponent e."""
+    return math.ldexp(q, e - 17)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_ties_round_half_to_even_like_the_reference(data):
+    e = data.draw(st.integers(-4, 15))
+    five = 5 ** (16 - e)
+    lo, hi = -(-2 * 10 ** 16 // five), min(2 * 10 ** 17 // five, 2 ** 53 - 1)
+    q = data.draw(st.integers(lo // 2, hi // 2 - 1)) * 2 + 1
+    x = _tie(e, q)
+    scaled = Fraction(x) * 10 ** (16 - e)
+    assert scaled.denominator == 2 and 10 ** 16 <= scaled < 10 ** 17
+    _assert_reference_bytes([x, -x, _tie(e, q + 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-4, 1e17, exclude_max=True), st.integers(-1, 1))
+def test_scaled_is_the_exact_product_rounded_half_to_even(a, shift):
+    # e is floor(log10 a), moved by `shift` as a bad log10 guess would be
+    exact = Fraction(a)
+    e = min(max(math.floor(math.log10(a)) + shift, -4), 16)
+    m, off = _scaled(np.array([a]), np.array([e]))
+    v = exact * 10 ** (16 - e)
+    assert off[0] == (v >= 10 ** 17) - (v < 10 ** 16)
+    if off[0] == 0:
+        assert m[0] == round(v)          # Fraction rounds half to even
+
+
+def test_scaled_places_products_next_to_a_power_of_ten():
+    # float(1e-3) is 1e-3 * (1 + 2.1e-17): the product with the exponent
+    # guess one too low is 1e17 + 2.08, so hi == 1e17 and lo > 0
+    m, off = _scaled(np.array([1e-3, np.nextafter(1.0, 0.0)]),
+                     np.array([-4, 0]))
+    assert list(off) == [1, -1]
+
+
+def test_a_known_tie_rounds_to_the_even_digit():
+    assert obj_text(_vertex_mesh([1000000000000000.25, 0.0, 0.0])) \
+        .startswith("v 1000000000000000.2 0 0\n")
+
+
+def test_face_ids_at_each_digit_count_boundary_match_the_reference():
+    ids = [i for k in range(1, 8) for i in (10 ** k - 2, 10 ** k - 1)]
+    ids += [10 ** 7, 0, 1, 2 ** 62]
+    ids += [0] * (-len(ids) % 4)
+    _assert_reference_bytes([0.25] * 3, faces=ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_FIXED, min_size=3, max_size=30),
+       st.lists(st.lists(_FIXED, min_size=3, max_size=12), max_size=3),
+       st.lists(st.integers(0, 10 ** 9), max_size=20))
+def test_meshes_with_and_without_polylines_match_the_reference(
+        values, polylines, faces):
+    polylines = [np.reshape(p[:len(p) // 3 * 3], (-1, 3)) for p in polylines]
+    _assert_reference_bytes(values, faces=faces[:len(faces) // 4 * 4],
+                            polylines=polylines)
 
 
 def test_merge_meshes_offsets_faces_by_vertex_counts():

@@ -1,8 +1,9 @@
 """The benchmark's pinned outputs that depend only on block names,
 regenerated in-process and compared with the sha256 digests recorded in
-bench/digests.json (read, never written).  The digests hold for the numpy
-version they were recorded under; under any other the comparison is
-skipped."""
+bench/digests.json (read, never written), and the OBJs that the benchmark
+does not pin (the gallery and a ruled patch with its ruling polylines),
+compared with digests kept here.  The digests hold for the numpy version
+they were recorded under; under any other the comparison is skipped."""
 import hashlib
 import json
 from pathlib import Path
@@ -60,3 +61,48 @@ def test_block_output_matches_its_benchmark_pin(tmp_path, workload, name,
     assert main(argv + [str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == PINS["workloads"][workload][name]
+
+
+# sha256 of the OBJs outside the benchmark, recorded under numpy 2.4.6
+# from the one-float-at-a-time "%.17g" writer
+OBJ_PINS_NUMPY = "2.4.6"
+GALLERY_PINS = {
+    "elliptic-blocks.obj":
+        "287f9680c2138f59a9b6bc647f078baae6feeb252e04318296fd5f6aa04790e9",
+    "hyperbolic-blocks.obj":
+        "7469e34691e7ee680702c836fdfa6bed0ad01c6eac463e285acbc31cc5e72161",
+    "hyperbolic-general.obj":
+        "7726257e9ca3564fe53e3f7a723419aa9074c6a1c821b13e0ec11722c0307a16",
+    "parabolic-blocks.obj":
+        "40df1d55b8be504cc03191cad81dc19a89766804ca546fe2fffe7b8d2e1865a9",
+    "parabolic-general.obj":
+        "4243f494f06ea49f9ab46bbd2a64b7b6eba9502fb1109d632ec3c058c6359dd5",
+    "ruled-convolution.obj":
+        "33f09689ed56057406fafa4acb991edabe7f77e035884a7c9d98164caf4e4a7c",
+}
+RULED_ARGV = ["ruled", "--A", "1", "--B", "0.5", "--C", "0.3", "--D", "0.2",
+              "--phi-range", "0,3", "--lambda-range", "-1,1",
+              "--grid", "40x40", "-o"]
+RULED_PIN = "f4300188103f22092a8bc89d19656e4c810d7f6c5c9d09fc2aaa91b6e9256422"
+
+_obj_pins = pytest.mark.skipif(
+    np.__version__ != OBJ_PINS_NUMPY,
+    reason="digests recorded under numpy %s" % OBJ_PINS_NUMPY)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@_obj_pins
+def test_gallery_objs_match_their_pins(tmp_path):
+    assert main(["gallery", "-o", str(tmp_path)]) == 0
+    assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == GALLERY_PINS
+
+
+@_obj_pins
+def test_ruled_obj_with_polylines_matches_its_pin(tmp_path):
+    out = tmp_path / "ruled.obj"
+    assert main(RULED_ARGV + [str(out)]) == 0
+    assert out.read_text().count("\nl ") == 9
+    assert _sha256(out) == RULED_PIN
