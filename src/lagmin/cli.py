@@ -6,11 +6,13 @@ failure (reports are still written), 2 usage error (the spec grammar
 is printed) or error, running out of memory or of stack included.  All
 outputs are deterministic for fixed argv and seed.
 
-Each spec string is parsed once, by `grammar.parse_surface`.  Field
-checks read the parsed surface's `.field` (every surface in Gauss
-coordinates carries one), and the tangency check reads the block name
-from it.  Numbers on the command line and in config files are read by
-`grammar.parse_number`, in the syntax of spec numbers.
+Each command parses its spec string once, by `grammar.parse_surface`,
+and every check of `verify` reads that one surface.  Field checks read
+its `.field` (every surface in Gauss coordinates carries one), and the
+tangency check reads the block name from it.  Numbers on the command
+line and in config files are read by `grammar.parse_number`, in the
+syntax of spec numbers.  Only `generate`, `verify` and `isotropic` take
+a `--config` file.
 """
 
 from __future__ import annotations
@@ -124,30 +126,25 @@ def _load_config(path):
     return cfg
 
 
-# -- field / family derivation from surface specs ----------------------
+# -- surfaces and checks ----------------------------------------------
 
 
-def _field_for(spec, branch, guard):
-    """The scalar field behind a surface spec, for field-level checks."""
-    S = grammar.parse_surface(spec, branch=branch, guard=guard)
-    if not isinstance(S, GaussMappedSurface):
-        raise _UsageError("check needs a field-backed surface, not ruled(...)")
-    return S.field
+def _surface(args, cfg):
+    """The surface of --surface, parsed once per command."""
+    return grammar.parse_surface(args.surface, branch=args.branch,
+                                 guard=cfg.get("guard"))
 
 
-def _run_check(name, spec, args, cfg):
-    """Reports of one named check; `name` is one of CHECK_NAMES."""
-    branch = getattr(args, "branch", 0)
-    guard = cfg.get("guard")
-    seed = args.seed
+def _run_check(name, S, seed, cfg):
+    """Reports of one named check on the parsed surface S; `name` is one
+    of CHECK_NAMES."""
     kw = {"tolerance": cfg[name]} if name in cfg else {}
-    if name == "biharmonic":
-        F = _field_for(spec, branch, guard)
-        return [verify.biharmonic_residual(F, seed=seed, **kw)]
-    if name == "stationarity":
-        F = _field_for(spec, branch, guard)
-        return [verify.stationarity_check(F, seed=seed, **kw)]
-    S = grammar.parse_surface(spec, branch=branch, guard=guard)
+    if name in ("biharmonic", "stationarity"):
+        if not isinstance(S, GaussMappedSurface):
+            raise _UsageError("check needs a field-backed surface, not ruled(...)")
+        check = (verify.biharmonic_residual if name == "biharmonic"
+                 else verify.stationarity_check)
+        return [check(S.field, seed=seed, **kw)]
     if name == "tangency":
         if S.name is None:
             raise _UsageError("tangency plans exist for unrotated blocks only")
@@ -190,12 +187,23 @@ def _write_mesh(mesh, path, **kw):
     meshing.write_obj(mesh, path, **kw)
 
 
+def _ruling_polylines(line, phis, lo, hi):
+    """The segment from lo to hi along the ruling `line(phi)` of each phi;
+    as in the grid walk, overflow shows as non-finite coordinates."""
+    polys = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for phi in phis:
+            point, direction = line(phi)
+            polys.append(np.stack([point + lo * direction,
+                                   point + hi * direction]))
+    return polys
+
+
 # -- subcommands -------------------------------------------------------
 
 
 def _cmd_generate(args, cfg):
-    S = grammar.parse_surface(args.surface, branch=args.branch,
-                              guard=cfg.get("guard"))
+    S = _surface(args, cfg)
     shape = _parse_grid(args.grid)
     window = _parse_floats(args.range, 4, "--range")
     mesh = meshing.surface_mesh(S, window, shape)
@@ -211,13 +219,7 @@ def _cmd_ruled(args, cfg):
     l0, l1 = _parse_floats(args.lambda_range, 2, "--lambda-range")
     window = (p0, p1, l0, l1)
     mesh = meshing.surface_mesh(S, window, _parse_grid(args.grid))
-    polys = []
-    # as in the grid walk, overflow shows as non-finite coordinates
-    with np.errstate(over="ignore", invalid="ignore"):
-        for phi in np.linspace(p0, p1, 9):
-            point, direction = S.ruling(phi)
-            polys.append(np.stack([point + l0 * direction,
-                                   point + l1 * direction]))
+    polys = _ruling_polylines(S.ruling, np.linspace(p0, p1, 9), l0, l1)
     _write_mesh(mesh, args.output, polylines=polys,
                 comment="ruled A=%g B=%g C=%g D=%g"
                 % (args.A, args.B, args.C, args.D))
@@ -237,8 +239,9 @@ def _cmd_verify(args, cfg):
     # as in the grid walk, overflow shows as non-finite residuals, which
     # fail their check and are written as null
     with np.errstate(over="ignore", invalid="ignore"):
+        S = _surface(args, cfg)
         for c in checks:
-            reports.extend(_run_check(c, args.surface, args, cfg))
+            reports.extend(_run_check(c, S, args.seed, cfg))
     if args.report:
         verify.write_reports(reports, args.report)
     for rep in reports:
@@ -264,8 +267,7 @@ def _cmd_classify_pencil(args, cfg):
 
 
 def _cmd_isotropic(args, cfg):
-    S = grammar.parse_surface(args.surface, branch=args.branch,
-                              guard=cfg.get("guard"))
+    S = _surface(args, cfg)
 
     def image(fu, fv):
         try:
@@ -307,11 +309,8 @@ def _cmd_gallery(args, cfg):
             fam = rulings_of_convolution(1.0, 0.3, 0.6, 0.0)
             S = fam.surface()
             mesh = meshing.surface_mesh(S, shape=(100, 100))
-            polys = []
-            for phi in np.linspace(-1.2, 1.2, 9):
-                point, direction = fam.line(float(phi))
-                polys.append(np.stack([point - 2.0 * direction,
-                                       point + 2.0 * direction]))
+            polys = _ruling_polylines(fam.line, np.linspace(-1.2, 1.2, 9),
+                                      -2.0, 2.0)
             _write_mesh(mesh, path, polylines=polys,
                         comment="convolution a=(1,0.3,0.6) theta=0 "
                                 "with rulings phi in [-1.2,1.2]")
@@ -352,7 +351,7 @@ def _build_parser():
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("ruled", parents=[common],
+    p = sub.add_parser("ruled",
                        help="mesh a ruled patch with its rulings")
     p.add_argument("--A", type=_finite_float, required=True)
     p.add_argument("--B", type=_finite_float, required=True)
@@ -374,7 +373,7 @@ def _build_parser():
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("classify-pencil", parents=[common],
+    p = sub.add_parser("classify-pencil",
                        help="classify a circle family from a JSON file")
     p.add_argument("--input", required=True)
     p.add_argument("--report", default=None)
@@ -387,7 +386,7 @@ def _build_parser():
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_isotropic)
 
-    p = sub.add_parser("gallery", parents=[common],
+    p = sub.add_parser("gallery",
                        help="write the six reference figure meshes")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=_cmd_gallery)
@@ -400,7 +399,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if getattr(args, "func", None) is None:
             raise _UsageError("a subcommand is required")
-        cfg = _load_config(args.config) if args.config else {}
+        config = getattr(args, "config", None)
+        cfg = _load_config(config) if config else {}
         return args.func(args, cfg)
     except _UsageError as exc:
         print("usage error:", exc, file=sys.stderr)
@@ -412,16 +412,14 @@ def main(argv=None) -> int:
         print(file=sys.stderr)
         print(grammar.GRAMMAR_HELP, file=sys.stderr)
         return 2
-    except (LagminError, ValueError) as exc:
+    except (LagminError, ValueError, RecursionError) as exc:
+        # RecursionError: a spec nested too deep for the parser or the
+        # field's jet
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2
     except MemoryError as exc:
         # numpy raises a private subclass; name the builtin
         print("error: MemoryError: %s" % (exc,), file=sys.stderr)
-        return 2
-    except RecursionError as exc:
-        # a spec nested too deep for the parser or the field's jet
-        print("error: RecursionError: %s" % (exc,), file=sys.stderr)
         return 2
     except OSError as exc:
         print("i/o error:", exc, file=sys.stderr)

@@ -8,6 +8,10 @@ Field specs:     elliptic(a1=1,a3=-1) | hyperbolic(...) | parabolic(...)
 Whitespace is ignored everywhere.  Unknown names and unknown keyword
 coefficients raise GrammarError.  `parse_number` is the one number reader,
 for spec strings and command-line values alike.
+
+Each spec is scanned for its brackets once (`_paren_groups`): every call
+body, be it field keywords, `sum(...)`, `conv(...)` or `ruled(...)`, reads
+its comma-separated items from that scan (`_items`), however deep it nests.
 """
 
 from __future__ import annotations
@@ -77,29 +81,6 @@ def parse_number(tok: str, where: str) -> float:
     return value
 
 
-def _split_top(text: str, sep: str = ","):
-    """Split on `sep` outside parentheses."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise GrammarError("unbalanced parentheses in %r" % (text,))
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise GrammarError("unbalanced parentheses in %r" % (text,))
-    parts.append("".join(cur))
-    return parts
-
-
 def _paren_groups(text: str) -> dict:
     """One pass over `text`: for the index of each "(", the index of its
     ")" and of the commas directly inside the pair."""
@@ -117,17 +98,32 @@ def _paren_groups(text: str) -> dict:
     return groups
 
 
-def _call_body(spec: str, name: str) -> str:
-    if not (spec.startswith(name + "(") and spec.endswith(")")):
-        raise GrammarError("malformed %s(...) spec: %r" % (name, spec))
-    return spec[len(name) + 1 : -1]
+def _call_body(text: str, lo: int, hi: int, name: str):
+    """The index range of the body of the call `name(...)` spelled by
+    text[lo:hi]."""
+    if not (text.startswith(name + "(", lo, hi) and text.endswith(")", lo, hi)):
+        raise GrammarError("malformed %s(...) spec: %r" % (name, text[lo:hi]))
+    return lo + len(name) + 1, hi - 1
 
 
-def _kwargs(body: str, allowed, where: str) -> dict:
+def _items(text: str, lo: int, hi: int, groups: dict):
+    """The index ranges of the comma-separated items of the call body
+    text[lo:hi], read from `groups = _paren_groups(text)`.  The body is
+    balanced exactly when the "(" before it pairs with the ")" after it,
+    and then that pair's direct commas are the body's top-level ones."""
+    close, commas = groups.get(lo - 1, (None, []))
+    if close != hi:
+        raise GrammarError("unbalanced parentheses in %r" % (text[lo:hi],))
+    return list(zip([lo] + [c + 1 for c in commas], commas + [hi]))
+
+
+def _kwargs(text: str, lo: int, hi: int, groups: dict, allowed,
+            where: str) -> dict:
     out = {}
-    if body == "":
+    if lo == hi:
         return out
-    for item in _split_top(body):
+    for a, b in _items(text, lo, hi, groups):
+        item = text[a:b]
         if "=" not in item:
             raise GrammarError(
                 "expected key=value in %s, got %r" % (where, item)
@@ -204,12 +200,13 @@ _WEIGHT_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\*")
 _KIND_RE = re.compile(r"([a-z]+)\(")
 
 
-def _weight_split(item: str):
-    """Leading `w*rest` if w parses as a number, else weight 1."""
-    m = _WEIGHT_RE.match(item)
+def _weight(text: str, lo: int, hi: int):
+    """The weight `w` of the item text[lo:hi] spelled `w*rest` if w parses
+    as a number, else 1, and the index where the rest starts."""
+    m = _WEIGHT_RE.match(text, lo, hi)
     if m:
-        return parse_number(m.group(1), "weight"), item[m.end():]
-    return 1.0, item
+        return parse_number(m.group(1), "weight"), m.end()
+    return 1.0, lo
 
 
 def parse_field(spec: str, *, branch: int = 0, guard: float = None):
@@ -226,34 +223,25 @@ def _parse_field(text, lo, hi, groups, branch, guard):
         raise GrammarError("empty field spec")
     m = _KIND_RE.match(text, lo, hi)
     kind = m.group(1) if m else None
-    spec = text[lo:hi]
     if kind == "poly":
-        f = _parse_poly(_call_body(spec, "poly"))
+        a, b = _call_body(text, lo, hi, kind)
+        f = _parse_poly(text[a:b])
     elif kind == "sum":
-        if not spec.endswith(")"):
-            _call_body(spec, "sum")             # raises: malformed
-        start, end = lo + 3, hi - 1
-        close, commas = groups.get(start, (None, []))
-        if close != end:
-            raise GrammarError("unbalanced parentheses in %r"
-                               % (text[start + 1:end],))
         terms = []
-        for a, b in zip([start] + commas, commas + [end]):
-            w = _WEIGHT_RE.match(text, a + 1, b)
-            weight = parse_number(w.group(1), "weight") if w else 1.0
-            terms.append((weight, _parse_field(text, w.end() if w else a + 1,
-                                               b, groups, branch, guard)))
+        for a, b in _items(text, *_call_body(text, lo, hi, kind), groups):
+            w, a = _weight(text, a, b)
+            terms.append((w, _parse_field(text, a, b, groups, branch, guard)))
         f = sum_fields(terms)
     elif kind in _FIELD_CLASSES:
-        kw = _kwargs(_call_body(spec, kind), _FIELD_KEYS[kind],
-                     kind + "(...)")
+        kw = _kwargs(text, *_call_body(text, lo, hi, kind), groups,
+                     _FIELD_KEYS[kind], kind + "(...)")
         if kind == "elliptic":
             kw["branch"] = int(branch)
         f = _FIELD_CLASSES[kind](**kw)
     else:
         raise GrammarError(
-            "unknown field family in %r (allowed: elliptic, hyperbolic, "
-            "parabolic, exceptional, poly, sum)" % (spec,)
+            "unknown field family in %r (allowed: %s)"
+            % (text[lo:hi], ", ".join([*_FIELD_CLASSES, "poly", "sum"]))
         )
     if guard is not None:
         f = f.with_guard(float(guard))
@@ -284,25 +272,22 @@ def parse_surface(spec: str, *, branch: int = 0, guard: float = None):
     spec = _strip(spec)
     if spec == "":
         raise GrammarError("empty surface spec")
+    groups = _paren_groups(spec)
     if spec.startswith("field:"):
-        return reconstruct_surface(
-            parse_field(spec[len("field:"):], branch=branch, guard=guard)
-        )
+        return reconstruct_surface(_parse_field(
+            spec, len("field:"), len(spec), groups, branch, guard))
     if spec.startswith("ruled("):
-        body = _call_body(spec, "ruled")
-        parts = _split_top(body)
-        if len(parts) != 4:
+        items = _items(spec, *_call_body(spec, 0, len(spec), "ruled"), groups)
+        if len(items) != 4:
             raise GrammarError("ruled(...) takes exactly A,B,C,D")
-        return ruled_surface(*(parse_number(p, "ruled(...)") for p in parts))
+        return ruled_surface(*(parse_number(spec[a:b], "ruled(...)")
+                               for a, b in items))
     if spec.startswith("conv("):
-        body = _call_body(spec, "conv")
         terms = []
-        for item in _split_top(body):
-            w, sub = _weight_split(item)
-            name, theta = _parse_block_ref(sub)
-            terms.append((w, building_block(name, theta)))
-        if not terms:
-            raise GrammarError("conv(...) needs at least one term")
+        for a, b in _items(spec, *_call_body(spec, 0, len(spec), "conv"),
+                           groups):
+            w, a = _weight(spec, a, b)
+            terms.append((w, building_block(*_parse_block_ref(spec[a:b]))))
         surf = convolve(terms)
     else:
         surf = building_block(*_parse_block_ref(spec))

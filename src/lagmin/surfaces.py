@@ -21,7 +21,6 @@ so frames are closed-form everywhere they are defined.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -213,30 +212,29 @@ def block_field(name: str, theta: float = 0.0) -> ScalarField:
     return block.field(math.cos(theta), math.sin(theta))
 
 
-class BlockSurface(GaussMappedSurface):
-    """Closed-form building block evaluated through exact jets."""
+class BlockSurface(FieldSurface):
+    """A named building block: its `_BLOCKS` row's closed form evaluated
+    through exact jets, or, for a tilde block (no builder), the
+    reconstruction of its field."""
 
     def __init__(self, name):
+        super().__init__(block_field(name))
         self.name = name
         self.provenance = name
         self._block = _BLOCKS[name]
         self.immersed = self._block.immersed
-        self.field = block_field(name)
 
     def is_safe(self, u, v):
-        ok = self.field.is_safe(u, v)
+        ok = super().is_safe(u, v)
         if self._block.ring_guard:
             u = np.asarray(u)
             v = np.asarray(v)
             ok = ok & (np.abs(np.sqrt(u * u + v * v) - 1.0) >= self.field.guard)
         return ok
 
-    def with_guard(self, eps: float) -> "BlockSurface":
-        out = copy.copy(self)
-        out.field = self.field.with_guard(eps)
-        return out
-
     def frame(self, u, v, order=2) -> SurfaceJet:
+        if self._block.builder is None:
+            return super().frame(u, v, order)
         u = _asfloat(u)
         v = _asfloat(v)
         return SurfaceJet.from_components(*self._block.builder(u, v, order),
@@ -409,12 +407,7 @@ def building_block(name: str, theta: float = None) -> ParamSurface:
     their fields (they have no standalone closed form)."""
     if name not in _BLOCKS:
         raise UnknownName("unknown building block %r" % (name,))
-    if _BLOCKS[name].builder is None:
-        surf = FieldSurface(block_field(name))
-        surf.provenance = name
-        surf.name = name
-    else:
-        surf = BlockSurface(name)
+    surf = BlockSurface(name)
     if theta is not None and theta != 0.0:
         surf = RotatedSurface(surf, theta)
     return surf

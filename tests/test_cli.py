@@ -749,3 +749,59 @@ def test_specs_nested_too_deep_are_an_error_exit(capsys, depth):
     assert main(["verify", "--surface", spec, "--checks", "biharmonic"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: RecursionError: ")
+
+
+def test_verify_parses_its_spec_once_for_all_its_checks(monkeypatch, tmp_path):
+    calls = []
+
+    def counting(spec, **kw):
+        calls.append(spec)
+        return parse(spec, **kw)
+
+    parse = lagmin.grammar.parse_surface
+    monkeypatch.setattr(lagmin.grammar, "parse_surface", counting)
+    spec = "conv(1*r1,0.5*r2,0.3*r3@theta=0.2)"
+    code = main(["verify", "--surface", spec, "--checks",
+                 "biharmonic,gaussmap,ruling,curvature,stationarity",
+                 "--report", str(tmp_path / "r.json")])
+    assert code == 0
+    assert len(json.loads((tmp_path / "r.json").read_text())) == 5
+    assert calls == [spec]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ruled", "--A", "1", "--B", "0.5", "--C", "0.3", "--D", "0.2",
+     "--phi-range", "0,3", "--lambda-range", "-1,1", "-o", "{tmp}/x.obj"],
+    ["classify-pencil", "--input", "{tmp}/circles.json"],
+    ["gallery", "-o", "{tmp}/out"],
+])
+def test_commands_that_read_no_config_refuse_it(tmp_path, capsys, argv):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("guard=0.5\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.cfg"]
+
+
+@pytest.mark.parametrize("spec", ["field:poly(x^99999)", "r2"])
+def test_curvature_check_fails_where_normals_are_undefined(tmp_path, capsys,
+                                                          spec):
+    # too few samples with a defined normal resolve: a failed check, not
+    # an error
+    rep = tmp_path / "r.json"
+    assert main(["verify", "--surface", spec, "--checks", "curvature",
+                 "--report", str(rep)]) == 1
+    (record,) = json.loads(rep.read_text())
+    assert record["check"] == "curvature-fd" and record["pass"] is False
+    assert record["samples"] < 20
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("check", ["biharmonic", "stationarity"])
+def test_field_checks_refuse_a_ruled_patch(capsys, check):
+    code = main(["verify", "--surface", "ruled(1,0.5,0.3,0.2)",
+                 "--checks", check])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "usage error: check needs a field-backed surface, not ruled(...)\n")

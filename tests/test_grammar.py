@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagmin import grammar
 from lagmin.errors import GrammarError, UnknownName
@@ -158,3 +160,61 @@ def test_nested_sums_are_split_in_one_pass(monkeypatch):
     F = parse_field(spec)
     assert F.value(0.5, 0.0) == 0.25 * 2.0 ** depth
     assert sum(visited) <= 2 * len(spec)
+
+
+def _split_top(text):
+    """Reference splitter: the comma-separated items of `text` outside
+    parentheses, one character at a time."""
+    parts = []
+    depth = 0
+    cur = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise GrammarError("unbalanced parentheses in %r" % (text,))
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    if depth != 0:
+        raise GrammarError("unbalanced parentheses in %r" % (text,))
+    parts.append("".join(cur))
+    return parts
+
+
+_BRACKETED = st.text(alphabet="(),ab", max_size=16)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(prefix=_BRACKETED, body=_BRACKETED, suffix=_BRACKETED)
+def test_items_read_from_the_one_scan_split_as_the_reference(prefix, body,
+                                                             suffix):
+    # the body sits in a call "(...)" anywhere in the text, whatever
+    # brackets come before or after it, balanced or not
+    text = prefix + "(" + body + ")" + suffix
+    lo = len(prefix) + 1
+    hi = lo + len(body)
+    try:
+        want = _split_top(body)
+    except GrammarError as exc:
+        with pytest.raises(GrammarError) as got:
+            grammar._items(text, lo, hi, grammar._paren_groups(text))
+        assert str(got.value) == str(exc)
+    else:
+        ranges = grammar._items(text, lo, hi, grammar._paren_groups(text))
+        assert [text[a:b] for a, b in ranges] == want
+
+
+@pytest.mark.parametrize("body", ["a,(b", "a),(b", "(a,b", "a,b)", ")a(",
+                                  "(()", "())("])
+def test_items_of_an_unbalanced_body_name_the_body(body):
+    text = "f(" + body + ")"
+    with pytest.raises(GrammarError) as exc:
+        grammar._items(text, 2, len(text) - 1, grammar._paren_groups(text))
+    assert str(exc.value) == "unbalanced parentheses in %r" % (body,)
+    with pytest.raises(GrammarError, match="unbalanced"):
+        _split_top(body)

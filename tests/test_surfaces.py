@@ -22,9 +22,10 @@ from lagmin.fields import (
     pushforward_inversion,
     sum_fields,
 )
-from lagmin.reconstruct import reconstruct_surface
+from lagmin.reconstruct import FieldSurface, reconstruct_surface
 from lagmin.surfaces import (
     BLOCK_NAMES,
+    BlockSurface,
     CycloLine,
     RotatedSurface,
     block_field,
@@ -391,3 +392,32 @@ def test_block_guard_lives_on_the_block_field():
     T = S.with_guard(0.25)
     assert T.field.guard == 0.25 and S.field.guard == 1e-6
     assert T.field == block_field("r5").with_guard(0.25)
+
+
+@pytest.mark.parametrize("name, theta", [("r1~", None), ("r3~", None),
+                                         ("r4~", None), ("r6~", None),
+                                         ("r3~", 0.2)])
+@pytest.mark.parametrize("guard", [None, 0.5])
+def test_a_tilde_block_is_a_block_surface_framed_by_its_field(name, theta,
+                                                              guard):
+    # a tilde block is a table row without a builder: the reconstruction
+    # of its field, named, to the last bit
+    got = building_block(name, theta)
+    want = FieldSurface(block_field(name))
+    if theta is not None:
+        assert isinstance(got, RotatedSurface)
+        assert got.provenance == "%s@theta=%g" % (name, theta)
+        want = RotatedSurface(want, theta)
+    block = got.base if theta is not None else got
+    assert isinstance(block, BlockSurface)
+    assert block.name == block.provenance == name
+    if guard is not None:
+        got, want = got.with_guard(guard), want.with_guard(guard)
+    u = np.array([0.3, -1.1, 0.8, 1.5, 0.05])
+    v = np.array([0.9, 0.2, -1.4, 0.6, -0.02])
+    safe = want.is_safe(u, v)
+    assert np.array_equal(got.is_safe(u, v), safe) and np.sum(safe) >= 3
+    for order in range(5):
+        a = got.frame(u[safe], v[safe], order=order).d
+        b = want.frame(u[safe], v[safe], order=order).d
+        assert a.tobytes() == b.tobytes()

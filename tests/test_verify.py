@@ -264,6 +264,14 @@ def test_curvatures_of_the_cycloid_block_are_undefined():
                    np.array([0.7, -0.3]))
 
 
+def test_curvature_check_never_passes_on_too_few_samples():
+    # a guard that leaves a thin rim of the sampling annulus: the few
+    # samples there agree, but fewer than 20 prove nothing
+    rep = fd_curvature_check(building_block("r1").with_guard(1.499), seed=0)
+    assert 0 < rep.samples < 20
+    assert rep.max_residual < 1e-5 and not rep.passed
+
+
 def test_stationarity_refuses_a_bump_across_the_singular_curve():
     # this bump's disk straddles the curve where r_u x r_v vanishes and
     # K runs through infinity; its ratio grew with the node count
