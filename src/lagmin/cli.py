@@ -18,6 +18,7 @@ a `--config` file.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -63,15 +64,25 @@ def _parse_grid(text):
     return shape
 
 
-def _parse_floats(text, count, flag):
+def _parse_window(text, count, flag):
+    """`count` comma-separated finite numbers, read as (lo, hi) pairs that
+    each span a nonzero, finite width; a reversed pair is fine."""
     parts = text.split(",")
     if len(parts) != count:
         raise _UsageError("%s wants %d comma-separated numbers, got %r"
                           % (flag, count, text))
     try:
-        return tuple(_finite_float(p) for p in parts)
+        values = tuple(_finite_float(p) for p in parts)
     except argparse.ArgumentTypeError as exc:
         raise _UsageError("%s %s" % (flag, exc))
+    for lo, hi in zip(values[::2], values[1::2]):
+        if lo == hi:
+            raise _UsageError("%s wants distinct endpoints, got %r"
+                              % (flag, text))
+        if not math.isfinite(hi - lo):
+            raise _UsageError("%s wants a span that is a finite number, got %r"
+                              % (flag, text))
+    return values
 
 
 def _finite_float(text):
@@ -205,7 +216,7 @@ def _ruling_polylines(line, phis, lo, hi):
 def _cmd_generate(args, cfg):
     S = _surface(args, cfg)
     shape = _parse_grid(args.grid)
-    window = _parse_floats(args.range, 4, "--range")
+    window = _parse_window(args.range, 4, "--range")
     mesh = meshing.surface_mesh(S, window, shape)
     _write_mesh(mesh, args.output,
                 comment="surface %s grid %s range %s"
@@ -215,8 +226,8 @@ def _cmd_generate(args, cfg):
 
 def _cmd_ruled(args, cfg):
     S = ruled_surface(args.A, args.B, args.C, args.D)
-    p0, p1 = _parse_floats(args.phi_range, 2, "--phi-range")
-    l0, l1 = _parse_floats(args.lambda_range, 2, "--lambda-range")
+    p0, p1 = _parse_window(args.phi_range, 2, "--phi-range")
+    l0, l1 = _parse_window(args.lambda_range, 2, "--lambda-range")
     window = (p0, p1, l0, l1)
     mesh = meshing.surface_mesh(S, window, _parse_grid(args.grid))
     polys = _ruling_polylines(S.ruling, np.linspace(p0, p1, 9), l0, l1)
@@ -235,6 +246,8 @@ def _cmd_verify(args, cfg):
         if c not in CHECK_NAMES:
             raise _UsageError("unknown check %r (allowed: %s)"
                               % (c, ", ".join(CHECK_NAMES)))
+        if checks.count(c) > 1:
+            raise _UsageError("check %r is named more than once" % (c,))
     reports = []
     # as in the grid walk, overflow shows as non-finite residuals, which
     # fail their check and are written as null
@@ -334,7 +347,11 @@ def _cmd_gallery(args, cfg):
 # -- argument wiring ---------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built on the first `main` call and kept: a
+    process that runs many commands builds it once, and importing the
+    module builds nothing."""
     top = _Parser(prog="lagmin", description=__doc__)
     sub = top.add_subparsers(dest="command", metavar="command")
 

@@ -12,18 +12,29 @@ handful of vectorized operations.
 Every Leibniz sum follows one term plan per (order, operation), built once
 (`_Plan`).  It lists each entry's terms (a, b, i−a, j−b, C(i,a)·C(j,b)) in
 the order of a double loop over a <= i, then b <= j, and every entry is
-summed as 0.0 + t0 + t1 + ... with each term formed as (c·p)·q.  Two
-kernels run the plan and give the same bits (a NaN's sign aside, which
-IEEE 754 leaves open and numpy's loops do not keep), in the tables' own
-precision, long double included:
+summed as 0.0 + t0 + t1 + ... with each term formed as (c·p)·q.  Three
+runners carry out the plan and give the same bits (a NaN's sign aside,
+which IEEE 754 leaves open and numpy's loops do not keep):
 
-- rounds, for small tables: gather every term's factors at once, scale,
-  multiply, then add the r-th term of every entry that has one in one
-  slice add per round (entries sorted by falling term count, so each
+- one point, for a float64 table of a single point (point shape () or
+  (1,)): the sums on Python floats from ``tolist()``, back to an array at
+  the end.  At one point numpy's cost per call, not the arithmetic, is
+  the time, and single-point fallbacks pay it thousands of times; a
+  Python float multiply or add is the same IEEE 754 double operation as
+  numpy's.  It runs on every such table and on no other, so it has no
+  threshold: a second point is already a table the rounds kernel serves.
+  The (0, 0) entry of a reciprocal or square root and its scale are
+  numpy scalars, which give inf and NaN where Python floats raise;
+- rounds, for other small tables: gather every term's factors at once,
+  scale, multiply, then add the r-th term of every entry that has one in
+  one slice add per round (entries sorted by falling term count, so each
   round is a prefix) and take the table from the sums at the end: about
   6 + R numpy calls a product, R <= 9 at order 4;
 - in place, for large tables: add term by term into each entry with
   ``out=``, so no term allocates a temporary.
+
+The rounds and in-place kernels work in the tables' own precision, long
+double included.
 
 The rounds kernel holds (buffer rows + the largest stage's terms) elements
 per point at once.  Measured on 2 vCPUs (Intel Xeon, numpy 2.4.6), it was
@@ -32,7 +43,8 @@ points; beyond about 2^14 held elements (1820 points for an order-1
 product, 190 at order 4) its cost jumped several-fold, while in-place
 accumulation stayed 1.1–2× faster than the loop up to 1.6e5 points.  So
 the switch (`ROUNDS_MAX_ELEMENTS`) weighs the operands' point count
-against that bound.
+against that bound.  On the same host the one-point runner took an
+order-1 product from 11 to 5 µs and an order-2 reciprocal from 31 to 8 µs.
 """
 from __future__ import annotations
 
@@ -141,7 +153,7 @@ class _Plan:
     (row 0 holds the (0, 0) entry of a reciprocal or square root) and a
     last row of zeros; `perm` takes the table, cell by cell, from it."""
 
-    __slots__ = ("stages", "perm", "rows", "max_points")
+    __slots__ = ("stages", "perm", "rows", "max_points", "terms")
 
     def __init__(self, order, kind):
         n1 = order + 1
@@ -170,9 +182,32 @@ class _Plan:
         self.max_points = ROUNDS_MAX_ELEMENTS // held
         self.perm = _frozen([row.get((i, j), len(row))
                              for i in range(n1) for j in range(n1)])
+        # the one-point runner's copy: per entry in stage order, its cell
+        # and its terms (factor cells a·(order+1)+b, coefficient)
+        self.terms = tuple(
+            (cell(i, j), tuple((cell(a, b), cell(qa, qb), float(c))
+                               for a, b, qa, qb, c in terms))
+            for stage in stages for (i, j), terms in stage.entries)
 
 
 _plan = functools.lru_cache(maxsize=None)(_Plan)
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _one_point(plan, P, Q, out, finish=None):
+    """Run `plan` on one point: P, Q and `out` are Python float lists, one
+    item per table cell (`out` zero where no entry is computed).  Each
+    entry's sum 0.0 + t0 + t1 + ..., with t = (c·p)·q, goes to `out`
+    through finish(cell, sum) if given; 1.0·p is p, so a coefficient of 1
+    gives the bits of the kernels' p·q.  `out` may be P or Q: a reciprocal
+    or a square root reads the entries it has computed."""
+    for ij, terms in plan.terms:
+        s = 0.0
+        for a, b, c in terms:
+            s = s + c * P[a] * Q[b]
+        out[ij] = s if finish is None else finish(ij, s)
+    return out
 
 
 def _broadcast_tables(*tables):
@@ -294,12 +329,18 @@ class Jet:
             out = p * q
             out += 0.0
             return Jet(out, n)
+        plan = _plan(n, "mul")
+        cells = (n + 1) ** 2
+        if (p.size == q.size == cells
+                and p.dtype == q.dtype == _FLOAT64):
+            out = _one_point(plan, p.ravel().tolist(), q.ravel().tolist(),
+                             [0.0] * cells)
+            shape = p.shape if p.ndim >= q.ndim else q.shape
+            return Jet(np.array(out).reshape(shape), n)
         if p.shape != q.shape:
             p, q = _broadcast_tables(p, q)
         dtype = np.result_type(p, q)
-        plan = _plan(n, "mul")
         (stage,) = plan.stages
-        cells = (n + 1) ** 2
         if p.size <= plan.max_points * cells:
             P = p.reshape(cells, -1)
             buf = np.zeros((plan.rows, P.shape[1]), dtype)
@@ -340,6 +381,20 @@ class Jet:
             return Jet(1.0 / g if recip else np.sqrt(g), 0)
         plan = _plan(n, kind)
         cells = (n + 1) ** 2
+        if g.size == cells and g.dtype == _FLOAT64:
+            # (0, 0) in numpy, which gives inf and NaN where Python
+            # floats would raise
+            g00 = g.ravel()[0]
+            h00 = 1.0 / g00 if recip else np.sqrt(g00)
+            scale = float(-h00 if recip else 0.5 / h00)
+            G = g.ravel().tolist()
+            h = [0.0] * cells
+            h[0] = float(h00)
+            if recip:
+                _one_point(plan, G, h, h, lambda ij, s: scale * s)
+            else:
+                _one_point(plan, h, h, h, lambda ij, s: (G[ij] - s) * scale)
+            return Jet(np.array(h).reshape(g.shape), n)
         rounds = g.size <= plan.max_points * cells
         if rounds:
             G = g.reshape(cells, -1)
@@ -430,7 +485,7 @@ def principal_angle(x, y):
     Arctan's principal branch.  Constant along punctured lines through the
     origin."""
     a = np.arctan2(y, x)
-    return a - np.pi * np.round(a / np.pi)
+    return a - np.pi * np.rint(a / np.pi)
 
 
 def _gradient_jet(val, x, y, order, gradient):

@@ -25,6 +25,7 @@ order are built, summed and transformed as whole tables.
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 
@@ -53,7 +54,9 @@ class SurfaceJet:
     def from_components(cls, X, Y, Z, order) -> "SurfaceJet":
         """Frame of order `order` from the jets X, Y, Z of the three
         coordinate functions."""
-        return cls(np.stack([X.d, Y.d, Z.d], axis=-1), order)
+        # np.stack's own work, without its per-call cost
+        return cls(np.concatenate([X.d[..., None], Y.d[..., None],
+                                   Z.d[..., None]], axis=-1), order)
 
     r = property(lambda self: self.d[0, 0])
     ru = property(lambda self: self.d[1, 0])
@@ -71,17 +74,32 @@ def unit_normal(S, ru, rv, u, v, what):
     NonImmersed("<what> undefined at N point(s)") is raised, or, when
     `what` is None, those rows of the normal come back as NaN.
     """
-    a0, a1, a2 = (ru[..., k] for k in range(3))
-    b0, b1, b2 = (rv[..., k] for k in range(3))
-    # r_u × r_v by components: the same bits as np.cross at under half its
-    # per-call cost, which single-point fallbacks pay thousands of times
+    cr, ln = _cross(ru, rv)
+    bad = ln <= IMMERSION_TOL
+    if what is not None and bad.any():
+        raise NonImmersed("%s undefined at %d point(s)"
+                          % (what, np.count_nonzero(bad)))
+    return S._orient(cr / np.where(bad, np.nan, ln)[..., None], u, v), ln
+
+
+def _cross(ru, rv):
+    """r_u × r_v by components, the same bits as np.cross at under half its
+    per-call cost, and its length as np.linalg.norm sums it: (x² + y²) + z².
+    One float64 point runs on Python floats, the same IEEE 754 operations
+    without numpy's per-call cost, which single-point fallbacks pay
+    thousands of times."""
+    if ru.size == rv.size == 3 and ru.dtype == rv.dtype == np.float64:
+        (a0, a1, a2), (b0, b1, b2) = ru.ravel().tolist(), rv.ravel().tolist()
+        c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        ln = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
+        shape = ru.shape if ru.ndim >= rv.ndim else rv.shape
+        return (np.array([c0, c1, c2]).reshape(shape),
+                np.array(ln).reshape(shape[:-1]))
+    a0, a1, a2 = ru[..., 0], ru[..., 1], ru[..., 2]
+    b0, b1, b2 = rv[..., 0], rv[..., 1], rv[..., 2]
     cr = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
                   axis=-1)
-    ln = np.linalg.norm(cr, axis=-1)
-    bad = ln <= IMMERSION_TOL
-    if what is not None and np.any(bad):
-        raise NonImmersed("%s undefined at %d point(s)" % (what, int(np.sum(bad))))
-    return S._orient(cr / np.where(bad, np.nan, ln)[..., None], u, v), ln
+    return cr, np.linalg.norm(cr, axis=-1)
 
 
 class ParamSurface:

@@ -805,3 +805,68 @@ def test_field_checks_refuse_a_ruled_patch(capsys, check):
     assert code == 2
     assert capsys.readouterr().err.startswith(
         "usage error: check needs a field-backed surface, not ruled(...)\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (_GENERATE + ["--surface", "r1", "--range", "1,1,0,1"], "--range"),
+    (_GENERATE + ["--surface", "r1", "--range", "0,1,-2,-2"], "--range"),
+    (_GENERATE + ["--surface", "r1", "--range", "-1e308,1e308,0,1"],
+     "--range"),
+    (_GENERATE + ["--surface", "r1", "--range", "0,1,1e308,-1e308"],
+     "--range"),
+    (_RULED + ["--phi-range", "0,0"], "--phi-range"),
+    (_RULED + ["--phi-range", "1e308,-1e308"], "--phi-range"),
+    (_RULED[:10] + ["0.5,0.5"] + _RULED[11:] + ["--phi-range", "0,1"],
+     "--lambda-range"),
+])
+def test_degenerate_windows_are_usage_errors(tmp_path, capfd, argv, flag):
+    # equal endpoints would mesh zero-area quads, and a span past the
+    # largest float overflows the grid spacing
+    out = tmp_path / "x.obj"
+    assert main(argv + ["-o", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("usage error: %s wants " % flag)
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    _GENERATE + ["--surface", "r1", "--range", "2,-2,2,-2"],
+    _RULED + ["--phi-range", "1,-1"],
+])
+def test_reversed_windows_still_mesh(tmp_path, argv):
+    out = tmp_path / "x.obj"
+    assert main(argv + ["-o", str(out)]) == 0
+    verts, faces, _ = read_obj(out)
+    assert len(verts) > 0 and len(faces) > 0
+
+
+def test_a_check_named_twice_is_a_usage_error(tmp_path, capsys):
+    rep = tmp_path / "r.json"
+    code = main(["verify", "--surface", "r1", "--checks",
+                 "biharmonic,gaussmap,biharmonic", "--report", str(rep)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "usage error: check 'biharmonic' is named more than once\n")
+    assert not rep.exists()
+
+
+def test_the_parser_is_built_on_the_first_main_call_only(tmp_path):
+    script = (
+        "import sys\n"
+        "from lagmin import cli\n"
+        "built = cli._build_parser.cache_info\n"
+        "assert built().misses == 0\n"
+        "for _ in range(3):\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        "assert built().misses == 1 and built().hits == 2\n"
+    )
+    src = os.path.dirname(os.path.dirname(lagmin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "generate", "--surface", "r1",
+         "--grid", "4x4", "--range", "0.5,1,0.5,1",
+         "-o", str(tmp_path / "x.obj")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

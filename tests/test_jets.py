@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lagmin.jets
 from lagmin.jets import (
     Jet,
     _plan,
@@ -344,6 +345,48 @@ def test_jet_arithmetic_has_the_bits_of_the_leibniz_loop(order, shapes, dtypes,
             assert_same_bits(Jet(g, order).reciprocal().d,
                              _reciprocal_reference(g, order))
             assert_same_bits(Jet(g, order).sqrt().d, _sqrt_reference(g, order))
+
+
+_ONE_POINT_SHAPES = [((), ()), ((1,), (1,)), ((), (1,)), ((1,), ())]
+
+
+def _one_point_tables(order, special, at):
+    """Seeded one-point float64 tables of both factors, each of every shape
+    in _ONE_POINT_SHAPES, with a positive (0, 0) entry unless `special`
+    is put there; `special` goes into cell `at` of p and its mirror of q."""
+    rng = np.random.default_rng(order)
+    p = _table(rng, order, (), np.float64, 0.0)
+    q = _table(rng, order, (), np.float64, 0.0)
+    p[0, 0], q[0, 0] = abs(p[0, 0]), abs(q[0, 0])
+    if special is not None:
+        p[at], q[at[::-1]] = special, special
+    for sp, sq in _ONE_POINT_SHAPES:
+        yield p.reshape(p.shape + sp), q.reshape(q.shape + sq)
+
+
+@pytest.mark.parametrize("kind", ["mul", "reciprocal", "sqrt"])
+@pytest.mark.parametrize("order", range(1, HIGH + 1))
+def test_one_point_runner_has_the_bits_of_the_leibniz_loop(monkeypatch,
+                                                           order, kind):
+    ran = []
+    runner = lagmin.jets._one_point
+    monkeypatch.setattr(lagmin.jets, "_one_point",
+                        lambda *a, **kw: ran.append(1) or runner(*a, **kw))
+    cases = [(None, (0, 0))] + [
+        (v, at) for v in _SPECIAL for at in ((0, 0), (1, 0), (0, order))]
+    for special, at in cases:
+        for p, q in _one_point_tables(order, special, at):
+            with np.errstate(all="ignore"):
+                if kind == "mul":
+                    got = (Jet(p, order) * Jet(q, order)).d
+                    want = _product_reference(p, q, order)
+                else:
+                    got = getattr(Jet(p, order), kind)().d
+                    reference = (_reciprocal_reference if kind == "reciprocal"
+                                 else _sqrt_reference)
+                    want = reference(p, order)
+            assert_same_bits(got, want)
+    assert len(ran) == len(cases) * len(_ONE_POINT_SHAPES)
 
 
 def test_kernel_switch_falls_inside_the_tested_sizes():

@@ -7,6 +7,8 @@ import pytest
 from lagmin.errors import (
     DegenerateCone,
     DegenerateFamily,
+    IdealImage,
+    NonImmersed,
     ProvenanceMismatch,
     UnknownName,
     ZeroGaussCurvature,
@@ -22,7 +24,13 @@ from lagmin.fields import (
     pushforward_inversion,
     sum_fields,
 )
-from lagmin.reconstruct import FieldSurface, reconstruct_surface
+from lagmin.grammar import parse_surface
+from lagmin.isotropic import IsoPoint
+from lagmin.reconstruct import (
+    FieldSurface,
+    isotropic_image,
+    reconstruct_surface,
+)
 from lagmin.surfaces import (
     BLOCK_NAMES,
     BlockSurface,
@@ -421,3 +429,61 @@ def test_a_tilde_block_is_a_block_surface_framed_by_its_field(name, theta,
         a = got.frame(u[safe], v[safe], order=order).d
         b = want.frame(u[safe], v[safe], order=order).d
         assert a.tobytes() == b.tobytes()
+
+
+# -- one point at a time, with the bits of the batch ----------------------
+
+_ONE_POINT_SPECS = list(BLOCK_NAMES) + [
+    "r3@theta=0.5", "conv(1*r1,0.5*r2,0.3*r3@theta=0.2)",
+    "field:hyperbolic(a2=0.3,c1=0.4,alpha1=1,beta2=0.5,gamma1=0.2)",
+    "ruled(1,0.5,0.3,0.2)"]
+
+
+def _assert_same_bits(got, want):
+    """Equal shape, values and signs of zero; NaNs by position only."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], want[~nan])
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+
+
+def _safe_sample(S, n=32, seed=5):
+    rng = np.random.default_rng(seed)
+    u0, u1, v0, v1 = S.default_window
+    u, v = rng.uniform(u0, u1, 8 * n), rng.uniform(v0, v1, 8 * n)
+    keep = S.is_safe(u, v)
+    assert np.count_nonzero(keep) >= n
+    return u[keep][:n], v[keep][:n]
+
+
+@pytest.mark.parametrize("spec", _ONE_POINT_SPECS)
+def test_one_point_evaluation_has_the_bits_of_the_batch(spec):
+    # the per-point fallback of `lagmin isotropic` evaluates arrays of one
+    # point, and a scalar call evaluates a point of shape (); both run the
+    # one-point jet and normal code, the batch the numpy kernels
+    S = parse_surface(spec)
+    u, v = _safe_sample(S)
+    with np.errstate(all="ignore"):
+        for order in range(1, 5):
+            batch = S.frame(u, v, order).d
+            for k in range(len(u)):
+                _assert_same_bits(S.frame(u[k : k + 1], v[k : k + 1], order).d,
+                                  batch[:, :, k : k + 1])
+                _assert_same_bits(S.frame(float(u[k]), float(v[k]), order).d,
+                                  batch[:, :, k])
+        try:
+            image = isotropic_image(S, u, v)
+        except (NonImmersed, IdealImage) as exc:
+            # r2 is nowhere immersed: every point raises alone too
+            for k in range(len(u)):
+                with pytest.raises(type(exc)):
+                    isotropic_image(S, float(u[k]), float(v[k]))
+            return
+        for k in range(len(u)):
+            point = isotropic_image(S, float(u[k]), float(v[k]))
+            assert isinstance(point, IsoPoint) and not point.is_ideal
+            _assert_same_bits(point.coords(), image[k])
+            _assert_same_bits(isotropic_image(S, u[k : k + 1], v[k : k + 1]),
+                              image[k : k + 1])
