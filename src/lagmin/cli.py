@@ -248,6 +248,9 @@ def _cmd_verify(args, cfg):
                               % (c, ", ".join(CHECK_NAMES)))
         if checks.count(c) > 1:
             raise _UsageError("check %r is named more than once" % (c,))
+    if args.seed < 0:  # refused before any check, sampling or not
+        raise ValueError("--seed wants a non-negative integer, got %d"
+                         % (args.seed,))
     reports = []
     # as in the grid walk, overflow shows as non-finite residuals, which
     # fail their check and are written as null

@@ -212,11 +212,11 @@ def _weight(text: str, lo: int, hi: int):
 def parse_field(spec: str, *, branch: int = 0, guard: float = None):
     """Field object from a field spec string."""
     spec = _strip(spec)
-    return _parse_field(spec, 0, len(spec), _paren_groups(spec), branch,
-                        guard)
+    f = _parse_field(spec, 0, len(spec), _paren_groups(spec), branch)
+    return f if guard is None else f.with_guard(float(guard))
 
 
-def _parse_field(text, lo, hi, groups, branch, guard):
+def _parse_field(text, lo, hi, groups, branch):
     """The field spelled by text[lo:hi]; `groups` is `_paren_groups(text)`,
     so nested sum(...) bodies are split without scanning them again."""
     if lo == hi:
@@ -230,7 +230,7 @@ def _parse_field(text, lo, hi, groups, branch, guard):
         terms = []
         for a, b in _items(text, *_call_body(text, lo, hi, kind), groups):
             w, a = _weight(text, a, b)
-            terms.append((w, _parse_field(text, a, b, groups, branch, guard)))
+            terms.append((w, _parse_field(text, a, b, groups, branch)))
         f = sum_fields(terms)
     elif kind in _FIELD_CLASSES:
         kw = _kwargs(text, *_call_body(text, lo, hi, kind), groups,
@@ -243,8 +243,6 @@ def _parse_field(text, lo, hi, groups, branch, guard):
             "unknown field family in %r (allowed: %s)"
             % (text[lo:hi], ", ".join([*_FIELD_CLASSES, "poly", "sum"]))
         )
-    if guard is not None:
-        f = f.with_guard(float(guard))
     return f
 
 
@@ -274,15 +272,15 @@ def parse_surface(spec: str, *, branch: int = 0, guard: float = None):
         raise GrammarError("empty surface spec")
     groups = _paren_groups(spec)
     if spec.startswith("field:"):
-        return reconstruct_surface(_parse_field(
-            spec, len("field:"), len(spec), groups, branch, guard))
-    if spec.startswith("ruled("):
+        surf = reconstruct_surface(
+            _parse_field(spec, len("field:"), len(spec), groups, branch))
+    elif spec.startswith("ruled("):
         items = _items(spec, *_call_body(spec, 0, len(spec), "ruled"), groups)
         if len(items) != 4:
             raise GrammarError("ruled(...) takes exactly A,B,C,D")
         return ruled_surface(*(parse_number(spec[a:b], "ruled(...)")
                                for a, b in items))
-    if spec.startswith("conv("):
+    elif spec.startswith("conv("):
         terms = []
         for a, b in _items(spec, *_call_body(spec, 0, len(spec), "conv"),
                            groups):

@@ -9,9 +9,19 @@ over a top view (x, y); `ipoint_to_plane` reads its plane from it.  Oriented
 spheres turn into graphs of special quadratic polynomials ("model spheres"
 below) and lines into intersections of two of them: the images of two
 point spheres on the line.
+
+The model's Laguerre maps act linearly on homogeneous model points.  A
+finite point is P = (1, x, y, z, (x^2 + y^2)/2) up to scale, and the ideal
+point labelled h is (0, 0, 0, h, 1).  The model sphere
+z = (a/2)(x^2 + y^2) + b x + c y + d is the covector S = (d, b, c, -1, a):
+S . P = 0 exactly for its points, ideal ones included.  Each generator of
+`IMTransform` is stated once, as a 5x5 matrix M on P.  A sphere then moves
+by M^-T, because (M^-T S) . (M P) = S . P: the image points of a sphere lie
+on the image sphere.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -148,99 +158,87 @@ def line_to_imcircle(line: Line3):
 
 # -- model transformations ---------------------------------------------
 
-GENERATORS = ("rotate", "shear", "parab", "offset", "zscale", "invert", "sqrt2", "xshift")
+# each generator's parameters, by name
+GENERATORS = {"rotate": ("theta",), "shear": ("a", "b"), "parab": (),
+              "offset": ("h",), "zscale": ("a",), "invert": (), "sqrt2": (),
+              "xshift": ("t",)}
 
 
 @dataclass(frozen=True)
 class IMTransform:
-    """Composition word over the generator set; applied left to right."""
+    """Composition word over the generator set; applied left to right.
+    Each entry is (name, ((param, value), ...)) with the params sorted."""
 
     word: tuple = ()
 
     def then(self, name: str, **params) -> "IMTransform":
         if name not in GENERATORS:
             raise ValueError(f"unknown generator {name!r}")
-        return IMTransform(self.word + ((name, params),))
+        values = tuple((k, float(params[k])) for k in sorted(params))
+        if set(params) != set(GENERATORS[name]) or not all(
+                math.isfinite(v) for _, v in values):
+            raise ValueError(f"{name} takes finite parameters "
+                             f"{GENERATORS[name]}, got {dict(values)}")
+        if name == "zscale" and values[0][1] == 0.0:
+            raise ValueError("zscale by a = 0 is not invertible")
+        return IMTransform(self.word + ((name, values),))
+
+    def matrix(self) -> np.ndarray:
+        """The word's 5x5 matrix on homogeneous model points."""
+        m = np.eye(5)
+        for name, values in self.word:
+            m = _generator_matrix(name, **dict(values)) @ m
+        return m
 
 
-def _apply_gen_finite(name, params, x, y, z):
-    if name == "rotate":
-        t = params["theta"]
-        c, s = np.cos(t), np.sin(t)
-        return c * x - s * y, s * x + c * y, z
-    if name == "shear":
-        return x, y, z + params["a"] * x + params["b"] * y
-    if name == "parab":
-        return x, y, z + x * x + y * y - 1.0
-    if name == "offset":
-        return x, y, z + params["h"]
-    if name == "zscale":
-        return x, y, params["a"] * z
-    if name == "sqrt2":
-        return x / SQRT2, y / SQRT2, z / SQRT2
-    if name == "xshift":
-        return x + params.get("t", 1.0), y, z
-    raise AssertionError(name)
+def _generator_matrix(name, **p) -> np.ndarray:
+    """The generator's matrix on P = (P0, x, y, z, P4); each comment is the
+    row it changes."""
+    m = np.eye(5)
+    if name == "rotate":  # (x, y) turn by theta
+        c, s = np.cos(p["theta"]), np.sin(p["theta"])
+        m[1:3, 1:3] = ((c, -s), (s, c))
+    elif name == "shear":  # z += a x + b y
+        m[3, 1:3] = p["a"], p["b"]
+    elif name == "parab":  # z += 2 P4 - P0
+        m[3, 0], m[3, 4] = -1.0, 2.0
+    elif name == "offset":  # z += h P0
+        m[3, 0] = p["h"]
+    elif name == "zscale":  # z *= a
+        m[3, 3] = p["a"]
+    elif name == "sqrt2":  # x, y, z /= sqrt 2 and P4 /= 2
+        m[1, 1] = m[2, 2] = m[3, 3] = 1.0 / SQRT2
+        m[4, 4] = 0.5
+    elif name == "xshift":  # x += t P0 and P4 += t x + t^2/2 P0
+        t = p["t"]
+        m[1, 0] = t
+        m[4, 0:2] = 0.5 * t * t, t
+    else:  # invert: P0 <- 2 P4 and P4 <- P0/2
+        m[0, 0], m[0, 4], m[4, 4], m[4, 0] = 0.0, 2.0, 0.0, 0.5
+    return m
 
 
 def imtransform_apply(tf: IMTransform, q: IsoPoint) -> IsoPoint:
-    for name, params in tf.word:
-        if name == "invert":
-            if q.is_ideal:
-                # the sphere with leading coefficient h passes through the
-                # label-h ideal point; its inverse passes through (0, 0, h/2)
-                q = IsoPoint.finite(0.0, 0.0, q.ideal_label / 2.0)
-            else:
-                r2 = q.x * q.x + q.y * q.y
-                if r2 == 0.0:
-                    q = IsoPoint.ideal(2.0 * q.z)
-                else:
-                    q = IsoPoint.finite(q.x / r2, q.y / r2, q.z / r2)
-        elif q.is_ideal:
-            # the label is the leading coefficient of every model sphere
-            # through the ideal point, so it moves as that coefficient does
-            s = IMSphere(q.ideal_label, 0.0, 0.0, 0.0)
-            q = IsoPoint.ideal(_map_coeffs(name, params, s).a)
-        else:
-            q = IsoPoint.finite(*_apply_gen_finite(name, params, q.x, q.y, q.z))
-    return q
-
-
-def _map_coeffs(name, params, s: IMSphere) -> IMSphere:
-    a, b, c, d = s.a, s.b, s.c, s.d
-    if name == "rotate":
-        t = params["theta"]
-        co, si = np.cos(t), np.sin(t)
-        return IMSphere(a, co * b - si * c, si * b + co * c, d)
-    if name == "shear":
-        return IMSphere(a, b + params["a"], c + params["b"], d)
-    if name == "parab":
-        return IMSphere(a + 2.0, b, c, d - 1.0)
-    if name == "offset":
-        return IMSphere(a, b, c, d + params["h"])
-    if name == "zscale":
-        k = params["a"]
-        return IMSphere(k * a, k * b, k * c, k * d)
-    if name == "invert":
-        return IMSphere(2.0 * d, b, c, a / 2.0)
-    if name == "sqrt2":
-        return IMSphere(SQRT2 * a, b, c, d / SQRT2)
-    if name == "xshift":
-        t = params.get("t", 1.0)
-        return IMSphere(a, b - a * t, c, d - b * t + 0.5 * a * t * t)
-    raise AssertionError(name)
+    if q.is_ideal:
+        p = (0.0, 0.0, 0.0, q.ideal_label, 1.0)
+    else:
+        p = (1.0, q.x, q.y, q.z, 0.5 * (q.x * q.x + q.y * q.y))
+    p = tf.matrix() @ p
+    if p[0] == 0.0:
+        return IsoPoint.ideal(p[3] / p[4])
+    return IsoPoint.finite(*(p[1:4] / p[0]))
 
 
 _CHECK_XY = np.array([(0.7, 0.2), (-0.4, 1.1), (1.3, -0.5), (0.6, 0.9), (-1.2, -0.8), (2.1, 0.4)])
 
 
 def imsphere_map(tf: IMTransform, s: IMSphere) -> IMSphere:
-    """Push a model sphere through a transformation word.  Closed-form per
-    generator, then validated by pushing six graph points through the point
-    map."""
-    out = s
-    for name, params in tf.word:
-        out = _map_coeffs(name, params, out)
+    """Push a model sphere through a transformation word: its covector
+    moves by the inverse transpose of the word's matrix.  Validated by
+    pushing six graph points through the point map."""
+    cov = np.linalg.solve(tf.matrix().T, [s.d, s.b, s.c, -1.0, s.a])
+    d, b, c, _, a = cov / -cov[3]
+    out = IMSphere(float(a), float(b), float(c), float(d))
     for x0, y0 in _CHECK_XY:
         q = imtransform_apply(tf, IsoPoint.finite(x0, y0, s.height(x0, y0)))
         if q.is_ideal:
@@ -249,7 +247,7 @@ def imsphere_map(tf: IMTransform, s: IMSphere) -> IMSphere:
         scale = 1.0 + abs(expected)
         if abs(expected - q.z) > 1e-9 * scale:
             raise AssertionError(
-                f"coefficient map disagrees with point map under {name!r}: "
+                f"sphere map disagrees with point map under {tf.word!r}: "
                 f"{q.z!r} vs {expected!r}"
             )
     return out

@@ -459,8 +459,7 @@ def fd_curvature_check(S, *, seed=0,
                                       for dx in (-h, 0.0, h)
                                       for dy in (-h, 0.0, h)])
 
-    u = np.empty(0)
-    v = np.empty(0)
+    u = v = H = K = np.empty(0)
     draws = 0
     while u.size < samples and draws < 100:
         draws += 1
@@ -478,9 +477,9 @@ def fd_curvature_check(S, *, seed=0,
         keep = (np.abs(He) + np.abs(Ke)) <= curvature_cap
         u = np.concatenate([u, x[ok][keep]])
         v = np.concatenate([v, y[ok][keep]])
-    u = u[:samples]
-    v = v[:samples]
-    H, K = curvatures(S, u, v)
+        H = np.concatenate([H, He[keep]])
+        K = np.concatenate([K, Ke[keep]])
+    u, v, H, K = u[:samples], v[:samples], H[:samples], K[:samples]
 
     # the nine stencil points, each evaluated once: p[i, j] = r(u + ih, v + jh)
     du = {-1: u - h, 0: u, 1: u + h}

@@ -870,3 +870,16 @@ def test_the_parser_is_built_on_the_first_main_call_only(tmp_path):
          "-o", str(tmp_path / "x.obj")],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("check", ["curvature", "ruling", "biharmonic"])
+def test_a_negative_seed_is_refused_for_every_check_naming_the_flag(
+        capsys, check):
+    # numpy's seeding named no flag, and checks that draw no samples
+    # accepted the seed and passed
+    code = main(["verify", "--surface", "r1", "--checks", check,
+                 "--seed", "-5"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("error: ValueError: --seed wants a non-negative integer, "
+                   "got -5\n")

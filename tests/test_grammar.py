@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from lagmin import grammar
 from lagmin.errors import GrammarError, UnknownName
-from lagmin.fields import EllipticField, PolynomialField, SumField, sum_fields
+from lagmin.fields import (EllipticField, PolynomialField, ScalarField,
+                           SumField, sum_fields)
 from lagmin.grammar import parse_field, parse_surface
 from lagmin.reconstruct import FieldSurface
 from lagmin.surfaces import (
@@ -218,3 +219,26 @@ def test_items_of_an_unbalanced_body_name_the_body(body):
     assert str(exc.value) == "unbalanced parentheses in %r" % (body,)
     with pytest.raises(GrammarError, match="unbalanced"):
         _split_top(body)
+
+
+@pytest.mark.parametrize("prefix", ["", "field:"])
+def test_a_guard_is_applied_once_per_parse(monkeypatch, prefix):
+    # guarding every sum(...) level re-walked the subtree below it, so a
+    # guarded parse made O(d^2) with_guard calls at nesting depth d
+    calls = []
+    for cls in (ScalarField, SumField):
+        def counting(self, eps, _with_guard=cls.with_guard):
+            calls.append(type(self).__name__)
+            return _with_guard(self, eps)
+        monkeypatch.setattr(cls, "with_guard", counting)
+    parse = parse_field if prefix == "" else \
+        (lambda s, **kw: parse_surface("field:" + s, **kw).field)
+    for depth in (10, 50, 150):
+        spec = ("sum(" + "2*sum(" * depth + "poly(x^2), 0.5*elliptic(a1=1)"
+                + ")" * (depth + 1))
+        del calls[:]
+        guarded = parse(spec, guard=0.25)
+        # one walk: each of the depth + 1 sums and the two leaves once
+        assert len(calls) == depth + 3
+        assert guarded == parse(spec).with_guard(0.25)
+        assert guarded.guard == 0.25 and guarded != parse(spec)

@@ -367,3 +367,161 @@ def test_line_spheres_are_the_point_sphere_images(p, d):
 def test_line_image_needs_a_direction():
     with pytest.raises(ZeroNormal):
         line_to_imcircle(Line3(np.zeros(3), np.zeros(3)))
+
+
+# -- the per-generator formulas the 5x5 matrices replaced, kept as the
+# reference they are tested against
+
+
+def _reference_point(name, p, x, y, z):
+    if name == "rotate":
+        c, s = np.cos(p["theta"]), np.sin(p["theta"])
+        return c * x - s * y, s * x + c * y, z
+    if name == "shear":
+        return x, y, z + p["a"] * x + p["b"] * y
+    if name == "parab":
+        return x, y, z + x * x + y * y - 1.0
+    if name == "offset":
+        return x, y, z + p["h"]
+    if name == "zscale":
+        return x, y, p["a"] * z
+    if name == "sqrt2":
+        return x / np.sqrt(2.0), y / np.sqrt(2.0), z / np.sqrt(2.0)
+    if name == "xshift":
+        return x + p["t"], y, z
+    raise AssertionError(name)
+
+
+def _reference_coeffs(name, p, s):
+    a, b, c, d = s.a, s.b, s.c, s.d
+    if name == "rotate":
+        co, si = np.cos(p["theta"]), np.sin(p["theta"])
+        return IMSphere(a, co * b - si * c, si * b + co * c, d)
+    if name == "shear":
+        return IMSphere(a, b + p["a"], c + p["b"], d)
+    if name == "parab":
+        return IMSphere(a + 2.0, b, c, d - 1.0)
+    if name == "offset":
+        return IMSphere(a, b, c, d + p["h"])
+    if name == "zscale":
+        k = p["a"]
+        return IMSphere(k * a, k * b, k * c, k * d)
+    if name == "invert":
+        return IMSphere(2.0 * d, b, c, a / 2.0)
+    if name == "sqrt2":
+        return IMSphere(np.sqrt(2.0) * a, b, c, d / np.sqrt(2.0))
+    if name == "xshift":
+        t = p["t"]
+        return IMSphere(a, b - a * t, c, d - b * t + 0.5 * a * t * t)
+    raise AssertionError(name)
+
+
+def _reference_apply(tf, q):
+    for name, params in tf.word:
+        p = dict(params)
+        if name == "invert":
+            if q.is_ideal:
+                q = IsoPoint.finite(0.0, 0.0, q.ideal_label / 2.0)
+            else:
+                r2 = q.x * q.x + q.y * q.y
+                if r2 == 0.0:
+                    q = IsoPoint.ideal(2.0 * q.z)
+                else:
+                    q = IsoPoint.finite(q.x / r2, q.y / r2, q.z / r2)
+        elif q.is_ideal:
+            # the label moves as the leading coefficient of the spheres
+            # through the ideal point
+            s = IMSphere(q.ideal_label, 0.0, 0.0, 0.0)
+            q = IsoPoint.ideal(_reference_coeffs(name, p, s).a)
+        else:
+            q = IsoPoint.finite(*_reference_point(name, p, q.x, q.y, q.z))
+    return q
+
+
+def _reference_sphere_map(tf, s):
+    for name, params in tf.word:
+        s = _reference_coeffs(name, dict(params), s)
+    return s
+
+
+def _seeded_words(count=600, seed=15):
+    """Words of 1 to 4 generators with seeded parameters; the first eight
+    are the single generators."""
+    rng = np.random.default_rng(seed)
+    names = sorted(GENERATORS)
+    words = []
+    for k in range(count):
+        picks = [names[k]] if k < len(names) else \
+            rng.choice(names, size=rng.integers(1, 5))
+        tf = IMTransform()
+        for name in picks:
+            params = {key: float(rng.normal()) for key in GENERATORS[name]}
+            if name == "rotate":
+                params["theta"] = float(rng.uniform(-np.pi, np.pi))
+            if name == "zscale":
+                params["a"] = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0))
+            tf = tf.then(str(name), **params)
+        words.append(tf)
+    return words, rng
+
+
+def _close(new, ref):
+    new, ref = np.asarray(new, dtype=float), np.asarray(ref, dtype=float)
+    return bool(np.all(np.abs(new - ref) <= 1e-13 * (1.0 + np.abs(ref))))
+
+
+def test_generator_matrices_move_points_as_the_reference_formulas():
+    words, rng = _seeded_words()
+    assert {name for tf in words for name, _ in tf.word} == set(GENERATORS)
+    for tf in words:
+        for q in (IsoPoint.finite(*rng.normal(size=3)),
+                  IsoPoint.ideal(rng.normal())):
+            new, ref = imtransform_apply(tf, q), _reference_apply(tf, q)
+            assert new.is_ideal == ref.is_ideal, (tf, q)
+            if ref.is_ideal:
+                assert _close(new.ideal_label, ref.ideal_label), (tf, q)
+            else:
+                assert _close(new.coords(), ref.coords()), (tf, q)
+
+
+def test_generator_matrices_move_spheres_as_the_reference_formulas():
+    words, rng = _seeded_words()
+    for tf in words:
+        s = IMSphere(*rng.normal(size=4))
+        new, ref = imsphere_map(tf, s), _reference_sphere_map(tf, s)
+        assert _close(new.coeffs(), ref.coeffs()), (tf, s)
+
+
+def test_the_word_matrix_applies_its_generators_left_to_right():
+    a = IMTransform().then("xshift", t=0.5)
+    b = IMTransform().then("invert")
+    ab = IMTransform(a.word + b.word)
+    assert np.array_equal(IMTransform().matrix(), np.eye(5))
+    assert np.array_equal(ab.matrix(), b.matrix() @ a.matrix())
+    # x = -0.5 shifts onto the axis, which inverts to the ideal line
+    assert imtransform_apply(ab, IsoPoint.finite(-0.5, 0.0, 1.5)).ideal_label == 3.0
+
+
+@pytest.mark.parametrize("name, params", [
+    ("rotate", {}),                      # missing
+    ("shear", {"a": 0.5}),               # one of two missing
+    ("parab", {"h": 3.0}),               # extra
+    ("offset", {"h": 1.0, "t": 2.0}),    # extra beside the right one
+    ("xshift", {}),                      # no default step
+    ("offset", {"h": float("nan")}),
+    ("rotate", {"theta": float("inf")}),
+    ("shear", {"a": 0.5, "b": -float("inf")}),
+    ("zscale", {"a": 0.0}),              # not invertible
+    ("zscale", {"a": -0.0}),
+])
+def test_words_refuse_wrong_parameters(name, params):
+    with pytest.raises(ValueError, match=name):
+        IMTransform().then(name, **params)
+
+
+def test_words_are_hashable_and_ignore_parameter_order():
+    one = IMTransform().then("shear", a=0.5, b=-0.3).then("invert")
+    two = IMTransform().then("shear", b=-0.3, a=0.5).then("invert")
+    assert one == two and hash(one) == hash(two)
+    assert len({one, two, IMTransform().then("shear", a=0.5, b=0.3)}) == 2
+    assert one.word[0] == ("shear", (("a", 0.5), ("b", -0.3)))
