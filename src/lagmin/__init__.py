@@ -17,10 +17,8 @@ from .errors import (
     GrammarError,
     IdealImage,
     LagminError,
-    NoCommonPoint,
     NonImmersed,
     NotLinearOnCircle,
-    PencilDegeneracy,
     ProvenanceMismatch,
     SingularPoint,
     TooFew,
@@ -33,16 +31,11 @@ from .geom_core import (
     Line3,
     OrientedPlane,
     OrientedSphere,
-    hesse_normalize,
-    lambda_transform,
-    offset_plane,
-    offset_sphere,
     sphere_tangent_plane,
 )
 from .isotropic import (
     IMSphere,
     IsoPoint,
-    imsphere_to_sphere,
     inverse_stereographic,
     ipoint_to_plane,
     line_to_imcircle,
@@ -75,7 +68,6 @@ from .surfaces import (
     RulingFamily,
     block_field,
     building_block,
-    cone_spheres,
     convolve,
     cyclographic_preimage,
     ruled_surface,
@@ -88,10 +80,9 @@ from .pencils import (
     fit_nested,
     gauss_circle_of_cone,
     gauss_pencil_of_cones,
-    recover_common_point,
     recover_crossing,
 )
-from .meshing import field_graph_mesh, obj_text, surface_mesh, write_obj
+from .meshing import obj_text, surface_mesh, write_obj
 from .verify import (
     CheckReport,
     biharmonic_residual,

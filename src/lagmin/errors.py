@@ -53,14 +53,6 @@ class DependentCircles(LagminError):
     """The input circles are linearly dependent as cycles."""
 
 
-class NoCommonPoint(LagminError):
-    """The input circles do not pass through one common point."""
-
-
-class PencilDegeneracy(LagminError):
-    """The circle configuration leaves the polynomial fit underdetermined."""
-
-
 class BadFit(LagminError):
     """The model family cannot represent the sampled data."""
 

@@ -119,10 +119,6 @@ class ScalarField:
         j = self.jet(x, y, 1)
         return np.stack([j.entry(1, 0), j.entry(0, 1)], axis=-1)
 
-    def laplacian(self, x, y):
-        j = self.jet(x, y, 2)
-        return (j.entry(2, 0) + j.entry(0, 2))[()]
-
     def bilaplacian(self, x, y):
         j = self.jet(x, y, 4)
         return (j.entry(4, 0) + 2.0 * j.entry(2, 2) + j.entry(0, 4))[()]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ZeroNormal
 
-NORMAL_TOL = 1e-12  # |n| must exceed this for Hesse normalization
+NORMAL_TOL = 1e-12  # a normal or direction must be longer than this
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,6 @@ class Line3:
         return cls(np.asarray(p, dtype=float), d / n)
 
 
-def hesse_normalize(a, h0: float) -> OrientedPlane:
-    """Scale coefficients (a, h0) of a . p + h0 = 0 to unit normal length,
-    keeping the orientation sign."""
-    a = np.asarray(a, dtype=float)
-    norm = float(np.linalg.norm(a))
-    if norm <= NORMAL_TOL:
-        raise ZeroNormal(f"normal length {norm:.3e} below {NORMAL_TOL:.0e}")
-    return OrientedPlane(a / norm, float(h0) / norm)
-
-
 def sphere_tangent_plane(sphere: OrientedSphere, n) -> ContactElement:
     """Contact element of the oriented tangent plane of `sphere` with unit
     normal `n`.  The plane offset h = r - n . m makes n . p + h vanish at the
@@ -75,54 +65,6 @@ def sphere_tangent_plane(sphere: OrientedSphere, n) -> ContactElement:
     h = sphere.r - float(np.dot(n, sphere.m))
     point = sphere.m - sphere.r * n
     return ContactElement(point, OrientedPlane(n, h))
-
-
-def lambda_transform(plane: OrientedPlane) -> OrientedPlane:
-    """The Laguerre map sending n . p + h = 0 to the renormalized plane with
-    third normal component (3 n3 + 1)/2.  Inputs off the unit sphere can land
-    on a zero normal; that is reported, not repaired."""
-    n1, n2, n3 = (float(c) for c in plane.n)
-    return hesse_normalize((n1, n2, (3.0 * n3 + 1.0) / 2.0), plane.h)
-
-
-# -- Euclidean Laguerre transformations acting on planes ----------------
-# Only the handful needed downstream: rotations about z, translations,
-# offsets, dilations from the origin and the z = 0 reflection.
-
-
-def rotate_plane_z(plane: OrientedPlane, theta: float) -> OrientedPlane:
-    c, s = np.cos(theta), np.sin(theta)
-    n1, n2, n3 = plane.n
-    return OrientedPlane(np.array([c * n1 - s * n2, s * n1 + c * n2, n3]), plane.h)
-
-
-def translate_plane(plane: OrientedPlane, t) -> OrientedPlane:
-    """Translate all points by t; the offset becomes h - n . t."""
-    t = np.asarray(t, dtype=float)
-    return OrientedPlane(plane.n.copy(), plane.h - float(np.dot(plane.n, t)))
-
-
-def offset_plane(plane: OrientedPlane, dist: float) -> OrientedPlane:
-    """Parallel offset compatible with `offset_sphere`: tangent planes of a
-    sphere of radius r become tangent planes of the radius r + dist sphere.
-    Points of the plane move by -dist along the oriented normal."""
-    return OrientedPlane(plane.n.copy(), plane.h + float(dist))
-
-
-def scale_plane(plane: OrientedPlane, k: float) -> OrientedPlane:
-    """Central dilation p -> k p with k > 0."""
-    if k <= 0:
-        raise ValueError("dilation factor must be positive")
-    return OrientedPlane(plane.n.copy(), plane.h * k)
-
-
-def reflect_plane_z(plane: OrientedPlane) -> OrientedPlane:
-    n1, n2, n3 = plane.n
-    return OrientedPlane(np.array([n1, n2, -n3]), plane.h)
-
-
-def offset_sphere(sphere: OrientedSphere, dist: float) -> OrientedSphere:
-    return OrientedSphere(sphere.m.copy(), sphere.r + float(dist))
 
 
 def random_unit_vectors(rng, count: int) -> np.ndarray:

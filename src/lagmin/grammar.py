@@ -278,6 +278,9 @@ def parse_surface(spec: str, *, branch: int = 0, guard: float = None):
         items = _items(spec, *_call_body(spec, 0, len(spec), "ruled"), groups)
         if len(items) != 4:
             raise GrammarError("ruled(...) takes exactly A,B,C,D")
+        if guard is not None:
+            # a (phi, lambda) patch has no field, so no guard to apply
+            raise GrammarError("ruled(...) takes no guard")
         return ruled_surface(*(parse_number(spec[a:b], "ruled(...)")
                                for a, b in items))
     elif spec.startswith("conv("):

@@ -125,12 +125,6 @@ def sphere_to_imsphere(sphere: OrientedSphere) -> IMSphere:
     return IMSphere(a=r + m3, b=-m1, c=-m2, d=0.5 * (r - m3))
 
 
-def imsphere_to_sphere(s: IMSphere) -> OrientedSphere:
-    m3 = 0.5 * s.a - s.d
-    r = 0.5 * s.a + s.d
-    return OrientedSphere(np.array([-s.b, -s.c, m3]), r)
-
-
 # -- lines --------------------------------------------------------------
 
 

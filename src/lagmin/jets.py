@@ -428,19 +428,6 @@ class Jet:
             h = h.take(plan.perm, 0).reshape(g.shape)
         return Jet(h, n)
 
-    def power(self, k):
-        """Integer power via repeated multiplication."""
-        if k < 0:
-            return self.reciprocal().power(-k)
-        result = Jet.constant(1.0, self.order, np.shape(self.d[0, 0]))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
 
 def compose(fjet: Jet, ujet: Jet, vjet: Jet) -> Jet:
     """Jet of f(u(x,y), v(x,y)) from the jet of f at (u0, v0) and the jets of

@@ -119,12 +119,6 @@ def surface_mesh(surface, window=None, shape=(100, 100)) -> Mesh:
     return grid_mesh(window, shape, surface.is_safe, surface.point)
 
 
-def field_graph_mesh(fieldobj, window=(-2.0, 2.0, -2.0, 2.0), shape=(100, 100)) -> Mesh:
-    """Mesh of the graph (x, y, F(x, y)) with the field's own guards."""
-    return grid_mesh(window, shape, fieldobj.is_safe, lambda x, y: np.stack(
-        [x, y, np.asarray(fieldobj.value(x, y), dtype=float)], axis=-1))
-
-
 # -- OBJ text -----------------------------------------------------------
 
 _BLOCK_ROWS = 4096      # records formatted per numpy pass

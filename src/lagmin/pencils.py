@@ -1,4 +1,5 @@
-"""Circles as cycles, pencil classification, and the recovery fits.
+"""Circles as cycles, pencil classification, and the lemma fits that
+rebuild a field from its restrictions to circles.
 
 A cycle is the coefficient vector (a, b, c, d) of
 a(x^2+y^2) + bx + cy + d = 0, so lines (a = 0) live in the same
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +21,7 @@ from .errors import (
     BadFit,
     DegenerateCone,
     DependentCircles,
-    NoCommonPoint,
     NotLinearOnCircle,
-    PencilDegeneracy,
     TooFew,
 )
 
@@ -30,7 +29,8 @@ RANK_TOL = 1e-9          # singular value ratio declaring rank deficiency
 DISC_TOL = 1e-9          # relative discriminant size treated as a double root
 LINEAR_TOL = 1e-8        # max residual for "restriction is linear"
 CENTER_TOL = 1e-9        # linearity residual in center_constraint_check
-COMMON_TOL = 1e-8        # consensus radius for the common-point vote
+NESTED_SAMPLES = 50      # points on each circle fit_nested samples
+CENTER_SAMPLES = 60      # points on the circle center_constraint_check samples
 TINY = 1e-12
 
 
@@ -72,13 +72,6 @@ class Cycle:
             raise ValueError("not a real circle")
         return float(np.sqrt(qv) / (2.0 * abs(self.a)))
 
-    def canonical(self) -> "Cycle":
-        """Scale so the first nonzero of (a, b, c) is +1 (or d = 1)."""
-        for lead in (self.a, self.b, self.c, self.d):
-            if lead != 0.0:
-                return Cycle(self.a / lead, self.b / lead, self.c / lead, self.d / lead)
-        raise ValueError("cycle coefficients must not all vanish")
-
     @classmethod
     def from_circle(cls, center, radius) -> "Cycle":
         cx, cy = float(center[0]), float(center[1])
@@ -97,16 +90,13 @@ class PencilClass:
 
     base_points holds the two common points (elliptic), the two limit
     points (hyperbolic) or the single tangency point (parabolic); the
-    value None inside the tuple stands for the ideal point.  tangent is
-    the common tangent line of a parabolic pencil when the span
-    contains one.
+    value None inside the tuple stands for the ideal point.
     """
 
     tag: str
     base_points: tuple = ()
     rank: int = 0
     singular_values: tuple = ()
-    tangent: Cycle | None = field(default=None, compare=False)
 
 
 def _point_of_degenerate(w):
@@ -115,19 +105,6 @@ def _point_of_degenerate(w):
     if abs(w[0]) > TINY * scale:
         return (float(-w[1] / (2.0 * w[0])), float(-w[2] / (2.0 * w[0])))
     return None
-
-
-def _line_member(c1, c2):
-    """The a = 0 member of span{c1, c2}, if a unique one exists."""
-    if abs(c2[0]) > TINY:
-        w = c1 - (c1[0] / c2[0]) * c2
-    elif abs(c1[0]) > TINY:
-        w = c2
-    else:
-        return None
-    if np.max(np.abs(w[1:3])) <= TINY * np.max(np.abs(w)):
-        return None
-    return Cycle(0.0, float(w[1]), float(w[2]), float(w[3])).canonical()
 
 
 def _intersect_span(c1, c2):
@@ -203,10 +180,7 @@ def classify_family(cycles) -> PencilClass:
             w = c1 + (-beta / alpha) * c2
         else:
             w = c2
-        return PencilClass(
-            "parabolic", (_point_of_degenerate(w),), rank, svals,
-            tangent=_line_member(c1, c2),
-        )
+        return PencilClass("parabolic", (_point_of_degenerate(w),), rank, svals)
     if disc > 0.0:
         root = np.sqrt(disc)
         if abs(alpha) > DISC_TOL * scale:
@@ -219,7 +193,7 @@ def classify_family(cycles) -> PencilClass:
     return PencilClass("elliptic", tuple(_intersect_span(c1, c2)), rank, svals)
 
 
-# -- the constructive recovery fits -----------------------------------
+# -- the lemma fits ---------------------------------------------------
 
 
 def _fit_linear(points, values):
@@ -290,87 +264,13 @@ def recover_crossing(circles, samples):
     return (float(k), float(a), float(b), float(pc - k * (a * a + b * b)))
 
 
-def _common_point(circles):
-    norm = _normalized(circles)
-    axes = [norm[i, 1:] - norm[j, 1:]
-            for i, j in itertools.combinations(range(min(3, len(circles))), 2)]
-    cands = []
-    for la, lb in itertools.combinations(axes, 2):
-        mat = np.array([la[:2], lb[:2]])
-        det = float(np.linalg.det(mat))
-        if abs(det) < TINY:
-            continue
-        cands.append(np.linalg.solve(mat, -np.array([la[2], lb[2]])))
-    if not cands:
-        raise NoCommonPoint("radical axes do not intersect")
-    cands = np.stack(cands)
-    if np.max(np.abs(cands - cands[0])) > COMMON_TOL:
-        raise NoCommonPoint("radical-axis intersections disagree")
-    origin = cands.mean(axis=0)
-    scale = 1.0 + float(origin @ origin)
-    for row in norm:
-        val = float(origin @ origin + row[1:3] @ origin + row[3])
-        if abs(val) > COMMON_TOL * scale:
-            raise NoCommonPoint("a circle misses the candidate common point")
-    return origin
-
-
-def recover_common_point(circles, samples):
-    """Recover (a, b, A, B, C, D) with the common point moved to the origin.
-
-    F(x, y) = A((x-a)^2 + (y-b)^2) + (Bx^2 + Cxy + Dy^2) / (x^2 + y^2)
-    in coordinates centered at the detected common point.  The fit goes
-    through the inversion (x, y) -> (x, y)/(x^2+y^2), which turns the
-    circles into lines and F into a plain quadratic polynomial.
-    """
-    if len(circles) < 3:
-        raise TooFew("need at least 3 circles")
-    if len(samples) != len(circles):
-        raise ValueError("one (points, values) sample set per circle")
-    for triple in itertools.combinations(range(len(circles)), 3):
-        sub = _normalized([circles[t] for t in triple])
-        sv = np.linalg.svd(sub, compute_uv=False)
-        if sv[2] <= RANK_TOL * sv[0]:
-            raise PencilDegeneracy("three of the circles lie in one pencil")
-    for (pts, vals) in samples:
-        _, resid = _fit_linear(pts, vals)
-        if resid > LINEAR_TOL:
-            raise NotLinearOnCircle(f"restriction fit residual {resid:.2e}")
-    origin = _common_point(circles)
-
-    upts = []
-    gvals = []
-    for (pts, vals) in samples:
-        pts = np.asarray(pts, dtype=float) - origin
-        vals = np.asarray(vals, dtype=float)
-        r2 = np.sum(pts * pts, axis=1)
-        keep = r2 > 1e-9
-        upts.append(pts[keep] / r2[keep, None])
-        gvals.append(vals[keep] / r2[keep])
-    u = np.concatenate([p[:, 0] for p in upts])
-    v = np.concatenate([p[:, 1] for p in upts])
-    g = np.concatenate(gvals)
-    design = np.column_stack([np.ones_like(u), u, v, u * u, u * v, v * v])
-    coef, *_ = np.linalg.lstsq(design, g, rcond=None)
-    g0, g1, g2, g3, g4, g5 = (float(t) for t in coef)
-
-    A = g0
-    if abs(A) > TINY:
-        a = -g1 / (2.0 * A)
-        b = -g2 / (2.0 * A)
-    else:
-        A, a, b = 0.0, 0.0, 0.0
-    shift = A * (a * a + b * b)
-    return (a, b, A, g3 - shift, g4, g5 - shift)
-
-
 def _circle_points(center, radius, count):
     th = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     return np.column_stack([center[0] + radius * np.cos(th),
                             center[1] + radius * np.sin(th)])
 
 
-def fit_nested(F, *, samples_per_circle=50):
+def fit_nested(F):
     """Fit F = (x^2+y^2)(Ax + By + C) + ax + by + c from the two circles
     x^2+y^2 = 1 and x^2+y^2 = 2 plus a fixed ring of interior points.
 
@@ -380,7 +280,7 @@ def fit_nested(F, *, samples_per_circle=50):
     """
     rings = []
     for r in (1.0, np.sqrt(2.0)):
-        pts = _circle_points((0.0, 0.0), r, samples_per_circle)
+        pts = _circle_points((0.0, 0.0), r, NESTED_SAMPLES)
         vals = np.asarray(F.value(pts[:, 0], pts[:, 1]), dtype=float)
         _, resid = _fit_linear(pts, vals)
         if resid > LINEAR_TOL:
@@ -405,7 +305,7 @@ def fit_nested(F, *, samples_per_circle=50):
     return tuple(float(t) for t in coef)
 
 
-def center_constraint_check(A, B, C, a, b, c, S: Cycle, *, samples=60) -> bool:
+def center_constraint_check(A, B, C, a, b, c, S: Cycle) -> bool:
     """Is (x^2+y^2)(Ax+By+C) + ax+by+c linear along the circle S?
 
     For A^2 + B^2 != 0 this holds exactly when S is centered at the
@@ -414,7 +314,7 @@ def center_constraint_check(A, B, C, a, b, c, S: Cycle, *, samples=60) -> bool:
     """
     if S.a == 0.0 or S.q() <= 0.0:
         raise ValueError("S must be a genuine circle")
-    pts = _circle_points(S.center(), S.radius(), samples)
+    pts = _circle_points(S.center(), S.radius(), CENTER_SAMPLES)
     x, y = pts[:, 0], pts[:, 1]
     r2 = x * x + y * y
     vals = r2 * (A * x + B * y + C) + a * x + b * y + c

@@ -437,11 +437,6 @@ class CycloLine:
         return OrientedSphere(m=p[:3], r=float(p[3]))
 
 
-def cone_spheres(L: CycloLine, samples: int):
-    """Oriented spheres inscribed in the cone, lam in [0, 1] equispaced."""
-    return [L.sphere(t) for t in np.linspace(0.0, 1.0, int(samples))]
-
-
 class RulingFamily:
     """phi -> ruling line of the convolution a1*r1 + a2*r2 + a3*r3@theta.
 
@@ -472,12 +467,6 @@ class RulingFamily:
             [np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1
         )
         return point, direction
-
-    def gauss_point(self, phi, s):
-        """Parameter-plane point at radius s on the Gauss line of phi."""
-        phi = np.asarray(phi, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return s * np.cos(phi), -s * np.sin(phi)
 
     def surface(self) -> ConvolutionSurface:
         if self.degenerate:

@@ -565,6 +565,26 @@ def test_config_guard_reaches_tangency(tmp_path):
                 == pins["workloads"]["certify"]["tangency-r1.json"])
 
 
+@pytest.mark.parametrize("command", [
+    ["generate", "--grid", "10x10", "--range", "0,3,-1,1", "-o", "x.obj"],
+    ["verify", "--checks", "curvature"],
+    ["isotropic", "-o", "x.obj"],
+])
+def test_config_guard_is_refused_for_ruled_specs(tmp_path, capsys, command):
+    # a ruled(...) patch has no field to guard: the key is an error there,
+    # not silently ignored, while a tolerance still reaches its check
+    argv = [a if a != "x.obj" else str(tmp_path / a) for a in command]
+    argv += ["--surface", "ruled(1,0.5,0.3,0.2)", "--config"]
+    (tmp_path / "g.cfg").write_text("guard=1.4\n")
+    (tmp_path / "t.cfg").write_text("curvature=1e-6\n")
+    assert main(argv + [str(tmp_path / "g.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("spec error: ruled(...) takes no guard")
+    assert not (tmp_path / "x.obj").exists()
+    assert main(argv + [str(tmp_path / "t.cfg")]) == 0
+    if command[0] == "verify":
+        assert "tol 1e-06" in capsys.readouterr().out
+
+
 def test_config_tolerance_reaches_stationarity(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("stationarity=1e-12\n")

@@ -6,15 +6,18 @@ from lagmin.geom_core import (
     Line3,
     OrientedPlane,
     OrientedSphere,
+    random_unit_vectors,
+    sphere_tangent_plane,
+)
+# the plane maps are reference code, kept beside the model test they serve
+from test_isotropic import (
     hesse_normalize,
     lambda_transform,
     offset_plane,
     offset_sphere,
-    random_unit_vectors,
     reflect_plane_z,
     rotate_plane_z,
     scale_plane,
-    sphere_tangent_plane,
     translate_plane,
 )
 

@@ -116,14 +116,6 @@ def test_sqrt_squares_back():
     assert np.allclose((root * root).d, jet.d, atol=1e-12)
 
 
-def test_power_matches_repeated_multiplication():
-    x, y = 1.1, 0.3
-    jet = jet_polynomial(x, y, {(1, 0): 1.0, (0, 1): 1.0, (0, 0): 0.5}, 4)
-    assert np.allclose(jet.power(3).d, (jet * jet * jet).d, atol=1e-12)
-    recip3 = jet.power(-3)
-    assert np.allclose(recip3.d, (jet * jet * jet).reciprocal().d, atol=1e-10)
-
-
 def test_compose_pushforward_matches_direct_jet():
     """G(x, y) = ln(u^2 + v^2) with (u, v) = (x, y)/(x^2 + y^2) equals
     -ln(x^2 + y^2); composition must reproduce the direct jet."""

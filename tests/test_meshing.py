@@ -13,7 +13,6 @@ from lagmin.meshing import (
     Mesh,
     _scaled,
     atomic_write_text,
-    field_graph_mesh,
     grid_axes,
     mesh_from_grid,
     obj_text,
@@ -60,13 +59,6 @@ def test_guarded_field_mesh_drops_center_cells():
     mesh = surface_mesh(S, (-1, 1, -1, 1), (30, 30))
     assert 0 < len(mesh.faces) < 29 * 29
     assert np.isfinite(mesh.vertices).all()
-
-
-def test_field_graph_mesh_heights_match_field():
-    F = make_elliptic_field(a1=1.0, a3=-1.0)
-    mesh = field_graph_mesh(F, (0.2, 1.2, 0.2, 1.2), (10, 10))
-    for x, y, z in mesh.vertices[:20]:
-        assert abs(z - F.value(x, y)) < 1e-12
 
 
 def test_obj_text_layout():

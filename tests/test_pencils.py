@@ -7,12 +7,10 @@ from lagmin.errors import (
     BadFit,
     DegenerateCone,
     DependentCircles,
-    NoCommonPoint,
     NotLinearOnCircle,
     TooFew,
 )
 from lagmin.fields import (
-    make_exceptional_field,
     make_hyperbolic_field,
     make_polynomial_field,
 )
@@ -25,7 +23,6 @@ from lagmin.pencils import (
     gauss_circle_of_cone,
     gauss_pencil_of_cones,
     parse_cycle_lines,
-    recover_common_point,
     recover_crossing,
 )
 from lagmin.surfaces import CycloLine, cyclographic_preimage
@@ -70,7 +67,6 @@ def test_tangent_family_is_parabolic():
     pc = classify_family([Cycle(1, 0, -t, 0) for t in (1.0, 2.0, 3.0)])
     assert pc.tag == "parabolic"
     assert np.allclose(pc.base_points[0], (0.0, 0.0), atol=1e-12)
-    assert pc.tangent is not None and abs(pc.tangent.b) < 1e-12
 
 
 def test_nested_quartic_family_is_not_a_pencil():
@@ -147,59 +143,6 @@ def test_recover_crossing_rejects_pencil_input():
     ]
     with pytest.raises(DependentCircles):
         recover_crossing(circles, samples)
-
-
-def punctured_samples(center, radius, fn, avoid, n=50):
-    th = np.linspace(0.05, 2 * np.pi - 0.05, n)
-    pts = np.column_stack(
-        [center[0] + radius * np.cos(th), center[1] + radius * np.sin(th)]
-    )
-    keep = np.hypot(pts[:, 0] - avoid[0], pts[:, 1] - avoid[1]) > 1e-3
-    pts = pts[keep]
-    return pts, fn(pts[:, 0], pts[:, 1])
-
-
-def test_recover_common_point_round_trips():
-    exc = make_exceptional_field(0, 0, 0, 0, A=1, B=2, C=0, D=1)
-    centers = [(1.0, 0.0), (0.0, 1.2), (-0.8, 0.5), (0.6, -0.9)]
-    circles = [Cycle.from_circle(c, math.hypot(*c)) for c in centers]
-    samples = [
-        punctured_samples(c, math.hypot(*c), exc.value, (0.0, 0.0)) for c in centers
-    ]
-    got = recover_common_point(circles, samples)
-    assert np.allclose(got, (0, 0, 1, 2, 0, 1), atol=1e-7)
-
-    quad = lambda x, y: 3.0 * ((x - 1.0) ** 2 + y**2)
-    samples = [
-        punctured_samples(c, math.hypot(*c), quad, (0.0, 0.0)) for c in centers
-    ]
-    got = recover_common_point(circles, samples)
-    assert np.allclose(got, (1, 0, 3, 0, 0, 0), atol=1e-7)
-
-
-def test_recover_common_point_shifted_frame():
-    exc = make_exceptional_field(0.5, -0.2, 1.0, 0.5, A=0.7, B=1.0, C=0.3, D=-0.4)
-    O = np.array([1.0, 0.5])
-    centers = [O + np.array(d) for d in [(0.8, 0.0), (0.0, 0.9), (-0.6, 0.4), (0.5, -0.7)]]
-    circles = [Cycle.from_circle(c, float(np.linalg.norm(c - O))) for c in centers]
-    samples = [
-        punctured_samples(c, float(np.linalg.norm(c - O)), exc.value, O, n=60)
-        for c in centers
-    ]
-    got = recover_common_point(circles, samples)
-    # coefficients come back in the frame centered at the common point
-    assert np.allclose(got, (-0.5, -0.7, 0.7, 1.0, 0.3, -0.4), atol=1e-6)
-
-
-def test_recover_common_point_needs_common_point():
-    # an affine field is linear on every circle, so the linearity precheck
-    # passes and the radical-center test is what has to reject this trio
-    affine = lambda x, y: 2.0 + x - 0.5 * y
-    centers = [(1.0, 0.0), (0.0, 1.0), (2.0, 2.0)]
-    circles = [Cycle.from_circle(c, 1.0) for c in centers]
-    samples = [punctured_samples(c, 1.0, affine, (0.0, 0.0)) for c in centers]
-    with pytest.raises(NoCommonPoint):
-        recover_common_point(circles, samples)
 
 
 def test_fit_nested_round_trip():

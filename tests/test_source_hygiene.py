@@ -1,7 +1,9 @@
 """Source hygiene of the package, read with `ast`: every import a module
-makes is used in it, and every private module-level name is used
-somewhere in the package.  The package `__init__` re-exports what it
-imports, so its imports count as used."""
+makes is used in it, every private module-level name is used somewhere
+in the package, and every public top-level function or class is read by
+some other code of the package or named, with its reason, in
+UNREAD_PUBLIC.  The package `__init__` re-exports what it imports, so its
+imports count as used, but a re-export is not a read."""
 import ast
 from pathlib import Path
 
@@ -10,6 +12,33 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lagmin"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(PACKAGE.glob("*.py"))}
+
+# Public top-level functions and classes that no other code of the package
+# reads, each with the reason it stays.  An entry goes when its caller lands.
+UNREAD_PUBLIC = {
+    "fd_bilaplacian": "criterion 02 certifies its convergence order",
+    "sphere_tangent_plane": "criterion 04 maps the tangent planes it gives",
+    "random_unit_vectors": "criterion 04 samples its normals",
+    "plane_to_ipoint": "criterion 04 maps tangent planes with it",
+    "ipoint_to_plane": "the inverse of plane_to_ipoint; tests round-trip "
+                       "the two",
+    "recover_crossing": "criterion 09 recovers crossing-circle fields",
+    "fit_nested": "criterion 09 recovers nested-circle fields",
+    "center_constraint_check": "the converse half of the nested-circle "
+                               "lemma that fit_nested fits",
+    "omega_integrand": "criterion 10 bounds the energy integrand",
+    "pushforward_inversion": "criterion 12 inverts fields with it",
+    "reduce_elliptic_field": "planned: ruling_residual reads (A, B, C, D) "
+                             "off its normal form (ROADMAP item 2)",
+    "gauss_pencil_of_cones": "planned: the pencil check (ROADMAP item 2)",
+    "restrict_to_circle": "planned: the exact circles check replaces it "
+                          "(ROADMAP item 3)",
+    "line_to_imcircle": "planned: maps cone families line by line "
+                        "(ROADMAP item 5)",
+    "imsphere_map": "planned: maps the spheres of a Laguerre image "
+                    "(ROADMAP item 5)",
+    "parse_field": "the public field parser that bench/spans.py traces",
+}
 
 
 def _imported(tree):
@@ -79,3 +108,44 @@ def test_every_private_module_level_name_is_referenced():
                     if name not in everywhere]
     assert unreferenced == [], "unreferenced private names: %s" % (
         ", ".join(unreferenced),)
+
+
+def _public_definitions():
+    """(module, node) of each public top-level function or class outside
+    the package `__init__`."""
+    for module, tree in MODULES.items():
+        if module == "__init__.py":
+            continue
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not node.name.startswith("_")):
+                yield module, node
+
+
+def _unread_public():
+    """(module, line) of each public definition that no top-level statement
+    of the package reads other than its own, by name."""
+    readers = {}
+    for tree in MODULES.values():
+        for top in tree.body:
+            for name in _reads(top):
+                readers.setdefault(name, set()).add(id(top))
+    return {node.name: (module, node.lineno)
+            for module, node in _public_definitions()
+            if not readers.get(node.name, set()) - {id(node)}}
+
+
+def test_every_public_definition_is_read_in_the_package():
+    unread = ["%s:%d %s" % (*where, name)
+              for name, where in sorted(_unread_public().items(),
+                                        key=lambda item: item[1])
+              if name not in UNREAD_PUBLIC]
+    assert unread == [], "public names nothing in the package reads: %s" % (
+        ", ".join(unread),)
+
+
+def test_the_unread_public_list_is_not_stale():
+    # an entry whose name is gone, or that the package now reads, is stale
+    stale = sorted(set(UNREAD_PUBLIC) - set(_unread_public()))
+    assert stale == [], "stale UNREAD_PUBLIC entries: %s" % (", ".join(stale),)
