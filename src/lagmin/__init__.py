@@ -10,7 +10,6 @@ and numerical certification of the tangency and stationarity claims.
 from .errors import (
     BadFit,
     DegenerateCone,
-    DegenerateFamily,
     DependentCircles,
     DomainMismatch,
     EmptyIntersection,
@@ -37,23 +36,21 @@ from .isotropic import (
     IMSphere,
     IsoPoint,
     inverse_stereographic,
-    ipoint_to_plane,
     line_to_imcircle,
     plane_to_ipoint,
     sphere_to_imsphere,
     stereographic,
 )
 from .fields import (
+    EllipticField,
+    ExceptionalField,
+    HyperbolicField,
+    ParabolicField,
+    RootQuarticField,
     ScalarField,
-    bilaplacian,
     fd_bilaplacian,
     make_bump_field,
-    make_elliptic_field,
-    make_exceptional_field,
-    make_hyperbolic_field,
-    make_parabolic_field,
     make_polynomial_field,
-    make_remark_counterexample,
     pushforward_inversion,
     sum_fields,
 )
@@ -61,22 +58,20 @@ from .reconstruct import (
     FieldSurface,
     ParamSurface,
     isotropic_image,
-    reconstruct_surface,
 )
 from .surfaces import (
     BLOCK_NAMES,
-    RulingFamily,
+    ConvolutionSurface,
+    LineFamily,
+    RuledPatch,
     block_field,
     building_block,
-    convolve,
     cyclographic_preimage,
-    ruled_surface,
-    rulings_of_convolution,
+    kinematic_rulings,
 )
 from .pencils import (
     Cycle,
     classify_family,
-    center_constraint_check,
     fit_nested,
     gauss_circle_of_cone,
     gauss_pencil_of_cones,

@@ -23,14 +23,13 @@ import math
 import os
 import re
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import grammar, meshing, pencils, verify
 from .errors import GrammarError, IdealImage, LagminError, NonImmersed
 from .reconstruct import GaussMappedSurface, isotropic_image
-from .surfaces import building_block, ruled_surface, rulings_of_convolution
+from .surfaces import RuledPatch, building_block, kinematic_rulings
 
 CHECK_NAMES = ("biharmonic", "gaussmap", "ruling", "curvature",
                "stationarity", "tangency")
@@ -163,8 +162,7 @@ def _run_check(name, S, seed, cfg):
     if name == "gaussmap":
         return [verify.gaussmap_identity_residual(S, **kw)]
     if name == "ruling":
-        family = rulings_of_convolution(*verify._canonical_weights(S))
-        return [verify.ruling_residual(S, family, **kw)]
+        return [verify.ruling_residual(S, **kw)]
     return [verify.fd_curvature_check(S, seed=seed, **kw)]
 
 
@@ -182,7 +180,7 @@ def _merge_meshes(parts):
         verts.append(moved)
         faces.append(mesh.faces + base)
         base += len(mesh.vertices)
-    return SimpleNamespace(
+    return meshing.Mesh(
         vertices=np.concatenate(verts) if verts else np.zeros((0, 3)),
         faces=np.concatenate(faces) if faces else np.zeros((0, 4), np.int64),
         nonfinite=sum(mesh.nonfinite for mesh, _ in parts),
@@ -198,15 +196,15 @@ def _write_mesh(mesh, path, **kw):
     meshing.write_obj(mesh, path, **kw)
 
 
-def _ruling_polylines(line, phis, lo, hi):
-    """The segment from lo to hi along the ruling `line(phi)` of each phi;
-    as in the grid walk, overflow shows as non-finite coordinates."""
+def _ruling_polylines(family, phis, lo, hi):
+    """The segment between the point spheres lo and hi of the ruling
+    `family.line(phi)` of each phi; as in the grid walk, overflow shows as
+    non-finite coordinates."""
     polys = []
     with np.errstate(over="ignore", invalid="ignore"):
         for phi in phis:
-            point, direction = line(phi)
-            polys.append(np.stack([point + lo * direction,
-                                   point + hi * direction]))
+            line = family.line(phi)
+            polys.append(np.stack([line.sphere(lo).m, line.sphere(hi).m]))
     return polys
 
 
@@ -225,12 +223,12 @@ def _cmd_generate(args, cfg):
 
 
 def _cmd_ruled(args, cfg):
-    S = ruled_surface(args.A, args.B, args.C, args.D)
+    S = RuledPatch(args.A, args.B, args.C, args.D)
     p0, p1 = _parse_window(args.phi_range, 2, "--phi-range")
     l0, l1 = _parse_window(args.lambda_range, 2, "--lambda-range")
     window = (p0, p1, l0, l1)
     mesh = meshing.surface_mesh(S, window, _parse_grid(args.grid))
-    polys = _ruling_polylines(S.ruling, np.linspace(p0, p1, 9), l0, l1)
+    polys = _ruling_polylines(S.rulings, np.linspace(p0, p1, 9), l0, l1)
     _write_mesh(mesh, args.output, polylines=polys,
                 comment="ruled A=%g B=%g C=%g D=%g"
                 % (args.A, args.B, args.C, args.D))
@@ -308,7 +306,7 @@ _GALLERY = (
     ("hyperbolic-general.obj",
      "field:hyperbolic(a2=0.3,c1=0.4,alpha1=1,beta2=0.5,gamma1=0.2)"),
     ("elliptic-blocks.obj", ("r1", "r3", "r1~", "r3~")),
-    ("ruled-convolution.obj", None),     # convolution with ruling polylines
+    ("ruled-convolution.obj", "conv(1*r1,0.3*r2,0.6*r3)"),  # and its rulings
     ("hyperbolic-blocks.obj", ("r4", "r5", "r6", "r4~", "r6~")),
     ("parabolic-blocks.obj", ("r7", "r8", "r9", "r10", "r11")),
     ("parabolic-general.obj",
@@ -322,11 +320,10 @@ def _cmd_gallery(args, cfg):
     for fname, spec in _GALLERY:
         path = os.path.join(outdir, fname)
         if fname == "ruled-convolution.obj":
-            fam = rulings_of_convolution(1.0, 0.3, 0.6, 0.0)
-            S = fam.surface()
+            S = grammar.parse_surface(spec)
             mesh = meshing.surface_mesh(S, shape=(100, 100))
-            polys = _ruling_polylines(fam.line, np.linspace(-1.2, 1.2, 9),
-                                      -2.0, 2.0)
+            polys = _ruling_polylines(kinematic_rulings(S),
+                                      np.linspace(-1.2, 1.2, 9), -2.0, 2.0)
             _write_mesh(mesh, path, polylines=polys,
                         comment="convolution a=(1,0.3,0.6) theta=0 "
                                 "with rulings phi in [-1.2,1.2]")

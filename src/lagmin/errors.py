@@ -33,10 +33,6 @@ class UnknownName(LagminError):
     """No surface or field is registered under the requested name."""
 
 
-class DegenerateFamily(LagminError):
-    """The requested line family collapses (no ruled surface to build)."""
-
-
 class DegenerateCone(LagminError):
     """A sphere line whose cone degenerates has no Gauss circle."""
 

@@ -480,15 +480,6 @@ class KelvinField(ScalarField):
 # -- constructors -----------------------------------------------------
 
 
-# The family constructors are the classes: coefficients in field order,
-# `guard` and `branch` keyword-only.
-make_elliptic_field = EllipticField
-make_hyperbolic_field = HyperbolicField
-make_parabolic_field = ParabolicField
-make_exceptional_field = ExceptionalField
-make_remark_counterexample = RootQuarticField
-
-
 def make_polynomial_field(coeffs, *, guard=GUARD_EPS) -> PolynomialField:
     items = []
     for (p, q), cval in sorted(dict(coeffs).items()):
@@ -519,10 +510,6 @@ def pushforward_inversion(F: ScalarField, *, guard=None) -> KelvinField:
 
 
 # -- module-level evaluation helpers ----------------------------------
-
-
-# bilaplacian(F, x, y): F_xxxx + 2 F_xxyy + F_yyyy from the exact order-4 jet
-bilaplacian = ScalarField.bilaplacian
 
 
 def _power_increment(x, a, n):

@@ -29,8 +29,9 @@ from .fields import (
     make_polynomial_field,
     sum_fields,
 )
-from .reconstruct import reconstruct_surface
-from .surfaces import BLOCK_NAMES, building_block, convolve, ruled_surface
+from .reconstruct import FieldSurface
+from .surfaces import (BLOCK_NAMES, ConvolutionSurface, RuledPatch,
+                       building_block)
 
 GRAMMAR_HELP = """\
 surface spec grammar:
@@ -272,7 +273,7 @@ def parse_surface(spec: str, *, branch: int = 0, guard: float = None):
         raise GrammarError("empty surface spec")
     groups = _paren_groups(spec)
     if spec.startswith("field:"):
-        surf = reconstruct_surface(
+        surf = FieldSurface(
             _parse_field(spec, len("field:"), len(spec), groups, branch))
     elif spec.startswith("ruled("):
         items = _items(spec, *_call_body(spec, 0, len(spec), "ruled"), groups)
@@ -281,15 +282,15 @@ def parse_surface(spec: str, *, branch: int = 0, guard: float = None):
         if guard is not None:
             # a (phi, lambda) patch has no field, so no guard to apply
             raise GrammarError("ruled(...) takes no guard")
-        return ruled_surface(*(parse_number(spec[a:b], "ruled(...)")
-                               for a, b in items))
+        return RuledPatch(*(parse_number(spec[a:b], "ruled(...)")
+                            for a, b in items))
     elif spec.startswith("conv("):
         terms = []
         for a, b in _items(spec, *_call_body(spec, 0, len(spec), "conv"),
                            groups):
             w, a = _weight(spec, a, b)
             terms.append((w, building_block(*_parse_block_ref(spec[a:b]))))
-        surf = convolve(terms)
+        surf = ConvolutionSurface(terms)
     else:
         surf = building_block(*_parse_block_ref(spec))
     return surf if guard is None else surf.with_guard(guard)

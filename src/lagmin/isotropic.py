@@ -5,10 +5,9 @@ by an ideal line.
 (n1, n2, h)/(1 + n3), and `stereographic` is its top view.  The single
 exceptional direction n = (0, 0, -1), to IDEAL_TOL, goes to an ideal point
 labelled by h.  The one inverse is `inverse_stereographic`, the unit normal
-over a top view (x, y); `ipoint_to_plane` reads its plane from it.  Oriented
-spheres turn into graphs of special quadratic polynomials ("model spheres"
-below) and lines into intersections of two of them: the images of two
-point spheres on the line.
+over a top view (x, y).  Oriented spheres turn into graphs of special
+quadratic polynomials ("model spheres" below) and lines into intersections
+of two of them: the images of two point spheres on the line.
 
 The model's Laguerre maps act linearly on homogeneous model points.  A
 finite point is P = (1, x, y, z, (x^2 + y^2)/2) up to scale, and the ideal
@@ -110,13 +109,6 @@ def plane_to_ipoint(plane: OrientedPlane) -> IsoPoint:
     if abs(1.0 + float(plane.n[2])) <= IDEAL_TOL:
         return IsoPoint.ideal(plane.h)
     return IsoPoint.finite(*isotropic(plane.n, float(plane.h)))
-
-
-def ipoint_to_plane(point: IsoPoint) -> OrientedPlane:
-    if point.is_ideal:
-        return OrientedPlane(np.array([0.0, 0.0, -1.0]), float(point.ideal_label))
-    x, y, z = point.x, point.y, point.z
-    return OrientedPlane(inverse_stereographic(x, y), 2.0 * z / (1.0 + x * x + y * y))
 
 
 def sphere_to_imsphere(sphere: OrientedSphere) -> IMSphere:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,10 +53,6 @@ import numpy as np
 class Mesh:
     vertices: np.ndarray            # (n, 3) valid vertices, row-major grid order
     faces: np.ndarray               # (n, 4) int64 array of 0-based quad vertex ids
-    valid: np.ndarray               # (rows, cols) bool mask
-    shape: tuple                    # (cols, rows) = grid N x M
-    window: tuple = (0.0, 0.0, 0.0, 0.0)
-    index: np.ndarray = field(default=None, repr=False)  # grid -> vertex id, -1 invalid
     nonfinite: int = 0              # safe points dropped as non-finite
 
 
@@ -68,7 +64,7 @@ def grid_axes(window, shape):
     return np.linspace(u0, u1, nu), np.linspace(v0, v1, nv)
 
 
-def mesh_from_grid(pts, ok, window, shape) -> Mesh:
+def mesh_from_grid(pts, ok) -> Mesh:
     """Assemble a Mesh from grid-shaped points and a validity mask.
 
     A quad is emitted only when all four corners are valid and finite.
@@ -84,8 +80,7 @@ def mesh_from_grid(pts, ok, window, shape) -> Mesh:
         axis=-1,
     )
     nonfinite = int(np.count_nonzero(safe)) - int(np.count_nonzero(ok))
-    return Mesh(pts[ok], faces, ok, tuple(int(s) for s in shape), tuple(window),
-                index, nonfinite)
+    return Mesh(pts[ok], faces, nonfinite)
 
 
 def grid_points(window, shape, is_safe, points):
@@ -108,8 +103,7 @@ def grid_points(window, shape, is_safe, points):
 
 def grid_mesh(window, shape, is_safe, points) -> Mesh:
     """Mesh of points(u, v) over the valid points of the grid of `window`."""
-    return mesh_from_grid(*grid_points(window, shape, is_safe, points),
-                          window, shape)
+    return mesh_from_grid(*grid_points(window, shape, is_safe, points))
 
 
 def surface_mesh(surface, window=None, shape=(100, 100)) -> Mesh:

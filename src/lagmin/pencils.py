@@ -28,9 +28,7 @@ from .errors import (
 RANK_TOL = 1e-9          # singular value ratio declaring rank deficiency
 DISC_TOL = 1e-9          # relative discriminant size treated as a double root
 LINEAR_TOL = 1e-8        # max residual for "restriction is linear"
-CENTER_TOL = 1e-9        # linearity residual in center_constraint_check
 NESTED_SAMPLES = 50      # points on each circle fit_nested samples
-CENTER_SAMPLES = 60      # points on the circle center_constraint_check samples
 TINY = 1e-12
 
 
@@ -305,23 +303,6 @@ def fit_nested(F):
     return tuple(float(t) for t in coef)
 
 
-def center_constraint_check(A, B, C, a, b, c, S: Cycle) -> bool:
-    """Is (x^2+y^2)(Ax+By+C) + ax+by+c linear along the circle S?
-
-    For A^2 + B^2 != 0 this holds exactly when S is centered at the
-    origin; with A = B = 0 the function is affine plus a multiple of
-    x^2+y^2 and the restriction is linear on every circle.
-    """
-    if S.a == 0.0 or S.q() <= 0.0:
-        raise ValueError("S must be a genuine circle")
-    pts = _circle_points(S.center(), S.radius(), CENTER_SAMPLES)
-    x, y = pts[:, 0], pts[:, 1]
-    r2 = x * x + y * y
-    vals = r2 * (A * x + B * y + C) + a * x + b * y + c
-    _, resid = _fit_linear(pts, vals)
-    return resid < CENTER_TOL
-
-
 # -- Gauss images of cone families ------------------------------------
 
 
@@ -346,7 +327,8 @@ def gauss_pencil_of_cones(family, samples=9, phi_range=(-1.0, 1.0)) -> PencilCla
     if samples < 3:
         raise TooFew("need at least 3 sampled cones")
     phis = np.linspace(phi_range[0], phi_range[1], samples)
-    return classify_family([gauss_circle_of_cone(family(p)) for p in phis])
+    return classify_family([gauss_circle_of_cone(family.line(p))
+                            for p in phis])
 
 
 # -- text interfaces ---------------------------------------------------

@@ -1,6 +1,6 @@
 """From scalar fields to surfaces and back.
 
-`reconstruct_surface` turns a field F into the enveloping surface whose
+`FieldSurface` turns a field F into the enveloping surface whose
 Gauss map, read through stereographic projection, is the identity on the
 field coordinates: the surface point over (x, y) is
 
@@ -169,10 +169,6 @@ class FieldSurface(GaussMappedSurface):
         Y = ((jy * jy - jx * jx - 1.0) * fy + (jx * jy) * fx * 2.0 - jy * f0 * 2.0) * inv
         Z = (jx * fx * 2.0 + jy * fy * 2.0 - f0 * 2.0) * inv
         return SurfaceJet.from_components(X, Y, Z, order)
-
-
-# The surface enveloped by the plane family encoded in a field F.
-reconstruct_surface = FieldSurface
 
 
 def isotropic_image(S: ParamSurface, u, v):

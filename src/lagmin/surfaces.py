@@ -1,12 +1,10 @@
-"""The concrete surface zoo.
+"""The concrete surface zoo and its families of lines.
 
 Closed-form building blocks r1..r11 in Gauss coordinates (the stereographic
 top view of the unit normal is the parameter point), their rotated copies,
-reconstruction-defined tilde variants, convolution surfaces, the ruled
-family R(phi, lambda) = (A phi, B phi, C phi + D cos 2 phi) + lambda
-(sin phi, cos phi, 0), kinematic ruling families, and cone families
-represented as lines in the space of oriented spheres (center, signed
-radius) in R^4.
+reconstruction-defined tilde variants, convolution surfaces and the ruled
+patches R(phi, lambda) = (A phi, B phi, C phi + D cos 2 phi) + lambda
+(sin phi, cos phi, 0).
 
 Each named block is one row of `_BLOCKS`: its closed-form builder (none
 for a tilde block, the reconstruction of its field), ring guard,
@@ -18,6 +16,17 @@ field, or the weighted sum of a convolution's.
 
 Block derivatives come from the same exact-jet arithmetic the fields use,
 so frames are closed-form everywhere they are defined.
+
+A one-parameter family of lines has one type, `LineFamily`: p -> a
+`CycloLine`, a line in the space of oriented spheres (center, signed
+radius) in R^4, that is, a cone of revolution.  Its direction is its
+kind's row of `_DIRECTIONS`, so a family states only its base point.  A
+ruling is the degenerate cone, a line of point spheres with R = 0 along
+it.  The paper's named cone families and the three coefficient kinds
+(`cyclographic_preimage`), the rulings of a ruled patch
+(`RuledPatch.rulings`) and the rulings of a kinematic convolution
+a1 r1 + a2 r2 + a3 r3@theta (`kinematic_rulings`, which reads the weights
+off the surface) are all such families.
 """
 from __future__ import annotations
 
@@ -29,8 +38,8 @@ import numpy as np
 
 from .errors import (
     DegenerateCone,
-    DegenerateFamily,
     DomainMismatch,
+    ProvenanceMismatch,
     UnknownName,
 )
 from .fields import (
@@ -343,14 +352,13 @@ class ConvolutionSurface(GaussMappedSurface):
         return SurfaceJet(total, order)
 
 
-convolve = ConvolutionSurface
-
-
 class RuledPatch(ParamSurface):
     """(A phi, B phi, C phi + D cos 2 phi) + lambda (sin phi, cos phi, 0).
 
-    Parameters are (phi, lambda).  C = D = 0 is allowed but flagged: those
-    patches fall outside the minimal ruled family.
+    Parameters are (phi, lambda).  C = D = 0 is allowed; those patches
+    fall outside the minimal ruled family.  `rulings` is the elliptic cone
+    family (A, B, C, D, 0, 0, 0): its line at phi holds the point spheres
+    of the patch points (phi, lambda).
     """
 
     def __init__(self, A, B, C, D):
@@ -358,19 +366,10 @@ class RuledPatch(ParamSurface):
         self.B = float(B)
         self.C = float(C)
         self.D = float(D)
-        self.degenerate = self.C == 0.0 and self.D == 0.0
         self.provenance = "ruled(%g,%g,%g,%g)" % (self.A, self.B, self.C, self.D)
         self.default_window = (-math.pi, math.pi, -2.0, 2.0)
-
-    def ruling(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        zero = np.zeros_like(phi)
-        point = np.stack(
-            [self.A * phi, self.B * phi, self.C * phi + self.D * np.cos(2 * phi)],
-            axis=-1,
-        )
-        direction = np.stack([np.sin(phi), np.cos(phi), zero], axis=-1)
-        return point, direction
+        self.rulings = cyclographic_preimage(
+            ("elliptic", (self.A, self.B, self.C, self.D, 0.0, 0.0, 0.0)))
 
     def frame(self, phi, lam, order=2) -> SurfaceJet:
         phi = np.asarray(phi, dtype=float)
@@ -396,9 +395,6 @@ class RuledPatch(ParamSurface):
         return SurfaceJet(d, order)
 
 
-ruled_surface = RuledPatch
-
-
 # -- building blocks by name -----------------------------------------
 
 
@@ -413,7 +409,7 @@ def building_block(name: str, theta: float = None) -> ParamSurface:
     return surf
 
 
-# -- cone families as lines of oriented spheres -----------------------
+# -- families of cone lines --------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,217 +433,152 @@ class CycloLine:
         return OrientedSphere(m=p[:3], r=float(p[3]))
 
 
-class RulingFamily:
-    """phi -> ruling line of the convolution a1*r1 + a2*r2 + a3*r3@theta.
-
-    The three kinematic generators share the direction (sin phi, cos phi, 0)
-    once the rotated conoid term is sampled at phi + theta; the base point
-    is the weighted sum of the generator base points.
-    """
-
-    def __init__(self, a1, a2, a3, theta=0.0):
-        self.a = (float(a1), float(a2), float(a3))
-        self.theta = float(theta)
-        # with only the cycloid term the lines still exist (tangent lines
-        # of the cycloid) but they do not rule an immersed surface
-        self.degenerate = a1 == 0.0 and a3 == 0.0
-
-    def line(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        a1, a2, a3 = self.a
-        point = np.stack(
-            [
-                a2 * phi,
-                a2 * np.ones_like(phi),
-                -2.0 * a1 * phi + 0.5 * a3 * (np.cos(2.0 * (phi + self.theta)) + 1.0),
-            ],
-            axis=-1,
-        )
-        direction = np.stack(
-            [np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1
-        )
-        return point, direction
-
-    def surface(self) -> ConvolutionSurface:
-        if self.degenerate:
-            raise DegenerateFamily(
-                "need a helicoid or conoid term for an immersed ruled surface"
-            )
-        a1, a2, a3 = self.a
-        conoid = building_block("r3", self.theta if self.theta else None)
-        return convolve(
-            [
-                (a1, building_block("r1")),
-                (a2, building_block("r2")),
-                (a3, conoid),
-            ]
-        )
-
-
-rulings_of_convolution = RulingFamily
-
-
-# -- cyclographic preimages -------------------------------------------
-
-
-def _lines_elliptic(coeffs):
-    A, B, C, D, E, F, G = coeffs
-
-    def fn(p):
-        return (
-            np.array(
-                [
-                    A * p,
-                    B * p,
-                    C * p + D * math.cos(2 * p),
-                    E * p + F * math.cos(2 * p) + G * math.sin(2 * p),
-                ]
-            ),
-            np.array([math.sin(p), math.cos(p), 0.0, 0.0]),
-        )
-
-    return fn
-
-def _lines_hyperbolic(coeffs):
-    A, B, C, D, E, F, G = coeffs
-
-    def fn(p):
-        return (
-            np.array(
-                [
-                    A * p + B * math.cosh(2 * p),
-                    C * p + D * math.cosh(2 * p) + E * math.sinh(2 * p),
-                    F * p,
-                    G * p,
-                ]
-            ),
-            np.array([0.0, 0.0, math.cosh(p), math.sinh(p)]),
-        )
-
-    return fn
-
-def _lines_parabolic(coeffs):
-    A, B, C, D, E, F, G = coeffs
-
-    def fn(p):
-        even = F * (3 * p**2 + 4 * p**4) + G * (5 * p**3 + 6 * p**5)
-        odd = F * (3 * p**2 - 4 * p**4) + G * (5 * p**3 - 6 * p**5)
-        return (
-            np.array(
-                [
-                    0.0,
-                    A * p + B * p**2,
-                    C * p + D * p**2 + E * p**3 + even,
-                    C * p - D * p**2 - E * p**3 + odd,
-                ]
-            ),
-            np.array([1.0, 0.0, -p, p]),
-        )
-
-    return fn
-
-
-_PREIMAGES = {
-    "R1": lambda p: (
-        np.array([0.0, 0.0, -2.0 * p, 0.0]),
-        np.array([math.sin(p), math.cos(p), 0.0, 0.0]),
-    ),
-    "R2": lambda p: (
-        np.array([p, 1.0, 0.0, 0.0]),
-        np.array([math.sin(p), math.cos(p), 0.0, 0.0]),
-    ),
-    "R3": lambda p: (
-        np.array([0.0, 0.0, 0.5 * (math.cos(2 * p) + 1.0), 0.0]),
-        np.array([math.sin(p), math.cos(p), 0.0, 0.0]),
-    ),
-    "R4": lambda p: (
-        np.array([0.0, 0.0, -2.0 * p, -2.0]),
-        np.array([0.0, 0.0, math.cosh(p), math.sinh(p)]),
-    ),
-    "R5": lambda p: (
-        np.array([1.0 - math.exp(-2.0 * p) + 2.0 * p, 0.0, 0.0, 0.0]),
-        np.array([0.0, 0.0, math.cosh(p), math.sinh(p)]),
-    ),
-    "R6": lambda p: (
-        np.array([2.0 - 2.0 * math.cosh(2.0 * p), 0.0, 0.0, 0.0]),
-        np.array([0.0, 0.0, math.cosh(p), math.sinh(p)]),
-    ),
-    "R7": lambda p: (
-        np.array([0.0, 0.0, -0.5 * p * p, 0.5 * p * p]),
-        np.array([1.0, 0.0, -p, p]),
-    ),
-    "R7b": lambda p: (
-        np.array([0.0, 0.0, 0.5 * math.cos(p) ** 2, 0.5 * math.cos(p) ** 2]),
-        np.array([math.sin(p), math.cos(p), 0.0, 0.0]),
-    ),
-    "R8": lambda p: (
-        np.array([0.0, 0.0, -p**3, p**3]),
-        np.array([1.0, 0.0, -p, p]),
-    ),
-    "R9": lambda p: (
-        np.array([0.0, -p * p, 0.0, 0.0]),
-        np.array([1.0, 0.0, -p, p]),
-    ),
-    "R9b": lambda p: (
-        np.array([0.0, 0.0, p + p**3, p - p**3]),
-        np.array([0.0, 1.0, -p, p]),
-    ),
-    "R10": lambda p: (
-        np.array(
-            [0.0, 0.0, 0.5 * (-3 * p**2 - 4 * p**4), 0.5 * (-3 * p**2 + 4 * p**4)]
-        ),
-        np.array([1.0, 0.0, -p, p]),
-    ),
-    "R11": lambda p: (
-        np.array([0.0, 0.0, -5 * p**3 - 6 * p**5, -5 * p**3 + 6 * p**5]),
-        np.array([1.0, 0.0, -p, p]),
-    ),
-    "R1~": lambda p: (
-        np.array([0.0, 0.0, -3.0 * p, p]) / (2.0 * SQRT2),
-        np.array([math.sin(p), math.cos(p), 0.0, 0.0]),
-    ),
-    "R3~": lambda p: (
-        np.array(
-            [0.0, 0.0, 3.0 * math.cos(p) ** 2, -math.cos(p) ** 2]
-        )
-        / (4.0 * SQRT2),
-        np.array([math.sin(p), math.cos(p), 0.0, 0.0]),
-    ),
-}
-
-_FAMILY_KINDS = {
-    "elliptic": _lines_elliptic,
-    "hyperbolic": _lines_hyperbolic,
-    "parabolic": _lines_parabolic,
+# The direction of a family's line at p, one row per direction in use.
+# Each row's Gauss circles form the pencil it is named after; R9b's lines
+# move along y where the other parabolic ones move along x.
+_DIRECTIONS = {
+    "elliptic": lambda p: (math.sin(p), math.cos(p), 0.0, 0.0),
+    "hyperbolic": lambda p: (0.0, 0.0, math.cosh(p), math.sinh(p)),
+    "parabolic": lambda p: (1.0, 0.0, -p, p),
+    "parabolic-y": lambda p: (0.0, 1.0, -p, p),
 }
 
 
 @dataclass(frozen=True, eq=False)
-class PreimageFamily:
-    """phi -> cone line; either a named example or a coefficient family."""
+class LineFamily:
+    """p -> the cone line through base(p) along the `kind` row of
+    `_DIRECTIONS`."""
 
     name: str
-    fn: object = field(repr=False)
+    kind: str
+    base: object = field(repr=False)
 
-    def line(self, phi: float) -> CycloLine:
-        base, direction = self.fn(float(phi))
-        return CycloLine(base, direction)
-
-    __call__ = line
+    def line(self, p) -> CycloLine:
+        p = float(p)
+        return CycloLine(self.base(p), _DIRECTIONS[self.kind](p))
 
 
-def cyclographic_preimage(spec) -> PreimageFamily:
-    """Named cone family ("R1".."R11", "R7b", "R9b", "R1~", "R3~") or a
-    (kind, coefficients) pair with kind in {elliptic, hyperbolic,
-    parabolic} and seven coefficients A..G."""
+# Base points of the coefficient kinds, from the seven coefficients A..G.
+# The elliptic kind holds a ruled patch's rulings, so it takes numpy's cos
+# and sin: where 2p overflows they give NaN, a non-finite polyline, where
+# math's would raise.
+
+def _elliptic_base(A, B, C, D, E, F, G):
+    return lambda p: np.array([A * p, B * p, C * p + D * np.cos(2 * p),
+                               E * p + F * np.cos(2 * p)
+                               + G * np.sin(2 * p)])
+
+
+def _hyperbolic_base(A, B, C, D, E, F, G):
+    return lambda p: np.array([A * p + B * math.cosh(2 * p),
+                               C * p + D * math.cosh(2 * p)
+                               + E * math.sinh(2 * p), F * p, G * p])
+
+
+def _parabolic_base(A, B, C, D, E, F, G):
+    def base(p):
+        even = F * (3 * p**2 + 4 * p**4) + G * (5 * p**3 + 6 * p**5)
+        odd = F * (3 * p**2 - 4 * p**4) + G * (5 * p**3 - 6 * p**5)
+        return np.array([0.0, A * p + B * p**2,
+                         C * p + D * p**2 + E * p**3 + even,
+                         C * p - D * p**2 - E * p**3 + odd])
+
+    return base
+
+
+_BASES = {
+    "elliptic": _elliptic_base,
+    "hyperbolic": _hyperbolic_base,
+    "parabolic": _parabolic_base,
+}
+
+# The named families: each one's direction row and base point.
+_NAMED = {
+    "R1": ("elliptic", lambda p: np.array([0.0, 0.0, -2.0 * p, 0.0])),
+    "R2": ("elliptic", lambda p: np.array([p, 1.0, 0.0, 0.0])),
+    "R3": ("elliptic",
+           lambda p: np.array([0.0, 0.0, 0.5 * (math.cos(2 * p) + 1.0), 0.0])),
+    "R4": ("hyperbolic", lambda p: np.array([0.0, 0.0, -2.0 * p, -2.0])),
+    "R5": ("hyperbolic", lambda p: np.array(
+        [1.0 - math.exp(-2.0 * p) + 2.0 * p, 0.0, 0.0, 0.0])),
+    "R6": ("hyperbolic", lambda p: np.array(
+        [2.0 - 2.0 * math.cosh(2.0 * p), 0.0, 0.0, 0.0])),
+    "R7": ("parabolic",
+           lambda p: np.array([0.0, 0.0, -0.5 * p * p, 0.5 * p * p])),
+    "R7b": ("elliptic", lambda p: np.array(
+        [0.0, 0.0, 0.5 * math.cos(p) ** 2, 0.5 * math.cos(p) ** 2])),
+    "R8": ("parabolic", lambda p: np.array([0.0, 0.0, -p**3, p**3])),
+    "R9": ("parabolic", lambda p: np.array([0.0, -p * p, 0.0, 0.0])),
+    "R9b": ("parabolic-y",
+            lambda p: np.array([0.0, 0.0, p + p**3, p - p**3])),
+    "R10": ("parabolic", lambda p: np.array(
+        [0.0, 0.0, 0.5 * (-3 * p**2 - 4 * p**4), 0.5 * (-3 * p**2 + 4 * p**4)])),
+    "R11": ("parabolic", lambda p: np.array(
+        [0.0, 0.0, -5 * p**3 - 6 * p**5, -5 * p**3 + 6 * p**5])),
+    "R1~": ("elliptic",
+            lambda p: np.array([0.0, 0.0, -3.0 * p, p]) / (2.0 * SQRT2)),
+    "R3~": ("elliptic", lambda p: np.array(
+        [0.0, 0.0, 3.0 * math.cos(p) ** 2, -math.cos(p) ** 2]) / (4.0 * SQRT2)),
+}
+
+
+def cyclographic_preimage(spec) -> LineFamily:
+    """The cone family of a spec: a named example ("R1".."R11", "R7b",
+    "R9b", "R1~", "R3~") or a (kind, coefficients) pair with kind in
+    {elliptic, hyperbolic, parabolic} and seven coefficients A..G.  The
+    elliptic kind's base point at p is (A p, B p, C p + D cos 2p,
+    E p + F cos 2p + G sin 2p), so (A, B, C, D, 0, 0, 0) holds the rulings
+    of `RuledPatch(A, B, C, D)`."""
     if isinstance(spec, str):
-        if spec not in _PREIMAGES:
+        if spec not in _NAMED:
             raise UnknownName("unknown cyclographic preimage %r" % (spec,))
-        return PreimageFamily(spec, _PREIMAGES[spec])
+        return LineFamily(spec, *_NAMED[spec])
     kind, coeffs = spec
-    if kind not in _FAMILY_KINDS:
+    if kind not in _BASES:
         raise UnknownName("unknown cone-family kind %r" % (kind,))
     coeffs = tuple(float(c) for c in coeffs)
     if len(coeffs) != 7:
         raise ValueError("cone families take seven coefficients A..G")
-    return PreimageFamily("%s%s" % (kind, coeffs), _FAMILY_KINDS[kind](coeffs))
+    return LineFamily("%s%s" % (kind, coeffs), kind, _BASES[kind](*coeffs))
+
+
+# -- rulings of the kinematic convolutions ----------------------------
+
+
+def kinematic_weights(S):
+    """(a1, a2, a3, theta) of S = a1*r1 + a2*r2 + a3*r3@theta, a kinematic
+    block or a convolution of them; ProvenanceMismatch for any other
+    surface."""
+    key = {"r1": 0, "r2": 1, "r3": 2}
+    weights = [0.0, 0.0, 0.0]
+    theta = None
+    terms = S.terms if isinstance(S, ConvolutionSurface) else ((1.0, S),)
+    for w, surf in terms:
+        th = 0.0
+        if isinstance(surf, RotatedSurface):
+            th, surf = surf.theta, surf.base
+        if surf.name not in key:
+            raise ProvenanceMismatch(
+                f"surface {getattr(surf, 'provenance', surf)!r} is not a "
+                "kinematic block")
+        idx = key[surf.name]
+        weights[idx] += w
+        if idx == 2 and w != 0.0:
+            if theta is not None and abs(theta - th) > 1e-12:
+                raise ProvenanceMismatch("mixed conoid rotations")
+            theta = th
+    return weights[0], weights[1], weights[2], (theta or 0.0)
+
+
+def kinematic_rulings(S) -> LineFamily:
+    """The rulings of S = a1*r1 + a2*r2 + a3*r3@theta, with the weights read
+    off S (`kinematic_weights`): the three generators share the direction
+    (sin p, cos p, 0) once the rotated conoid term is sampled at p + theta,
+    and the base point is the weighted sum of theirs."""
+    a1, a2, a3, theta = kinematic_weights(S)
+
+    def base(p):
+        z = -2.0 * a1 * p + 0.5 * a3 * (np.cos(2.0 * (p + theta)) + 1.0)
+        return np.array([a2 * p, a2, z, 0.0])
+
+    return LineFamily("rulings of %s" % (S.provenance,), "elliptic", base)

@@ -27,13 +27,13 @@ from .fields import make_bump_field, make_polynomial_field, sum_fields
 from .isotropic import stereographic
 from .reconstruct import (
     IMMERSION_TOL,
+    FieldSurface,
     GaussMappedSurface,
     SurfaceJet,
-    reconstruct_surface,
     unit_normal,
 )
-from .surfaces import (ConvolutionSurface, RotatedSurface,
-                       cyclographic_preimage)
+from .surfaces import (cyclographic_preimage, kinematic_rulings,
+                       kinematic_weights)
 
 K_TOL = 1e-12
 BISECT_TOL = 1e-12
@@ -158,7 +158,7 @@ def _changes_sign(a):
 def _local_energy(fieldobj, uu, vv, wts):
     """(H^2 - K)/K dA summed over the nodes; refused where K or the oriented
     area element (r_u x r_v) . n changes sign there (a singular curve)."""
-    S = reconstruct_surface(fieldobj)
+    S = FieldSurface(fieldobj)
     fr = S.frame(uu, vv, order=2)
     n, ln = unit_normal(S, fr.ru, fr.rv, uu, vv, "energy density")
     if _changes_sign(np.sum(np.cross(fr.ru, fr.rv) * n, axis=-1)):
@@ -258,52 +258,19 @@ def gaussmap_identity_residual(S, tolerance=GAUSSMAP_TOL) -> CheckReport:
     )
 
 
-def _canonical_weights(S):
-    """(a1, a2, a3, theta) of a surface built from the kinematic blocks."""
-    key = {"r1": 0, "r2": 1, "r3": 2}
-
-    def one(surf):
-        theta = 0.0
-        if isinstance(surf, RotatedSurface):
-            theta = surf.theta
-            surf = surf.base
-        if surf.name in key:
-            return key[surf.name], theta
-        raise ProvenanceMismatch(
-            f"surface {getattr(surf, 'provenance', surf)!r} is not a kinematic block"
-        )
-
-    weights = [0.0, 0.0, 0.0]
-    theta = None
-    if isinstance(S, ConvolutionSurface):
-        terms = S.terms
-    else:
-        terms = ((1.0, S),)
-    for w, surf in terms:
-        idx, th = one(surf)
-        weights[idx] += w
-        if idx == 2 and w != 0.0:
-            if theta is not None and abs(theta - th) > 1e-12:
-                raise ProvenanceMismatch("mixed conoid rotations")
-            theta = th
-    return weights[0], weights[1], weights[2], (theta or 0.0)
-
-
-def ruling_residual(S, family, *, tolerance=RULING_TOL) -> CheckReport:
-    """Distance from ruling points to the surface at the matched Gauss
-    coordinates, for 13 angles phi in [-1.2, 1.2] and four lambdas.
+def ruling_residual(S, *, tolerance=RULING_TOL) -> CheckReport:
+    """Distance from the centers of the point spheres on the rulings of
+    S = a1*r1 + a2*r2 + a3*r3@theta (`kinematic_rulings`) to the surface at
+    the matched Gauss coordinates, for 13 angles phi in [-1.2, 1.2] and
+    four lambdas; ProvenanceMismatch for any other surface.
 
     A ruling with direction (sin phi, cos phi, 0) meets the surface
     along the Gauss line (u, v) = s (cos phi, -sin phi); the radius s
     belonging to a given lambda solves a monotone 1-D equation, handled
     by bracketed bisection.
     """
-    a1, a2, a3 = family.a
-    theta = family.theta
-    got = _canonical_weights(S)
-    want = (a1, a2, a3, theta)
-    if any(abs(g - w) > 1e-12 for g, w in zip(got, want)):
-        raise ProvenanceMismatch(f"surface weights {got} != family weights {want}")
+    a1, a2, a3, theta = kinematic_weights(S)
+    family = kinematic_rulings(S)
 
     phis = np.linspace(-1.2, 1.2, 13)
     lams = (-0.8, -0.3, 0.2, 0.7)
@@ -314,7 +281,7 @@ def ruling_residual(S, family, *, tolerance=RULING_TOL) -> CheckReport:
         if abs(c) < 1e-12:
             skipped += len(lams)
             continue
-        point, direction = family.line(float(phi))
+        line = family.line(phi)
         for lam in lams:
             t = (lam + a2 * np.cos(phi)) / c
 
@@ -339,8 +306,7 @@ def ruling_residual(S, family, *, tolerance=RULING_TOL) -> CheckReport:
                 skipped += 1
                 continue
             p = S.frame(u, v, order=0).r
-            q = point + lam * direction
-            residuals.append(float(np.linalg.norm(p - q)))
+            residuals.append(float(np.linalg.norm(p - line.sphere(lam).m)))
     return CheckReport.from_residuals(
         "ruling-incidence", residuals, tolerance,
         {"phis": len(phis), "lams": len(lams), "skipped": skipped},

@@ -19,26 +19,26 @@ import pytest
 
 from lagmin.errors import BadFit
 from lagmin.fields import (
+    EllipticField,
+    ExceptionalField,
+    HyperbolicField,
+    ParabolicField,
+    RootQuarticField,
     fd_bilaplacian,
-    make_elliptic_field,
-    make_exceptional_field,
-    make_hyperbolic_field,
-    make_parabolic_field,
     make_polynomial_field,
-    make_remark_counterexample,
     pushforward_inversion,
 )
 from lagmin.geom_core import OrientedSphere, random_unit_vectors, sphere_tangent_plane
 from lagmin.isotropic import plane_to_ipoint, sphere_to_imsphere
 from lagmin.pencils import Cycle, classify_family, fit_nested, recover_crossing
-from lagmin.reconstruct import isotropic_image, reconstruct_surface
+from lagmin.reconstruct import FieldSurface, isotropic_image
 from lagmin.surfaces import (
     BLOCK_NAMES,
+    ConvolutionSurface,
+    RuledPatch,
     block_field,
     building_block,
     cyclographic_preimage,
-    ruled_surface,
-    rulings_of_convolution,
 )
 from lagmin.verify import (
     biharmonic_residual,
@@ -61,10 +61,10 @@ def certify(num, label, ok, detail):
 def family_zoo(rng):
     """One random representative per closed family (coefficients O(1))."""
     return [
-        ("elliptic", make_elliptic_field(*rng.normal(size=12).round(3))),
-        ("hyperbolic", make_hyperbolic_field(*rng.normal(size=19).round(3))),
-        ("parabolic", make_parabolic_field(*rng.normal(size=12).round(3))),
-        ("exceptional", make_exceptional_field(*rng.normal(size=8).round(3))),
+        ("elliptic", EllipticField(*rng.normal(size=12).round(3))),
+        ("hyperbolic", HyperbolicField(*rng.normal(size=19).round(3))),
+        ("parabolic", ParabolicField(*rng.normal(size=12).round(3))),
+        ("exceptional", ExceptionalField(*rng.normal(size=8).round(3))),
     ]
 
 
@@ -77,10 +77,10 @@ def test_criterion_01_biharmonicity_of_all_families():
         worst = max(worst, rep.max_residual)
         names.append(name)
         assert rep.samples == 1000
-    exc = make_exceptional_field(0.3, -0.2, 0.5, 0.1, A=0.7, B=1.0, C=0.4, D=-0.6)
+    exc = ExceptionalField(0.3, -0.2, 0.5, 0.1, A=0.7, B=1.0, C=0.4, D=-0.6)
     rep = biharmonic_residual(exc, seed=99)
     worst = max(worst, rep.max_residual)
-    rem = abs(make_remark_counterexample().bilaplacian(1.0, 1.0))
+    rem = abs(RootQuarticField().bilaplacian(1.0, 1.0))
     dt = time.perf_counter() - t0
     ok = worst < 1e-9 and rem > 1e-3 and dt < 5.0
     certify(
@@ -126,7 +126,7 @@ def test_criterion_03_reconstruction_round_trip():
     worst = 0.0
     count = 0
     for name, F in family_zoo(rng):
-        S = reconstruct_surface(F)
+        S = FieldSurface(F)
         r = rng.uniform(0.4, 2.0, 1000)
         t = rng.uniform(0, 2 * math.pi, 1000)
         x, y = r * np.cos(t), r * np.sin(t)
@@ -157,7 +157,7 @@ def test_criterion_04_sphere_coherence():
         F = make_polynomial_field(
             {(2, 0): 0.5 * s.a, (0, 2): 0.5 * s.a, (1, 0): s.b, (0, 1): s.c, (0, 0): s.d}
         )
-        pts = reconstruct_surface(F).point(rng.uniform(-1.5, 1.5, 200), rng.uniform(-1.5, 1.5, 200))
+        pts = FieldSurface(F).point(rng.uniform(-1.5, 1.5, 200), rng.uniform(-1.5, 1.5, 200))
         dist = np.linalg.norm(pts - sphere.m, axis=-1)
         worst_rec = max(worst_rec, float(np.max(np.abs(dist - abs(sphere.r)))))
     ok = worst_pi < 1e-10 and worst_rec < 1e-10
@@ -196,7 +196,7 @@ def test_criterion_06_table_correspondences():
     worst = 0.0
     for name in TABLE_BLOCKS:
         blk = building_block(name)
-        fs = reconstruct_surface(block_field(name))
+        fs = FieldSurface(block_field(name))
         ok_mask = blk.is_safe(uu, vv) & (uu**2 + vv**2 > 1e-4)
         d = np.abs(blk.point(uu[ok_mask], vv[ok_mask]) - fs.point(uu[ok_mask], vv[ok_mask]))
         worst = max(worst, float(d.max()))
@@ -213,12 +213,13 @@ def test_criterion_07_ruling_families():
         if a1 * a1 + a3 * a3 <= 0.1:
             continue
         theta = rng.uniform(-1.5, 1.5)
-        fam = rulings_of_convolution(a1, a2, a3, theta)
-        rep = ruling_residual(fam.surface(), fam)
+        rep = ruling_residual(ConvolutionSurface(
+            [(a1, building_block("r1")), (a2, building_block("r2")),
+             (a3, building_block("r3", theta))]))
         worst = max(worst, rep.max_residual)
         tested += 1
     # the conoid patch coincides with its cone family up to a lift by 1/2
-    patch = ruled_surface(0.0, 0.0, 0.0, 0.5)
+    patch = RuledPatch(0.0, 0.0, 0.0, 0.5)
     fam = cyclographic_preimage("R3")
     shift = np.array([0.0, 0.0, 0.5])
     worst_patch = 0.0
@@ -319,7 +320,7 @@ def test_criterion_09_recovery_round_trips():
     )
     worst = max(worst, float(np.max(np.abs(np.asarray(fit_nested(poly)) - (1, 0, 2, 0, 3, 0)))))
     try:
-        fit_nested(make_hyperbolic_field(gamma4=1.0))
+        fit_nested(HyperbolicField(gamma4=1.0))
         rejected = False
     except BadFit:
         rejected = True
@@ -334,7 +335,7 @@ def test_criterion_09_recovery_round_trips():
 
 def test_criterion_10_curvature_sanity():
     sphere_field = make_polynomial_field({(2, 0): 0.5, (0, 2): 0.5, (0, 0): 0.5})
-    S = reconstruct_surface(sphere_field)
+    S = FieldSurface(sphere_field)
     rng = np.random.default_rng(10)
     r = rng.uniform(0.3, 1.8, 200)
     t = rng.uniform(0, 2 * math.pi, 200)
@@ -381,13 +382,13 @@ def test_criterion_12_inversion_preserves_biharmonicity():
     while count < 20:
         kind = count % 4
         if kind == 0:
-            F = make_elliptic_field(*rng.normal(size=12).round(3))
+            F = EllipticField(*rng.normal(size=12).round(3))
         elif kind == 1:
-            F = make_hyperbolic_field(*rng.normal(size=19).round(3))
+            F = HyperbolicField(*rng.normal(size=19).round(3))
         elif kind == 2:
-            F = make_parabolic_field(*rng.normal(size=12).round(3))
+            F = ParabolicField(*rng.normal(size=12).round(3))
         else:
-            F = make_exceptional_field(*rng.normal(size=8).round(3))
+            F = ExceptionalField(*rng.normal(size=8).round(3))
         G = pushforward_inversion(F)
         rep = biharmonic_residual(G, seed=count, samples=100, tolerance=1e-6)
         worst = max(worst, rep.max_residual)

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import lagmin.cli
 from lagmin import BLOCK_NAMES
 from lagmin.cli import _merge_meshes, main
-from lagmin.fields import make_elliptic_field
+from lagmin.fields import EllipticField
+from lagmin.meshing import Mesh
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -212,7 +213,7 @@ def test_isotropic_graph_heights(tmp_path):
     )
     assert code == 0
     verts, _, _ = read_obj(out)
-    F = make_elliptic_field(a1=1.0, a3=-1.0)
+    F = EllipticField(a1=1.0, a3=-1.0)
     assert np.isfinite(verts).all()
     for x, y, z in verts[:: max(1, len(verts) // 25)]:
         assert abs(z - F.value(x, y)) < 1e-8
@@ -609,6 +610,22 @@ def test_ruling_overflow_is_reported_without_warnings(tmp_path, capfd):
     assert not out.exists()
 
 
+def test_ruling_angle_overflow_is_reported_without_warnings(tmp_path, capfd):
+    # 2 phi overflows: the rulings' cos 2 phi is NaN, as the patch's is
+    out = tmp_path / "r.obj"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["ruled", "--A", "1", "--B", "0", "--C", "0",
+                     "--D", "1", "--phi-range", "1e308,1.5e308",
+                     "--lambda-range", "0,1", "--grid", "4x4", "-o", str(out)])
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert capfd.readouterr().err == (
+        "note: dropped 16 grid point(s) with non-finite coordinates\n"
+        "error: ValueError: polyline contains non-finite coordinates\n")
+    assert not out.exists()
+
+
 def test_running_out_of_memory_is_an_error_exit(tmp_path):
     # the address-space limit is set in the child before numpy is
     # imported, so the 20000 x 20000 grid is never allocated without it
@@ -670,6 +687,7 @@ def test_merged_meshes_carry_their_dropped_points():
               6.0 * i)
              for i, (n, k) in enumerate([(4, 2), (3, 0), (5, 7)])]
     merged = _merge_meshes(parts)
+    assert isinstance(merged, Mesh)
     assert len(merged.vertices) == 12 and merged.nonfinite == 9
 
 

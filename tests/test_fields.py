@@ -7,15 +7,14 @@ import pytest
 
 from lagmin.errors import EmptyIntersection, SingularPoint
 from lagmin.fields import (
-    bilaplacian,
+    EllipticField,
+    ExceptionalField,
+    HyperbolicField,
+    ParabolicField,
+    RootQuarticField,
     fd_bilaplacian,
     make_bump_field,
-    make_elliptic_field,
-    make_exceptional_field,
-    make_hyperbolic_field,
-    make_parabolic_field,
     make_polynomial_field,
-    make_remark_counterexample,
     pushforward_inversion,
     reduce_elliptic_field,
     restrict_to_circle,
@@ -27,10 +26,10 @@ VALUE_TOL = 1e-12
 
 # one representative of each closed family, fixed random coefficients
 RNG = np.random.default_rng(20260823)
-ELLIPTIC = make_elliptic_field(*RNG.normal(size=12).round(3))
-HYPERBOLIC = make_hyperbolic_field(*RNG.normal(size=19).round(3))
-PARABOLIC = make_parabolic_field(*RNG.normal(size=12).round(3))
-EXCEPTIONAL = make_exceptional_field(*RNG.normal(size=8).round(3))
+ELLIPTIC = EllipticField(*RNG.normal(size=12).round(3))
+HYPERBOLIC = HyperbolicField(*RNG.normal(size=19).round(3))
+PARABOLIC = ParabolicField(*RNG.normal(size=12).round(3))
+EXCEPTIONAL = ExceptionalField(*RNG.normal(size=8).round(3))
 
 
 def annulus_points(rng, n, lo=0.4, hi=2.5, min_abs_x=0.05):
@@ -53,12 +52,12 @@ def test_family_fields_have_vanishing_bilaplacian(field):
 
 
 def test_elliptic_frozen_value():
-    F = make_elliptic_field(a1=1.0, a3=-1.0)
+    F = EllipticField(a1=1.0, a3=-1.0)
     assert abs(F.value(1.0, 1.0) - math.pi / 4) < VALUE_TOL
 
 
 def test_remark_counterexample_values():
-    F = make_remark_counterexample()
+    F = RootQuarticField()
     assert abs(F.value(0.0, 0.0) - 1.0) < VALUE_TOL
     # frozen: 41/128, computed once from the exact fourth derivatives
     assert abs(F.bilaplacian(1.0, 1.0) - 0.3203125) < 1e-9
@@ -73,13 +72,8 @@ def test_gradient_and_laplacian_channels():
     assert abs(j.entry(2, 0) + j.entry(0, 2) - 8.0) < VALUE_TOL
 
 
-def test_bilaplacian_helper_matches_method():
-    x, y = 1.2, -0.7
-    assert abs(bilaplacian(EXCEPTIONAL, x, y) - EXCEPTIONAL.bilaplacian(x, y)) < 1e-14
-
-
 def test_singular_guard_raises_and_masks():
-    F = make_elliptic_field(a1=1.0, a3=-1.0, guard=1e-3)
+    F = EllipticField(a1=1.0, a3=-1.0, guard=1e-3)
     assert not F.is_safe(0.0, 0.0)
     assert F.is_safe(0.5, 0.5)
     with pytest.raises(SingularPoint):
@@ -89,7 +83,7 @@ def test_singular_guard_raises_and_masks():
 
 
 def test_branch_shifts_angular_multiple():
-    F = make_elliptic_field(a3=1.0)  # F = Arctan(y/x)
+    F = EllipticField(a3=1.0)  # F = Arctan(y/x)
     base = F.value(1.0, 1.0)
     up = F.with_branch(1).value(1.0, 1.0)
     assert abs(up - base - math.pi) < VALUE_TOL
@@ -100,7 +94,7 @@ def test_fd_stencil_examples():
     assert abs(fd_bilaplacian(Fq, 0.3, -1.1, 1e-2) - 24.0) < 1e-6
     Fc = make_polynomial_field({(2, 1): 1.0})
     assert abs(fd_bilaplacian(Fc, 0.3, -1.1, 1e-2)) < 1e-8
-    Fe = make_elliptic_field(a1=1.0, a3=-1.0)
+    Fe = EllipticField(a1=1.0, a3=-1.0)
     assert abs(fd_bilaplacian(Fe, 2.0, 1.0, 1e-3)) < 1e-4
 
 
@@ -164,13 +158,13 @@ def test_kelvin_preserves_biharmonicity():
 def test_restrictions_are_low_degree_on_cycles():
     Cyc = SimpleNamespace
     # gamma-only field restricted to the circle r = 2 is linear there
-    F = make_hyperbolic_field(gamma1=-1.0, gamma2=-1.0, gamma3=-1.0, gamma4=1.0)
+    F = HyperbolicField(gamma1=-1.0, gamma2=-1.0, gamma3=-1.0, gamma4=1.0)
     assert restrict_to_circle(F, Cyc(a=1, b=0, c=0, d=-4), 1) < 1e-9
     # elliptic field on a line through the origin is quadratic in arclength
     assert restrict_to_circle(ELLIPTIC, Cyc(a=0, b=2, c=-1, d=0), 2) < 1e-8
     # the quartic counterexample is linear on its own nested circles
     t = 2.0
-    F = make_remark_counterexample()
+    F = RootQuarticField()
     assert restrict_to_circle(F, Cyc(a=1, b=-t, c=0, d=-math.sqrt(t * t - 1)), 1) < 1e-9
 
 
@@ -245,8 +239,8 @@ def test_sum_and_bump_fields():
 @pytest.mark.parametrize(
     "F",
     [
-        make_elliptic_field(c1=2.3, c2=-1.7, c3=3.1, d1=0.9, d2=-2.2),
-        make_hyperbolic_field(c1=0.7, c2=-1.3, alpha1=0.4, beta1=-0.9,
+        EllipticField(c1=2.3, c2=-1.7, c3=3.1, d1=0.9, d2=-2.2),
+        HyperbolicField(c1=0.7, c2=-1.3, alpha1=0.4, beta1=-0.9,
                               alpha4=0.5, beta4=1.1, gamma1=2.0, gamma2=-0.6),
     ],
 )
@@ -335,9 +329,9 @@ def _stated_cases():
         cases.append(cls(**{k: -0.0 for k in names}))
         # one nonzero singular coefficient at a time
         cases += [cls(**(regular | {k: coeffs[k]})) for k in singular]
-    cases.append(make_parabolic_field(*rng.normal(size=12).round(3)))
-    cases.append(make_parabolic_field(*([-0.0] * 12)))
-    cases.append(make_parabolic_field())
+    cases.append(ParabolicField(*rng.normal(size=12).round(3)))
+    cases.append(ParabolicField(*([-0.0] * 12)))
+    cases.append(ParabolicField())
     cases.append(make_polynomial_field(
         {(p, q): c for (p, q), c in zip([(0, 0), (3, 1), (1, 4), (2, 2)],
                                         rng.normal(size=4).round(3))}))

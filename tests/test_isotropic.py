@@ -21,7 +21,6 @@ from lagmin.isotropic import (
     imsphere_map,
     imtransform_apply,
     inverse_stereographic,
-    ipoint_to_plane,
     isotropic,
     line_to_imcircle,
     plane_to_ipoint,
@@ -31,6 +30,17 @@ from lagmin.isotropic import (
 
 ROUND_TRIP_TOL = 1e-12
 COHERENCE_TOL = 1e-10
+
+
+def ipoint_to_plane(point: IsoPoint) -> OrientedPlane:
+    """The inverse of `plane_to_ipoint`: the plane whose normal is the
+    inverse stereographic image of the point's top view.  The package has
+    no caller for it; the round trip below checks the two against each
+    other."""
+    if point.is_ideal:
+        return OrientedPlane(np.array([0.0, 0.0, -1.0]), float(point.ideal_label))
+    x, y, z = point.x, point.y, point.z
+    return OrientedPlane(inverse_stereographic(x, y), 2.0 * z / (1.0 + x * x + y * y))
 
 
 # -- Euclidean Laguerre maps of oriented planes -------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagmin.cli import _merge_meshes
-from lagmin.fields import make_elliptic_field
+from lagmin.fields import EllipticField
 from lagmin.meshing import (
     Mesh,
     _scaled,
@@ -19,7 +19,7 @@ from lagmin.meshing import (
     surface_mesh,
     write_obj,
 )
-from lagmin.reconstruct import reconstruct_surface
+from lagmin.reconstruct import FieldSurface
 from lagmin.surfaces import building_block
 
 
@@ -37,12 +37,12 @@ def test_mesh_from_grid_drops_cells_touching_invalid_points():
     pts[..., 0], pts[..., 1] = np.meshgrid(np.arange(3.0), np.arange(3.0))
     ok = np.ones((3, 3), dtype=bool)
     ok[1, 1] = False  # center point kills all four cells
-    mesh = mesh_from_grid(pts, ok, (-1, 1, -1, 1), (3, 3))
+    mesh = mesh_from_grid(pts, ok)
     assert len(mesh.vertices) == 8
     assert len(mesh.faces) == 0
     ok[1, 1] = True
     pts[1, 1, 2] = np.nan  # non-finite points are dropped too
-    mesh = mesh_from_grid(pts, ok, (-1, 1, -1, 1), (3, 3))
+    mesh = mesh_from_grid(pts, ok)
     assert len(mesh.faces) == 0
 
 
@@ -54,8 +54,8 @@ def test_full_grid_mesh_has_all_quads():
 
 
 def test_guarded_field_mesh_drops_center_cells():
-    F = make_elliptic_field(a1=1.0, a3=-1.0).with_guard(0.3)
-    S = reconstruct_surface(F)
+    F = EllipticField(a1=1.0, a3=-1.0).with_guard(0.3)
+    S = FieldSurface(F)
     mesh = surface_mesh(S, (-1, 1, -1, 1), (30, 30))
     assert 0 < len(mesh.faces) < 29 * 29
     assert np.isfinite(mesh.vertices).all()
@@ -65,10 +65,6 @@ def test_obj_text_layout():
     mesh = Mesh(
         vertices=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.5], [0.0, 1.0, 0.0]]),
         faces=[(0, 1, 2, 3)],
-        valid=np.ones((2, 2), dtype=bool),
-        shape=(2, 2),
-        window=(0.0, 1.0, 0.0, 1.0),
-        index=np.arange(4).reshape(2, 2),
     )
     txt = obj_text(mesh, polylines=[np.array([[0.0, 0.0, 2.0], [1.0, 1.0, 2.0]])], comment="demo")
     lines = txt.splitlines()
@@ -87,10 +83,6 @@ def test_obj_text_rejects_non_finite_polyline():
     mesh = Mesh(
         vertices=np.zeros((1, 3)),
         faces=[],
-        valid=np.ones((1, 1), dtype=bool),
-        shape=(1, 1),
-        window=(0.0, 1.0, 0.0, 1.0),
-        index=np.zeros((1, 1), dtype=int),
     )
     with pytest.raises(ValueError):
         obj_text(mesh, polylines=[np.array([[0.0, 0.0, np.nan]])])
@@ -152,9 +144,10 @@ def _reference_faces(ok, index):
     return faces
 
 
-def _guarded_mesh_with_nans():
-    F = make_elliptic_field(a1=1.0, a3=-1.0).with_guard(0.3)
-    S = reconstruct_surface(F)
+def _guarded_grid_with_nans():
+    """(pts, ok) of a guarded grid walk, with non-finite points added."""
+    F = EllipticField(a1=1.0, a3=-1.0).with_guard(0.3)
+    S = FieldSurface(F)
     u, v = grid_axes((-1, 1, -1, 1), (23, 17))
     uu, vv = np.meshgrid(u, v)
     ok = np.broadcast_to(S.is_safe(uu, vv), uu.shape).copy()
@@ -163,21 +156,28 @@ def _guarded_mesh_with_nans():
     pts[3, 5, 1] = np.nan          # non-finite points outside the guard too
     pts[10, 0, 2] = np.inf
     assert not ok.all()
-    return mesh_from_grid(pts, ok, (-1, 1, -1, 1), (23, 17))
+    return pts, ok
+
+
+def _guarded_mesh_with_nans():
+    return mesh_from_grid(*_guarded_grid_with_nans())
 
 
 def _empty_mesh(n_vertices):
     return Mesh(vertices=np.arange(3.0 * n_vertices).reshape(-1, 3) / 7.0,
-                faces=np.zeros((0, 4), dtype=np.int64),
-                valid=np.ones((1, max(n_vertices, 1)), dtype=bool),
-                shape=(max(n_vertices, 1), 1))
+                faces=np.zeros((0, 4), dtype=np.int64))
 
 
 def test_mesh_from_grid_faces_match_cell_loop():
-    mesh = _guarded_mesh_with_nans()
+    pts, ok = _guarded_grid_with_nans()
+    mesh = mesh_from_grid(pts, ok)
     assert np.issubdtype(mesh.faces.dtype, np.integer)
     assert mesh.faces.shape == (len(mesh.faces), 4)
-    expected = _reference_faces(mesh.valid, mesh.index)
+    # vertices are the safe, finite points in row-major order
+    valid = ok & np.all(np.isfinite(pts), axis=-1)
+    index = np.cumsum(valid).reshape(valid.shape) - 1
+    assert np.array_equal(mesh.vertices, pts[valid])
+    expected = _reference_faces(valid, index)
     assert 0 < len(expected) < 22 * 16
     assert [tuple(int(i) for i in q) for q in mesh.faces] == expected
 
@@ -215,9 +215,7 @@ def _vertex_mesh(values, faces=()):
     """A mesh whose vertex coordinates are `values`, three to a row."""
     vertices = np.asarray(values, dtype=float).reshape(-1, 3)
     return Mesh(vertices=vertices,
-                faces=np.asarray(faces, dtype=np.int64).reshape(-1, 4),
-                valid=np.ones((1, max(len(vertices), 1)), dtype=bool),
-                shape=(max(len(vertices), 1), 1))
+                faces=np.asarray(faces, dtype=np.int64).reshape(-1, 4))
 
 
 def _assert_reference_bytes(values, faces=(), polylines=()):

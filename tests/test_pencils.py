@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from lagmin.errors import (
     TooFew,
 )
 from lagmin.fields import (
-    make_hyperbolic_field,
+    HyperbolicField,
     make_polynomial_field,
 )
 from lagmin.pencils import (
     Cycle,
-    center_constraint_check,
+    _circle_points,
+    _fit_linear,
     classification_report,
     classify_family,
     fit_nested,
@@ -28,6 +30,27 @@ from lagmin.pencils import (
 from lagmin.surfaces import CycloLine, cyclographic_preimage
 
 RECOVER_TOL = 1e-9
+CENTER_TOL = 1e-9        # linearity residual in center_constraint_check
+CENTER_SAMPLES = 60      # points on the circle center_constraint_check samples
+
+
+def center_constraint_check(A, B, C, a, b, c, S: Cycle) -> bool:
+    """Is (x^2+y^2)(Ax+By+C) + ax+by+c linear along the circle S?
+
+    For A^2 + B^2 != 0 this holds exactly when S is centered at the
+    origin; with A = B = 0 the function is affine plus a multiple of
+    x^2+y^2 and the restriction is linear on every circle.  The converse
+    half of the nested-circle lemma that `fit_nested` fits; the package
+    has no caller for it.
+    """
+    if S.a == 0.0 or S.q() <= 0.0:
+        raise ValueError("S must be a genuine circle")
+    pts = _circle_points(S.center(), S.radius(), CENTER_SAMPLES)
+    x, y = pts[:, 0], pts[:, 1]
+    r2 = x * x + y * y
+    vals = r2 * (A * x + B * y + C) + a * x + b * y + c
+    _, resid = _fit_linear(pts, vals)
+    return resid < CENTER_TOL
 
 
 def circle_samples(center, radius, fn, n=50):
@@ -156,7 +179,7 @@ def test_fit_nested_round_trip():
 
 
 def test_fit_nested_rejects_log_field():
-    logf = make_hyperbolic_field(gamma4=1.0)  # (x²+y²) ln(x²+y²)
+    logf = HyperbolicField(gamma4=1.0)  # (x²+y²) ln(x²+y²)
     with pytest.raises(BadFit):
         fit_nested(logf)
 
@@ -168,7 +191,8 @@ def test_center_constraints():
 
 
 def test_gauss_images_of_cone_families():
-    vertical = lambda p: CycloLine((0, 0, 0, 0), (0, 0, 1, 0.2 + 0.1 * p))
+    vertical = SimpleNamespace(
+        line=lambda p: CycloLine((0, 0, 0, 0), (0, 0, 1, 0.2 + 0.1 * p)))
     pc = gauss_pencil_of_cones(vertical, samples=7)
     assert pc.tag == "hyperbolic"
     pc = gauss_pencil_of_cones(cyclographic_preimage("R1"), samples=9)

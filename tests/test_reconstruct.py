@@ -6,11 +6,11 @@ import pytest
 
 from lagmin.errors import NonImmersed
 from lagmin.fields import (
-    make_elliptic_field,
-    make_hyperbolic_field,
+    EllipticField,
+    HyperbolicField,
     make_polynomial_field,
 )
-from lagmin.reconstruct import isotropic_image, reconstruct_surface
+from lagmin.reconstruct import FieldSurface, isotropic_image
 from lagmin.surfaces import block_field, building_block
 
 ROUND_TRIP_TOL = 1e-10
@@ -26,7 +26,7 @@ def safe_points(rng, n, lo=0.3, hi=1.8):
 
 def test_paraboloid_field_reconstructs_to_unit_sphere():
     F = make_polynomial_field({(2, 0): 0.5, (0, 2): 0.5, (0, 0): 0.5})
-    S = reconstruct_surface(F)
+    S = FieldSurface(F)
     rng = np.random.default_rng(6)
     x, y = safe_points(rng, 300)
     pts = S.point(x, y)
@@ -36,7 +36,7 @@ def test_paraboloid_field_reconstructs_to_unit_sphere():
 def test_point_sphere_field_reconstructs_to_point():
     # z = x encodes the point sphere at (-1, 0, 0)
     F = make_polynomial_field({(1, 0): 1.0})
-    S = reconstruct_surface(F)
+    S = FieldSurface(F)
     rng = np.random.default_rng(7)
     x, y = safe_points(rng, 100)
     pts = S.point(x, y)
@@ -44,8 +44,8 @@ def test_point_sphere_field_reconstructs_to_point():
 
 
 def test_graph_identity_round_trip():
-    F = make_elliptic_field(a1=1.0, a3=-1.0)
-    S = reconstruct_surface(F)
+    F = EllipticField(a1=1.0, a3=-1.0)
+    S = FieldSurface(F)
     rng = np.random.default_rng(12)
     x, y = safe_points(rng, 200)
     img = isotropic_image(S, x, y)
@@ -55,8 +55,8 @@ def test_graph_identity_round_trip():
 
 
 def test_scalar_round_trip_returns_iso_point():
-    F = make_hyperbolic_field(a1=0.5, gamma4=1.0)
-    S = reconstruct_surface(F)
+    F = HyperbolicField(a1=0.5, gamma4=1.0)
+    S = FieldSurface(F)
     q = isotropic_image(S, 1.3, 0.7)
     assert abs(q.x - 1.3) < 1e-9
     assert abs(q.y - 0.7) < 1e-9
@@ -64,8 +64,8 @@ def test_scalar_round_trip_returns_iso_point():
 
 
 def test_normal_is_inverse_stereographic_preimage():
-    F = make_elliptic_field(a1=1.0, a3=-1.0)
-    S = reconstruct_surface(F)
+    F = EllipticField(a1=1.0, a3=-1.0)
+    S = FieldSurface(F)
     rng = np.random.default_rng(3)
     x, y = safe_points(rng, 100)
     n = S.normal(x, y)
@@ -75,8 +75,8 @@ def test_normal_is_inverse_stereographic_preimage():
 
 
 def test_frame_derivatives_match_finite_differences():
-    F = make_elliptic_field(a1=1.0, a3=-1.0)
-    S = reconstruct_surface(F)
+    F = EllipticField(a1=1.0, a3=-1.0)
+    S = FieldSurface(F)
     u, v = 0.9, 0.5
     fr = S.frame(u, v, order=2)
     h = 1e-5
@@ -99,14 +99,14 @@ def test_frame_derivatives_match_finite_differences():
 
 def test_non_immersed_parametrization_raises():
     # this field reconstructs to a curve, so the cross product vanishes
-    S = reconstruct_surface(block_field("r2"))
+    S = FieldSurface(block_field("r2"))
     with pytest.raises(NonImmersed):
         isotropic_image(S, 0.8, 0.4)
 
 
 def test_field_surface_carries_its_field():
-    F = make_elliptic_field(a1=1.0, a3=-1.0)
-    S = reconstruct_surface(F)
+    F = EllipticField(a1=1.0, a3=-1.0)
+    S = FieldSurface(F)
     assert S.field is F
     assert S.provenance == "reconstructed-from-field"
 

@@ -3,8 +3,12 @@ makes is used in it, every private module-level name is used somewhere
 in the package, and every public top-level function or class is read by
 some other code of the package or named, with its reason, in
 UNREAD_PUBLIC.  The package `__init__` re-exports what it imports, so its
-imports count as used, but a re-export is not a read."""
+imports count as used, but a re-export is not a read.  No public
+module-level name is a second name for a class or function of the
+package."""
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -20,14 +24,12 @@ UNREAD_PUBLIC = {
     "sphere_tangent_plane": "criterion 04 maps the tangent planes it gives",
     "random_unit_vectors": "criterion 04 samples its normals",
     "plane_to_ipoint": "criterion 04 maps tangent planes with it",
-    "ipoint_to_plane": "the inverse of plane_to_ipoint; tests round-trip "
-                       "the two",
     "recover_crossing": "criterion 09 recovers crossing-circle fields",
     "fit_nested": "criterion 09 recovers nested-circle fields",
-    "center_constraint_check": "the converse half of the nested-circle "
-                               "lemma that fit_nested fits",
     "omega_integrand": "criterion 10 bounds the energy integrand",
     "pushforward_inversion": "criterion 12 inverts fields with it",
+    "RootQuarticField": "the remark's counterexample: criterion 01 and the "
+                        "biharmonic check's tests show it is not biharmonic",
     "reduce_elliptic_field": "planned: ruling_residual reads (A, B, C, D) "
                              "off its normal form (ROADMAP item 2)",
     "gauss_pencil_of_cones": "planned: the pencil check (ROADMAP item 2)",
@@ -149,3 +151,31 @@ def test_the_unread_public_list_is_not_stale():
     # an entry whose name is gone, or that the package now reads, is stale
     stale = sorted(set(UNREAD_PUBLIC) - set(_unread_public()))
     assert stale == [], "stale UNREAD_PUBLIC entries: %s" % (", ".join(stale),)
+
+
+def _public_assignments():
+    """(module, name, line) of each public name a module binds with `=`."""
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield module, target.id, node.lineno
+
+
+def test_no_public_name_aliases_a_class_or_function():
+    # `alias = SomeClass` or `alias = SomeClass.method` gives one
+    # definition a second name; callers use the definition itself
+    aliases = []
+    for module, name, line in _public_assignments():
+        modname = "lagmin" if module == "__init__.py" else "lagmin." + module[:-3]
+        value = getattr(importlib.import_module(modname), name)
+        if ((inspect.isclass(value) or inspect.isfunction(value))
+                and value.__module__.startswith("lagmin")):
+            aliases.append("%s:%d %s" % (module, line, name))
+    assert aliases == [], "public aliases: %s" % (", ".join(aliases),)

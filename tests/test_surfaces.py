@@ -6,7 +6,6 @@ import pytest
 
 from lagmin.errors import (
     DegenerateCone,
-    DegenerateFamily,
     IdealImage,
     NonImmersed,
     ProvenanceMismatch,
@@ -18,30 +17,26 @@ from lagmin.fields import (
     ExceptionalField,
     HyperbolicField,
     ParabolicField,
+    RootQuarticField,
     make_bump_field,
     make_polynomial_field,
-    make_remark_counterexample,
     pushforward_inversion,
     sum_fields,
 )
 from lagmin.grammar import parse_surface
 from lagmin.isotropic import IsoPoint
-from lagmin.reconstruct import (
-    FieldSurface,
-    isotropic_image,
-    reconstruct_surface,
-)
+from lagmin.reconstruct import FieldSurface, isotropic_image
 from lagmin.surfaces import (
     BLOCK_NAMES,
     BlockSurface,
+    ConvolutionSurface,
     CycloLine,
     RotatedSurface,
+    RuledPatch,
     block_field,
     building_block,
-    convolve,
     cyclographic_preimage,
-    ruled_surface,
-    rulings_of_convolution,
+    kinematic_rulings,
 )
 
 POINT_TOL = 1e-12
@@ -64,7 +59,8 @@ def test_block_example_points():
 
 
 def test_convolution_adds_pointwise():
-    conv = convolve([(1.0, building_block("r1")), (1.0, building_block("r3"))])
+    conv = ConvolutionSurface([(1.0, building_block("r1")),
+                               (1.0, building_block("r3"))])
     assert np.allclose(
         conv.point(1.0, 1.0), (0.25, -0.25, math.pi / 2 + 0.5), atol=POINT_TOL
     )
@@ -92,7 +88,7 @@ def test_gauss_map_identity(name):
 )
 def test_closed_block_matches_reconstructed_field(name, theta):
     blk = building_block(name, theta if theta else None)
-    fs = reconstruct_surface(block_field(name, theta))
+    fs = FieldSurface(block_field(name, theta))
     uu, vv = GRID
     ok = blk.is_safe(uu, vv) & (uu**2 + vv**2 > 1e-4)
     d = np.abs(blk.point(uu[ok], vv[ok]) - fs.point(uu[ok], vv[ok])).max()
@@ -102,7 +98,7 @@ def test_closed_block_matches_reconstructed_field(name, theta):
 def test_conoid_orientation_pairing():
     """x y² expands on the block with the opposite rotation sign."""
     xy2 = make_polynomial_field({(1, 2): 1.0})
-    fs = reconstruct_surface(xy2)
+    fs = FieldSurface(xy2)
     uu, vv = GRID
     good = building_block("r9", -math.pi / 2)
     d = np.abs(good.point(uu, vv) - fs.point(uu, vv)).max()
@@ -131,14 +127,13 @@ def test_helicoid_lies_on_its_lines():
 
 
 def test_rulings_examples():
-    fam = rulings_of_convolution(1.0, 0.0, 0.0)
-    p, d = fam.line(math.pi / 2)
-    assert np.allclose(p, (0.0, 0.0, -math.pi), atol=POINT_TOL)
-    assert np.allclose(d, (1.0, 0.0, 0.0), atol=POINT_TOL)
-    fam2 = rulings_of_convolution(0.0, 1.0, 0.0)
-    p, d = fam2.line(0.0)
-    assert np.allclose(p, (0.0, 1.0, 0.0), atol=POINT_TOL)
-    assert np.allclose(d, (0.0, 1.0, 0.0), atol=POINT_TOL)
+    # rulings are lines of point spheres: R = 0 along them
+    L = kinematic_rulings(building_block("r1")).line(math.pi / 2)
+    assert np.allclose(L.base, (0.0, 0.0, -math.pi, 0.0), atol=POINT_TOL)
+    assert np.allclose(L.dir, (1.0, 0.0, 0.0, 0.0), atol=POINT_TOL)
+    L = kinematic_rulings(building_block("r2")).line(0.0)
+    assert np.allclose(L.base, (0.0, 1.0, 0.0, 0.0), atol=POINT_TOL)
+    assert np.allclose(L.dir, (0.0, 1.0, 0.0, 0.0), atol=POINT_TOL)
 
 
 def test_ruling_incidence_random_families():
@@ -150,8 +145,10 @@ def test_ruling_incidence_random_families():
         if a1 * a1 + a3 * a3 <= 0.1:
             continue
         th = rng.uniform(-1.5, 1.5)
-        fam = rulings_of_convolution(a1, a2, a3, th)
-        surf = fam.surface()
+        surf = ConvolutionSurface([(a1, building_block("r1")),
+                                   (a2, building_block("r2")),
+                                   (a3, building_block("r3", th))])
+        fam = kinematic_rulings(surf)
         for _ in range(5):
             phi = rng.uniform(-1.4, 1.4)
             s = rng.uniform(0.25, 1.7)
@@ -161,21 +158,14 @@ def test_ruling_incidence_random_families():
             lam = (1.0 / s - s) * (
                 a1 + a3 * math.sin(phi + th) * math.cos(phi + th)
             ) - a2 * math.cos(phi)
-            P, D = fam.line(phi)
-            worst = max(worst, np.abs(surf.point(u, v) - (P + lam * D)).max())
+            m = fam.line(phi).sphere(lam).m
+            worst = max(worst, np.abs(surf.point(u, v) - m).max())
         tested += 1
     assert worst < 1e-10
 
 
-def test_degenerate_ruling_family_guards():
-    fam0 = rulings_of_convolution(0.0, 5.0, 0.0)
-    assert fam0.degenerate
-    with pytest.raises(DegenerateFamily):
-        fam0.surface()
-
-
 def test_ruled_patch_matches_conoid_preimage():
-    rp = ruled_surface(0.0, 0.0, 0.0, 0.5)
+    rp = RuledPatch(0.0, 0.0, 0.0, 0.5)
     fam = cyclographic_preimage("R3")
     worst = 0.0
     for phi in np.linspace(-3, 3, 13):
@@ -187,14 +177,56 @@ def test_ruled_patch_matches_conoid_preimage():
     assert worst < 1e-12
 
 
-def test_ruled_patch_degenerate_flag_and_rulings():
-    rp = ruled_surface(1.0, 1.0, 0.0, 0.0)
-    assert rp.degenerate
-    point, direction = rp.ruling(0.3)
+def test_ruled_patch_rulings_lie_on_the_patch():
+    rp = RuledPatch(1.0, 1.0, 0.0, 0.0)
+    line = rp.rulings.line(0.3)
     # the ruling is a straight line on the patch
     for lam in (-0.5, 0.0, 0.7):
         got = rp.frame(0.3, lam, order=0).r
-        assert np.allclose(got, point + lam * direction, atol=1e-12)
+        assert np.allclose(got, line.sphere(lam).m, atol=1e-12)
+
+
+def test_ruled_patch_rulings_are_point_spheres_of_its_points():
+    rp = RuledPatch(1, 0.5, 0.3, 0.2)
+    assert rp.rulings.kind == "elliptic"
+    for phi in np.linspace(-3, 3, 13):
+        line = rp.rulings.line(phi)
+        for lam in (-1.0, 0.3, 0.8):
+            sp = line.sphere(lam)
+            assert sp.r == 0.0
+            assert np.abs(sp.m - rp.frame(phi, lam, order=0).r).max() < 1e-12
+
+
+# The direction row of each kind, and the kind of each named family.
+_ROWS = {
+    "elliptic": lambda p: (math.sin(p), math.cos(p), 0.0, 0.0),
+    "hyperbolic": lambda p: (0.0, 0.0, math.cosh(p), math.sinh(p)),
+    "parabolic": lambda p: (1.0, 0.0, -p, p),
+    "parabolic-y": lambda p: (0.0, 1.0, -p, p),
+}
+_KINDS = {
+    "elliptic": ("R1", "R2", "R3", "R7b", "R1~", "R3~"),
+    "hyperbolic": ("R4", "R5", "R6"),
+    "parabolic": ("R7", "R8", "R9", "R10", "R11"),
+    "parabolic-y": ("R9b",),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_every_family_line_runs_along_its_kind_row(kind):
+    families = [cyclographic_preimage(name) for name in _KINDS[kind]]
+    if kind != "parabolic-y":
+        coeffs = (0.3, -1, 2, 0.5, 0, 1, 2)
+        families.append(cyclographic_preimage((kind, coeffs)))
+    for fam in families:
+        assert fam.kind == kind
+        for p in (-1.3, -0.2, 0.0, 0.45, 1.7):
+            assert np.array_equal(fam.line(p).dir, _ROWS[kind](p))
+
+
+def test_kinematic_rulings_refuse_a_foreign_surface():
+    with pytest.raises(ProvenanceMismatch):
+        kinematic_rulings(building_block("r4"))
 
 
 def test_preimage_line_examples():
@@ -224,15 +256,14 @@ def test_flat_patch_has_no_curvature_radii():
     with pytest.raises(ZeroGaussCurvature):
         from lagmin.verify import omega_integrand
 
-        omega_integrand(ruled_surface(1.0, 0.0, 0.0, 0.0), 0.3, 0.2)
+        omega_integrand(RuledPatch(1.0, 0.0, 0.0, 0.0), 0.3, 0.2)
 
 
 def test_ruling_family_rejects_foreign_surface():
-    fam = rulings_of_convolution(1.0, 0.0, 0.0)
     from lagmin.verify import ruling_residual
 
     with pytest.raises(ProvenanceMismatch):
-        ruling_residual(building_block("r4"), fam)
+        ruling_residual(building_block("r4"))
 
 
 @pytest.mark.parametrize("order", [2, 3])
@@ -241,7 +272,7 @@ def test_convolution_frame_is_the_weighted_sum_of_term_frames(order):
              (1.3, building_block("r3", 0.4))]
     u = np.array([0.3, -1.1, 0.8])
     v = np.array([0.9, 0.2, -1.4])
-    got = convolve(terms).frame(u, v, order=order)
+    got = ConvolutionSurface(terms).frame(u, v, order=order)
     frames = [(w, s.frame(u, v, order=order)) for w, s in terms]
     for part in ("r", "ru", "rv", "ruu", "ruv", "rvv"):
         want = sum(w * getattr(fr, part) for w, fr in frames)
@@ -251,7 +282,7 @@ def test_convolution_frame_is_the_weighted_sum_of_term_frames(order):
 def test_ruled_frame_table_at_order_4():
     # each entry is the central difference of the entry one order below;
     # r is linear in lambda, so columns j >= 2 vanish
-    rp = ruled_surface(1.0, 0.5, 0.3, 0.2)
+    rp = RuledPatch(1.0, 0.5, 0.3, 0.2)
     phi = np.linspace(-3.0, 3.0, 7)
     lam = np.linspace(-2.0, 2.0, 7)
     h = 1e-5
@@ -284,7 +315,7 @@ def test_rotated_frame_matches_the_rotated_field_at_order_4(name):
     u = np.array([0.3, -1.1, 0.8, 1.5])
     v = np.array([0.9, 0.2, -1.4, 0.6])
     got = RotatedSurface(building_block(name), theta).frame(u, v, order=4).d
-    want = reconstruct_surface(block_field(name, theta)).frame(u, v, order=4).d
+    want = FieldSurface(block_field(name, theta)).frame(u, v, order=4).d
     assert got.shape == want.shape == (5, 5, 4, 3)
     assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-12
 
@@ -293,15 +324,15 @@ _SAFE_OBJECTS = {
     **{name: building_block(name) for name in BLOCK_NAMES},
     "r3@theta=0.5": building_block("r3", 0.5),
     "r6~@theta=0.2": building_block("r6~", 0.2),
-    "conv": convolve([(1.0, building_block("r1")),
+    "conv": ConvolutionSurface([(1.0, building_block("r1")),
                       (0.5, building_block("r3", 0.2))]),
-    "ruled": ruled_surface(1.0, 0.5, 0.3, 0.2),
+    "ruled": RuledPatch(1.0, 0.5, 0.3, 0.2),
     "field:elliptic": EllipticField(a1=1.0, b2=0.3, d1=0.2),
     "field:hyperbolic": HyperbolicField(a2=1.0, c2=1.0, alpha1=-1.0),
     "field:parabolic": ParabolicField(alpha0=1.0, beta1=0.6),
     "field:exceptional": ExceptionalField(a=0.2, A=1.0, B=0.5, c=0.3),
     "field:poly": make_polynomial_field({(3, 0): 1.0, (0, 0): 0.5}),
-    "field:remark": make_remark_counterexample(),
+    "field:remark": RootQuarticField(),
     "field:sum": sum_fields([(1.0, block_field("r1")), (0.5, block_field("r4"))]),
     "field:bump": make_bump_field((0.2, -0.1), 0.8, 1.0),
     "field:kelvin": pushforward_inversion(block_field("r6")),
@@ -373,7 +404,7 @@ def test_block_masks_are_the_field_guard_plus_the_ring_band(g):
         got = building_block(name, theta).with_guard(g).is_safe(u, v)
         want = _reference_mask(name, g, *_rotated(theta, u, v))
         assert np.array_equal(got, want), (name, theta)
-    conv = convolve([(1.0, building_block("r1")),
+    conv = ConvolutionSurface([(1.0, building_block("r1")),
                      (0.5, building_block("r3", 0.2)),
                      (0.3, building_block("r5"))]).with_guard(g)
     want = (_reference_mask("r1", g, u, v) & _reference_mask("r5", g, u, v)

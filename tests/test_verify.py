@@ -7,22 +7,17 @@ import pytest
 
 from lagmin.errors import NonImmersed, UnknownName, ZeroGaussCurvature
 from lagmin.fields import (
+    EllipticField,
     ParabolicField,
-    make_elliptic_field,
+    RootQuarticField,
     make_polynomial_field,
-    make_remark_counterexample,
     sum_fields,
 )
 from lagmin.geom_core import OrientedSphere
 from lagmin.grammar import parse_surface
 from lagmin.meshing import surface_mesh
-from lagmin.reconstruct import GaussMappedSurface, reconstruct_surface
-from lagmin.surfaces import (
-    block_field,
-    building_block,
-    cyclographic_preimage,
-    rulings_of_convolution,
-)
+from lagmin.reconstruct import FieldSurface, GaussMappedSurface
+from lagmin.surfaces import block_field, building_block, cyclographic_preimage
 from lagmin.verify import (
     CheckReport,
     biharmonic_residual,
@@ -44,7 +39,7 @@ SPHERE_FIELD = make_polynomial_field({(2, 0): 0.5, (0, 2): 0.5, (0, 0): 0.5})
 
 
 def test_unit_sphere_curvatures():
-    S = reconstruct_surface(SPHERE_FIELD)
+    S = FieldSurface(SPHERE_FIELD)
     rng = np.random.default_rng(2)
     r = rng.uniform(0.3, 1.8, 50)
     t = rng.uniform(0, 2 * math.pi, 50)
@@ -66,7 +61,7 @@ def test_minimal_blocks_have_zero_mean_curvature():
 
 
 def test_omega_integrand_values():
-    S = reconstruct_surface(SPHERE_FIELD)
+    S = FieldSurface(SPHERE_FIELD)
     val = omega_integrand(S, 0.4, -0.3)
     assert abs(val) < 1e-12
     helicoid = building_block("r1")
@@ -97,8 +92,7 @@ def test_gaussmap_report_and_exemption():
 
 
 def test_ruling_residual_passes_for_matching_family():
-    fam = rulings_of_convolution(1.0, 0.3, 0.6, 0.2)
-    rep = ruling_residual(fam.surface(), fam)
+    rep = ruling_residual(parse_surface("conv(1*r1, 0.3*r2, 0.6*r3@theta=0.2)"))
     assert rep.passed
     assert rep.max_residual < 1e-8
 
@@ -106,7 +100,7 @@ def test_ruling_residual_passes_for_matching_family():
 def test_biharmonic_residual_detects_failure():
     rep = biharmonic_residual(block_field("r1"))
     assert rep.passed and rep.max_residual < 1e-9
-    bad = biharmonic_residual(make_remark_counterexample())
+    bad = biharmonic_residual(RootQuarticField())
     assert not bad.passed
     assert bad.max_residual > 1e-3
 
@@ -138,10 +132,10 @@ def test_biharmonic_residual_accepts_defect_below_tolerance(seed):
 
 
 def test_biharmonic_residual_is_deterministic():
-    a = biharmonic_residual(make_elliptic_field(a1=1.0, a3=-1.0), seed=7)
-    b = biharmonic_residual(make_elliptic_field(a1=1.0, a3=-1.0), seed=7)
+    a = biharmonic_residual(EllipticField(a1=1.0, a3=-1.0), seed=7)
+    b = biharmonic_residual(EllipticField(a1=1.0, a3=-1.0), seed=7)
     assert report_json(a) == report_json(b)
-    c = biharmonic_residual(make_elliptic_field(a1=1.0, a3=-1.0), seed=8)
+    c = biharmonic_residual(EllipticField(a1=1.0, a3=-1.0), seed=8)
     assert report_json(a) != report_json(c)
 
 
