@@ -12,7 +12,7 @@ its `.field` (every surface in Gauss coordinates carries one), and the
 tangency check reads the block name from it.  Numbers on the command
 line and in config files are read by `grammar.parse_number`, in the
 syntax of spec numbers.  Only `generate`, `verify` and `isotropic` take
-a `--config` file.
+a `--config` file and a `--branch`, which shifts elliptic(...) fields.
 """
 
 from __future__ import annotations
@@ -358,13 +358,15 @@ def _build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--config", default=None,
                         help="flat key=value file with tolerances and guard")
+    common.add_argument("--branch", type=_branch, default=0, metavar="k",
+                        help="shift the Arctan term of elliptic(...) fields "
+                             "by k*pi; refused for a spec with none")
 
     p = sub.add_parser("generate", parents=[common],
                        help="mesh a surface spec to an OBJ file")
     p.add_argument("--surface", required=True)
     p.add_argument("--grid", required=True, help="NxM")
     p.add_argument("--range", required=True, help="u0,u1,v0,v1")
-    p.add_argument("--branch", type=_branch, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -386,7 +388,6 @@ def _build_parser():
     p.add_argument("--checks", required=True,
                    help="comma list from: %s" % (",".join(CHECK_NAMES),))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--branch", type=_branch, default=0)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_verify)
 
@@ -399,7 +400,6 @@ def _build_parser():
     p = sub.add_parser("isotropic", parents=[common],
                        help="mesh the isotropic-model graph of a surface")
     p.add_argument("--surface", required=True)
-    p.add_argument("--branch", type=_branch, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_isotropic)
 

@@ -16,9 +16,10 @@ The elliptic, hyperbolic, parabolic and polynomial families are
 coefficient; the field is the polynomial P0 otherwise; the jet sums P0
 and each nonzero Pk·gk in the stated order.
 
-Multi-valued terms: only Arctan(y/x) carries the branch integer (value
-plus branch*pi); the logarithm of x^2 + y^2 is single-valued off the
-origin.  Evaluation inside the singular guard raises SingularPoint.
+Multi-valued terms: only the Arctan(y/x) of `EllipticField` carries a
+branch integer (value plus branch*pi); the logarithm of x^2 + y^2 is
+single-valued off the origin.  Evaluation inside the singular guard raises
+SingularPoint.
 """
 from __future__ import annotations
 
@@ -75,7 +76,6 @@ class ScalarField:
     """Base class: guarded evaluation plus jet-derived differential helpers."""
 
     guard: float = field(default=GUARD_EPS, kw_only=True)
-    branch: int = field(default=0, kw_only=True)
 
     family = "custom"
 
@@ -123,9 +123,6 @@ class ScalarField:
         j = self.jet(x, y, 4)
         return (j.entry(4, 0) + 2.0 * j.entry(2, 2) + j.entry(0, 4))[()]
 
-    def with_branch(self, k: int) -> "ScalarField":
-        return replace(self, branch=int(k))
-
     def with_guard(self, eps: float) -> "ScalarField":
         return replace(self, guard=float(eps))
 
@@ -172,6 +169,7 @@ class EllipticField(StatedField):
 
     Restricted to any punctured line through the origin this is quadratic in
     the arclength parameter, which is the property that pins the family.
+    `branch` k adds k*pi to the Arctan.
     """
 
     a1: float = 0.0
@@ -186,6 +184,7 @@ class EllipticField(StatedField):
     c3: float = 0.0
     d1: float = 0.0
     d2: float = 0.0
+    branch: int = field(default=0, kw_only=True)
 
     family = "elliptic"
 
@@ -407,11 +406,6 @@ class SumField(ScalarField):
             out = Jet.constant(np.zeros(shape), order)
         return out
 
-    def with_branch(self, k: int) -> "SumField":
-        return replace(
-            self, terms=tuple((w, f.with_branch(k)) for w, f in self.terms)
-        )
-
     def with_guard(self, eps: float) -> "SumField":
         terms = tuple((w, f.with_guard(eps)) for w, f in self.terms)
         return replace(self, guard=float(eps), terms=terms)
@@ -472,9 +466,6 @@ class KelvinField(ScalarField):
         jv = jy * inv
         fjet = self.inner.jet(ju.value, jv.value, order)
         return r2 * compose(fjet, ju, jv)
-
-    def with_branch(self, k: int) -> "KelvinField":
-        return replace(self, inner=self.inner.with_branch(k))
 
 
 # -- constructors -----------------------------------------------------

@@ -6,8 +6,9 @@ Field specs:     elliptic(a1=1,a3=-1) | hyperbolic(...) | parabolic(...)
                  | exceptional(...) | poly(x^2*y - 0.5*x) | sum(w*spec, ...)
 
 Whitespace is ignored everywhere.  Unknown names and unknown keyword
-coefficients raise GrammarError.  `parse_number` is the one number reader,
-for spec strings and command-line values alike.
+coefficients raise GrammarError, as does a nonzero branch on a spec with no
+elliptic(...) term, the only one it shifts.  `parse_number` is the one
+number reader, for spec strings and command-line values alike.
 
 Each spec is scanned for its brackets once (`_paren_groups`): every call
 body, be it field keywords, `sum(...)`, `conv(...)` or `ruled(...)`, reads
@@ -48,6 +49,9 @@ field spec grammar:
   exceptional(a=..,b=..,c=..,d=..,A=..,B=..,C=..,D=..)
   poly(<monomial sum>)    e.g. poly(x^2*y - 0.5*x + 3)
   sum(w1*<field spec>, w2*<field spec>, ...)
+
+--branch k shifts the Arctan term of elliptic(...) fields by k*pi; a spec
+with no elliptic(...) term refuses a nonzero k.
 """ % (", ".join(BLOCK_NAMES),)
 
 _FIELD_CLASSES = {
@@ -57,14 +61,16 @@ _FIELD_CLASSES = {
     "exceptional": ExceptionalField,
 }
 
-# a spec names the coefficients; `guard` and `branch` (keyword-only) are
-# set by the caller
+# a spec names the coefficients; `guard` and the elliptic `branch`
+# (keyword-only) are set by the caller
 _FIELD_KEYS = {
     kind: tuple(f.name for f in dataclasses.fields(cls) if not f.kw_only)
     for kind, cls in _FIELD_CLASSES.items()
 }
 
-_NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# the one number syntax: spec numbers, weights and command-line values
+_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUM_RE = re.compile(_NUM)
 
 
 def _strip(spec: str) -> str:
@@ -74,7 +80,7 @@ def _strip(spec: str) -> str:
 def parse_number(tok: str, where: str) -> float:
     """The finite number written as `tok`; the one number syntax of the
     package, for spec strings and command-line values alike."""
-    if not _NUM_RE.match(tok):
+    if not _NUM_RE.fullmatch(tok):
         raise GrammarError("expected a number in %s, got %r" % (where, tok))
     value = float(tok)
     if not math.isfinite(value):
@@ -197,7 +203,7 @@ def _parse_poly(body: str):
 # -- field specs -------------------------------------------------------
 
 
-_WEIGHT_RE = re.compile(r"([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\*")
+_WEIGHT_RE = re.compile(r"(%s)\*" % _NUM)
 _KIND_RE = re.compile(r"([a-z]+)\(")
 
 
@@ -210,9 +216,18 @@ def _weight(text: str, lo: int, hi: int):
     return 1.0, lo
 
 
+def _check_branch(spec: str, branch: int):
+    """Refuse a nonzero branch where it would change nothing: on a spec
+    with no elliptic(...) term."""
+    if branch and "elliptic(" not in spec:
+        raise GrammarError("branch %d shifts the Arctan of elliptic(...) "
+                           "terms, and %r has none" % (branch, spec))
+
+
 def parse_field(spec: str, *, branch: int = 0, guard: float = None):
     """Field object from a field spec string."""
     spec = _strip(spec)
+    _check_branch(spec, branch)
     f = _parse_field(spec, 0, len(spec), _paren_groups(spec), branch)
     return f if guard is None else f.with_guard(float(guard))
 
@@ -271,6 +286,7 @@ def parse_surface(spec: str, *, branch: int = 0, guard: float = None):
     spec = _strip(spec)
     if spec == "":
         raise GrammarError("empty surface spec")
+    _check_branch(spec, branch)
     groups = _paren_groups(spec)
     if spec.startswith("field:"):
         surf = FieldSurface(

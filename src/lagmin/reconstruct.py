@@ -83,8 +83,9 @@ def unit_normal(S, ru, rv, u, v, what):
 
 
 def _cross(ru, rv):
-    """r_u × r_v by components, the same bits as np.cross at under half its
-    per-call cost, and its length as np.linalg.norm sums it: (x² + y²) + z².
+    """r_u × r_v by components, the same bits as numpy's cross product at
+    under half its per-call cost, and its length as np.linalg.norm sums
+    it: (x² + y²) + z².
     One float64 point runs on Python floats, the same IEEE 754 operations
     without numpy's per-call cost, which single-point fallbacks pay
     thousands of times."""
@@ -107,7 +108,6 @@ class ParamSurface:
 
     provenance = "surface"
     name = None                 # the name of a named, unrotated block
-    immersed = True
     default_window = (-2.0, 2.0, -2.0, 2.0)
 
     def is_safe(self, u, v):

@@ -7,12 +7,12 @@ patches R(phi, lambda) = (A phi, B phi, C phi + D cos 2 phi) + lambda
 (sin phi, cos phi, 0).
 
 Each named block is one row of `_BLOCKS`: its closed-form builder (none
-for a tilde block, the reconstruction of its field), ring guard,
-immersion, and its field as a formula in (cos theta, sin theta), flagged
-where it holds for theta != 0.  Every surface in Gauss coordinates carries
-its field as `.field`, with its own guard: the block's field (whose safe
-domain a block shares, less any ring band), the rotated block's rotated
-field, or the weighted sum of a convolution's.
+for a tilde block, the reconstruction of its field), ring guard and its
+field as a formula in (cos theta, sin theta), flagged where it holds for
+theta != 0.  Every surface in Gauss coordinates carries its field as
+`.field`, with its own guard: the block's field (whose safe domain a block
+shares, less any ring band), the rotated block's rotated field, or the
+weighted sum of a convolution's.
 
 Block derivatives come from the same exact-jet arithmetic the fields use,
 so frames are closed-form everywhere they are defined.
@@ -149,7 +149,6 @@ class _Block(NamedTuple):
     field: object            # (cos theta, sin theta) -> the block's field
     rotates: bool = False    # the field formula holds for theta != 0
     ring_guard: bool = False
-    immersed: bool = True
 
 
 _K3T = 1.0 / (4.0 * SQRT2)
@@ -158,8 +157,7 @@ _LN2 = math.log(2.0)
 _BLOCKS = {
     "r1": _Block(_b_r1, lambda c, s: EllipticField(a1=1.0, a3=-1.0)),
     # x*Arctan(y/x) - y; traces the cycloid point locus
-    "r2": _Block(_b_r2, lambda c, s: EllipticField(a2=1.0, d2=-1.0),
-                 immersed=False),
+    "r2": _Block(_b_r2, lambda c, s: EllipticField(a2=1.0, d2=-1.0)),
     "r3": _Block(_b_r3, lambda c, s: EllipticField(
         c1=0.5 * s * s, c2=c * s, c3=0.5 * c * c,
         b1=-0.5 * s * s, b2=-c * s, b3=-0.5 * c * c,
@@ -231,7 +229,6 @@ class BlockSurface(FieldSurface):
         self.name = name
         self.provenance = name
         self._block = _BLOCKS[name]
-        self.immersed = self._block.immersed
 
     def is_safe(self, u, v):
         ok = super().is_safe(u, v)
@@ -258,8 +255,6 @@ class RotatedSurface(GaussMappedSurface):
         self.base = base
         self.theta = float(theta)
         self.provenance = "%s@theta=%g" % (base.provenance, self.theta)
-        self.immersed = base.immersed
-        self.default_window = base.default_window
 
     def _params(self, u, v):
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -305,25 +300,19 @@ class RotatedSurface(GaussMappedSurface):
 
 
 class ConvolutionSurface(GaussMappedSurface):
-    """Pointwise weighted sum of Gauss-coordinate surfaces."""
+    """Pointwise weighted sum of one or more surfaces in Gauss coordinates,
+    safe where every term is; DomainMismatch for any other term, such as a
+    ruled patch in (phi, lambda)."""
 
     def __init__(self, terms):
         self.terms = tuple((float(w), s) for w, s in terms)
+        if not self.terms or not all(isinstance(s, GaussMappedSurface)
+                                     for _, s in self.terms):
+            raise DomainMismatch(
+                "a convolution sums surfaces in Gauss coordinates")
         self.provenance = "convolution(%s)" % ", ".join(
             "%g*%s" % (w, s.provenance) for w, s in self.terms
         )
-        lo_u = max(s.default_window[0] for _, s in self.terms)
-        hi_u = min(s.default_window[1] for _, s in self.terms)
-        lo_v = max(s.default_window[2] for _, s in self.terms)
-        hi_v = min(s.default_window[3] for _, s in self.terms)
-        if lo_u >= hi_u or lo_v >= hi_v:
-            raise DomainMismatch("convolution terms have no common window")
-        self.default_window = (lo_u, hi_u, lo_v, hi_v)
-        gu = np.linspace(lo_u, hi_u, 25)
-        gv = np.linspace(lo_v, hi_v, 25)
-        uu, vv = np.meshgrid(gu, gv)
-        if not np.any(self.is_safe(uu, vv)):
-            raise DomainMismatch("convolution terms share no safe domain")
         self.guard = GUARD_EPS
 
     @property
@@ -447,9 +436,8 @@ _DIRECTIONS = {
 @dataclass(frozen=True, eq=False)
 class LineFamily:
     """p -> the cone line through base(p) along the `kind` row of
-    `_DIRECTIONS`."""
+    `_DIRECTIONS`: a family is its kind and its base point."""
 
-    name: str
     kind: str
     base: object = field(repr=False)
 
@@ -532,14 +520,14 @@ def cyclographic_preimage(spec) -> LineFamily:
     if isinstance(spec, str):
         if spec not in _NAMED:
             raise UnknownName("unknown cyclographic preimage %r" % (spec,))
-        return LineFamily(spec, *_NAMED[spec])
+        return LineFamily(*_NAMED[spec])
     kind, coeffs = spec
     if kind not in _BASES:
         raise UnknownName("unknown cone-family kind %r" % (kind,))
     coeffs = tuple(float(c) for c in coeffs)
     if len(coeffs) != 7:
         raise ValueError("cone families take seven coefficients A..G")
-    return LineFamily("%s%s" % (kind, coeffs), kind, _BASES[kind](*coeffs))
+    return LineFamily(kind, _BASES[kind](*coeffs))
 
 
 # -- rulings of the kinematic convolutions ----------------------------
@@ -581,4 +569,4 @@ def kinematic_rulings(S) -> LineFamily:
         z = -2.0 * a1 * p + 0.5 * a3 * (np.cos(2.0 * (p + theta)) + 1.0)
         return np.array([a2 * p, a2, z, 0.0])
 
-    return LineFamily("rulings of %s" % (S.provenance,), "elliptic", base)
+    return LineFamily("elliptic", base)

@@ -30,6 +30,7 @@ from .reconstruct import (
     FieldSurface,
     GaussMappedSurface,
     SurfaceJet,
+    _cross,
     unit_normal,
 )
 from .surfaces import (cyclographic_preimage, kinematic_rulings,
@@ -161,7 +162,7 @@ def _local_energy(fieldobj, uu, vv, wts):
     S = FieldSurface(fieldobj)
     fr = S.frame(uu, vv, order=2)
     n, ln = unit_normal(S, fr.ru, fr.rv, uu, vv, "energy density")
-    if _changes_sign(np.sum(np.cross(fr.ru, fr.rv) * n, axis=-1)):
+    if _changes_sign(np.sum(_cross(fr.ru, fr.rv)[0] * n, axis=-1)):
         raise NonImmersed("bump support straddles a fold of the surface")
     H, K = mean_gauss_curvature(fr, n)
     if np.any(np.abs(K) <= K_TOL) or _changes_sign(K):
@@ -218,19 +219,16 @@ def gaussmap_identity_residual(S, tolerance=GAUSSMAP_TOL) -> CheckReport:
     normal at (u, v) must reproduce (u, v) on the 100 x 100 grid of the
     surface's default window.  Only surfaces in Gauss
     coordinates have such a round trip; any other parametrization, such
-    as a ruled patch in (phi, lambda), raises ProvenanceMismatch.  Where
-    nearly parallel tangents leave float64 noise above the tolerance the
-    points beyond it are re-measured in `np.longdouble`, frame included
+    as a ruled patch in (phi, lambda), raises ProvenanceMismatch.  Points
+    where the normal is undefined are skipped and counted, so a surface
+    with no normal anywhere, such as r2, measures no sample and fails.
+    Where nearly parallel tangents leave float64 noise above the tolerance
+    the points beyond it are re-measured in `np.longdouble`, frame included
     (`_remeasured`)."""
     if not isinstance(S, GaussMappedSurface):
         raise ProvenanceMismatch(
             f"surface {getattr(S, 'provenance', S)!r} is not in Gauss coordinates"
         )
-    if not S.immersed:
-        # a documented exemption, not a measurement: it passes with n = 0
-        return CheckReport("gaussmap-identity", 0, 0.0, 0.0, float(tolerance),
-                           True,
-                           {"note": "skipped: NonImmersed (degenerate curve locus)"})
     window = S.default_window
     shape = (100, 100)
     u, v = meshing.grid_axes(window, shape)

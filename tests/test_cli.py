@@ -303,11 +303,17 @@ def test_negative_non_finite_values_are_read_as_values(tmp_path, capsys, argv):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("check", ["gaussmap", "stationarity"])
-def test_check_without_samples_fails(tmp_path, check):
+@pytest.mark.parametrize("check, spec", [
     # poly(x) reconstructs to a point: no sample survives either check
+    pytest.param("gaussmap", "field:poly(x)", id="gaussmap"),
+    pytest.param("stationarity", "field:poly(x)", id="stationarity"),
+    # r2 is nowhere immersed, rotated or in a convolution alike
+    *(pytest.param("gaussmap", spec, id="gaussmap-" + spec)
+      for spec in ("r2", "r2@theta=0.3", "conv(1*r2)")),
+])
+def test_check_without_samples_fails(tmp_path, check, spec):
     rep = tmp_path / "r.json"
-    code = main(["verify", "--surface", "field:poly(x)", "--checks", check,
+    code = main(["verify", "--surface", spec, "--checks", check,
                  "--report", str(rep)])
     assert code == 1
     records = json.loads(rep.read_text())
@@ -380,6 +386,19 @@ def test_config_guard_reaches_every_block_spec(tmp_path, spec):
     _, plain, _ = read_obj(tmp_path / "plain.obj")
     _, guarded, _ = read_obj(tmp_path / "guarded.obj")
     assert 0 < len(guarded) < len(plain)
+
+
+@pytest.mark.parametrize("spec", ["r1", "conv(1*r1,0.5*r3)"])
+def test_a_guard_that_masks_the_window_leaves_an_empty_mesh(tmp_path, spec):
+    # a block and a convolution of blocks alike: every point is masked
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("guard=100\n")
+    out = tmp_path / "x.obj"
+    assert main(["generate", "--surface", spec, "--grid", "10x10",
+                 "--range", "-2,2,-2,2", "--config", str(cfg),
+                 "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines and all(line.startswith("#") for line in lines)
 
 
 def test_config_guard_reaches_convolution_field_checks(tmp_path):
@@ -776,9 +795,29 @@ def test_branches_without_a_finite_shift_are_usage_errors(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("branch", ["3", "-3"])
-def test_small_branches_still_run(branch):
+def test_small_branches_still_run(tmp_path, branch):
     assert main(["verify", "--surface", "field:elliptic(a1=1)",
                  "--checks", "biharmonic", "--branch", branch]) == 0
+    # and shift the Arctan term of an elliptic field
+    argv = ["generate", "--surface", "field:elliptic(a1=1,a3=-1)",
+            "--grid", "10x10", "--range", "-2,2,-2,2", "-o"]
+    assert main(argv + [str(tmp_path / "k.obj"), "--branch", branch]) == 0
+    assert main(argv + [str(tmp_path / "0.obj")]) == 0
+    assert (tmp_path / "k.obj").read_bytes() != (tmp_path / "0.obj").read_bytes()
+
+
+@pytest.mark.parametrize("spec", ["r1", "r3@theta=0.5", "conv(1*r1,0.5*r3)",
+                                  "ruled(1,0.5,0.3,0.2)",
+                                  "field:hyperbolic(a2=1,c1=0.5)"])
+def test_a_branch_is_refused_without_an_elliptic_term(tmp_path, capsys, spec):
+    # it would shift nothing: the OBJ would be the one of branch 0
+    out = tmp_path / "x.obj"
+    assert main(["generate", "--surface", spec, "--grid", "10x10",
+                 "--range", "-2,2,-2,2", "--branch", "3", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: branch 3 shifts the Arctan")
+    assert err.count("spec error:") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("depth", [500, 1000])

@@ -9,7 +9,7 @@ from lagmin import grammar
 from lagmin.errors import GrammarError, UnknownName
 from lagmin.fields import (EllipticField, PolynomialField, ScalarField,
                            SumField, sum_fields)
-from lagmin.grammar import parse_field, parse_surface
+from lagmin.grammar import parse_field, parse_number, parse_surface
 from lagmin.reconstruct import FieldSurface
 from lagmin.surfaces import (
     BLOCK_NAMES,
@@ -73,6 +73,20 @@ def test_parse_field_branch_and_guard_thread_through():
     assert F.guard == 0.2
     base = parse_field("elliptic(a3=1)")
     assert abs(F.value(1.0, 1.0) - base.value(1.0, 1.0) - math.pi) < 1e-12
+    F = parse_field("sum(2*poly(x), 1*elliptic(a3=1))", branch=1)
+    assert F.terms[1][1].branch == 1
+    # only an elliptic(...) term has a branch to shift
+    for spec in ("poly(x)", "hyperbolic(a2=1,c1=0.5)", "sum(1*poly(x))"):
+        assert parse_field(spec, branch=0) == parse_field(spec)
+        with pytest.raises(GrammarError, match="has none"):
+            parse_field(spec, branch=1)
+
+
+@pytest.mark.parametrize("tok", ["1\n", "-2.5e3\n", "1 ", "1e400"])
+def test_parse_number_reads_whole_tokens_only(tok):
+    with pytest.raises(GrammarError):
+        parse_number(tok, "test")
+    assert parse_number("-2.5e3", "test") == -2500.0
 
 
 def test_parse_surface_blocks_and_rotations():

@@ -6,6 +6,7 @@ import pytest
 
 from lagmin.errors import (
     DegenerateCone,
+    DomainMismatch,
     IdealImage,
     NonImmersed,
     ProvenanceMismatch,
@@ -64,6 +65,18 @@ def test_convolution_adds_pointwise():
     assert np.allclose(
         conv.point(1.0, 1.0), (0.25, -0.25, math.pi / 2 + 0.5), atol=POINT_TOL
     )
+
+
+@pytest.mark.parametrize("terms", [
+    [(1.0, building_block("r1")), (0.5, RuledPatch(1.0, 0.5, 0.3, 0.2))],
+    [(1.0, RuledPatch(0.0, 0.0, 0.0, 0.5))],
+    [],
+], ids=["block-and-ruled", "ruled", "empty"])
+def test_convolution_terms_are_surfaces_in_gauss_coordinates(terms):
+    # a ruled patch's (phi, lambda) frame is not summable with Gauss-
+    # coordinate frames, and an empty sum has no frame
+    with pytest.raises(DomainMismatch):
+        ConvolutionSurface(terms)
 
 
 def test_unknown_block_name_rejected():

@@ -83,12 +83,14 @@ def test_stationarity_separates_conoid_from_quartic():
     assert rep.max_residual < 0.1
 
 
-def test_gaussmap_report_and_exemption():
+def test_gaussmap_report_and_nowhere_immersed_failure():
     rep = gaussmap_identity_residual(building_block("r3"))
     assert rep.passed and rep.max_residual < 1e-8
+    # r2 is nowhere immersed: every grid point is skipped, and a check
+    # that measured nothing fails
     rep2 = gaussmap_identity_residual(building_block("r2"))
-    assert rep2.passed and rep2.samples == 0
-    assert "skipped" in rep2.meta["note"]
+    assert not rep2.passed and rep2.samples == 0
+    assert rep2.meta["skipped"] == 100 * 100
 
 
 def test_ruling_residual_passes_for_matching_family():
