@@ -7,7 +7,8 @@ Field specs:     elliptic(a1=1,a3=-1) | hyperbolic(...) | parabolic(...)
 
 Whitespace is ignored everywhere.  Unknown names and unknown keyword
 coefficients raise GrammarError, as does a nonzero branch on a spec with no
-elliptic(...) term, the only one it shifts.  `parse_number` is the one
+elliptic(...) term whose Arctan coefficients a1..a4 are not all zero, the
+only term it shifts.  `parse_number` is the one
 number reader, for spec strings and command-line values alike.
 
 Each spec is scanned for its brackets once (`_paren_groups`): every call
@@ -27,6 +28,7 @@ from .fields import (
     ExceptionalField,
     HyperbolicField,
     ParabolicField,
+    SumField,
     make_polynomial_field,
     sum_fields,
 )
@@ -51,7 +53,7 @@ field spec grammar:
   sum(w1*<field spec>, w2*<field spec>, ...)
 
 --branch k shifts the Arctan term of elliptic(...) fields by k*pi; a spec
-with no elliptic(...) term refuses a nonzero k.
+with no elliptic(...) term with a nonzero a1..a4 refuses a nonzero k.
 """ % (", ".join(BLOCK_NAMES),)
 
 _FIELD_CLASSES = {
@@ -216,19 +218,28 @@ def _weight(text: str, lo: int, hi: int):
     return 1.0, lo
 
 
-def _check_branch(spec: str, branch: int):
-    """Refuse a nonzero branch where it would change nothing: on a spec
-    with no elliptic(...) term."""
-    if branch and "elliptic(" not in spec:
+def _check_branch(spec: str, branch: int, field):
+    """Refuse a nonzero branch where it would change nothing: unless some
+    elliptic(...) term of the parsed `field` (None: the spec has no field)
+    has an Arctan term, a nonzero a1..a4."""
+    if branch and not _has_arctan(field):
         raise GrammarError("branch %d shifts the Arctan of elliptic(...) "
-                           "terms, and %r has none" % (branch, spec))
+                           "terms with a nonzero a1..a4, and %r has none"
+                           % (branch, spec))
+
+
+def _has_arctan(field) -> bool:
+    if isinstance(field, SumField):
+        return any(_has_arctan(f) for _, f in field.terms)
+    return isinstance(field, EllipticField) and any(
+        c != 0.0 for c in (field.a1, field.a2, field.a3, field.a4))
 
 
 def parse_field(spec: str, *, branch: int = 0, guard: float = None):
     """Field object from a field spec string."""
     spec = _strip(spec)
-    _check_branch(spec, branch)
     f = _parse_field(spec, 0, len(spec), _paren_groups(spec), branch)
+    _check_branch(spec, branch, f)
     return f if guard is None else f.with_guard(float(guard))
 
 
@@ -286,11 +297,12 @@ def parse_surface(spec: str, *, branch: int = 0, guard: float = None):
     spec = _strip(spec)
     if spec == "":
         raise GrammarError("empty surface spec")
-    _check_branch(spec, branch)
     groups = _paren_groups(spec)
-    if spec.startswith("field:"):
-        surf = FieldSurface(
-            _parse_field(spec, len("field:"), len(spec), groups, branch))
+    field = (_parse_field(spec, len("field:"), len(spec), groups, branch)
+             if spec.startswith("field:") else None)
+    _check_branch(spec, branch, field)
+    if field is not None:
+        surf = FieldSurface(field)
     elif spec.startswith("ruled("):
         items = _items(spec, *_call_body(spec, 0, len(spec), "ruled"), groups)
         if len(items) != 4:

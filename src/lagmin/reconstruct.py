@@ -32,7 +32,7 @@ import numpy as np
 from .errors import IdealImage, NonImmersed
 from .fields import ScalarField
 from .isotropic import IDEAL_TOL, IsoPoint, inverse_stereographic, isotropic
-from .jets import jet_xy
+from .jets import jet_xy, stack_tables
 
 IMMERSION_TOL = 1e-10
 
@@ -54,9 +54,7 @@ class SurfaceJet:
     def from_components(cls, X, Y, Z, order) -> "SurfaceJet":
         """Frame of order `order` from the jets X, Y, Z of the three
         coordinate functions."""
-        # np.stack's own work, without its per-call cost
-        return cls(np.concatenate([X.d[..., None], Y.d[..., None],
-                                   Z.d[..., None]], axis=-1), order)
+        return cls(stack_tables((X, Y, Z)), order)
 
     r = property(lambda self: self.d[0, 0])
     ru = property(lambda self: self.d[1, 0])
@@ -76,9 +74,11 @@ def unit_normal(S, ru, rv, u, v, what):
     """
     cr, ln = _cross(ru, rv)
     bad = ln <= IMMERSION_TOL
-    if what is not None and bad.any():
-        raise NonImmersed("%s undefined at %d point(s)"
-                          % (what, np.count_nonzero(bad)))
+    # count_nonzero, not any(): at one point a reduction's set-up is most
+    # of the cost
+    nbad = 0 if what is None else np.count_nonzero(bad)
+    if nbad:
+        raise NonImmersed("%s undefined at %d point(s)" % (what, nbad))
     return S._orient(cr / np.where(bad, np.nan, ln)[..., None], u, v), ln
 
 

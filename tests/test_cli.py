@@ -808,9 +808,11 @@ def test_small_branches_still_run(tmp_path, branch):
 
 @pytest.mark.parametrize("spec", ["r1", "r3@theta=0.5", "conv(1*r1,0.5*r3)",
                                   "ruled(1,0.5,0.3,0.2)",
-                                  "field:hyperbolic(a2=1,c1=0.5)"])
+                                  "field:hyperbolic(a2=1,c1=0.5)",
+                                  "field:elliptic(c1=1,d1=0.5)"])
 def test_a_branch_is_refused_without_an_elliptic_term(tmp_path, capsys, spec):
-    # it would shift nothing: the OBJ would be the one of branch 0
+    # it would shift nothing: the OBJ would be the one of branch 0; an
+    # elliptic(...) term with a1..a4 all zero has no Arctan term to shift
     out = tmp_path / "x.obj"
     assert main(["generate", "--surface", spec, "--grid", "10x10",
                  "--range", "-2,2,-2,2", "--branch", "3", "-o", str(out)]) == 2
@@ -818,6 +820,15 @@ def test_a_branch_is_refused_without_an_elliptic_term(tmp_path, capsys, spec):
     assert err.startswith("spec error: branch 3 shifts the Arctan")
     assert err.count("spec error:") == 1
     assert not out.exists()
+
+
+def test_a_branch_shifts_a_sum_with_one_arctan_term(tmp_path):
+    argv = ["generate", "--surface",
+            "field:sum(1*elliptic(c1=1),1*elliptic(a1=1,a3=-1))",
+            "--grid", "10x10", "--range", "-2,2,-2,2", "-o"]
+    assert main(argv + [str(tmp_path / "k.obj"), "--branch", "3"]) == 0
+    assert main(argv + [str(tmp_path / "0.obj")]) == 0
+    assert (tmp_path / "k.obj").read_bytes() != (tmp_path / "0.obj").read_bytes()
 
 
 @pytest.mark.parametrize("depth", [500, 1000])

@@ -75,8 +75,9 @@ def test_parse_field_branch_and_guard_thread_through():
     assert abs(F.value(1.0, 1.0) - base.value(1.0, 1.0) - math.pi) < 1e-12
     F = parse_field("sum(2*poly(x), 1*elliptic(a3=1))", branch=1)
     assert F.terms[1][1].branch == 1
-    # only an elliptic(...) term has a branch to shift
-    for spec in ("poly(x)", "hyperbolic(a2=1,c1=0.5)", "sum(1*poly(x))"):
+    # only an elliptic(...) term with a nonzero a1..a4 has a branch to shift
+    for spec in ("poly(x)", "hyperbolic(a2=1,c1=0.5)", "sum(1*poly(x))",
+                 "elliptic(c1=1,d1=0.5)", "sum(1*poly(x),2*elliptic(b1=1))"):
         assert parse_field(spec, branch=0) == parse_field(spec)
         with pytest.raises(GrammarError, match="has none"):
             parse_field(spec, branch=1)

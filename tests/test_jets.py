@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lagmin.jets
 from lagmin.jets import (
     Jet,
+    _PointJet,
+    _as_point,
     _plan,
     compose,
     jet_arctan_ratio,
@@ -358,27 +359,89 @@ def _one_point_tables(order, special, at):
 
 @pytest.mark.parametrize("kind", ["mul", "reciprocal", "sqrt"])
 @pytest.mark.parametrize("order", range(1, HIGH + 1))
-def test_one_point_runner_has_the_bits_of_the_leibniz_loop(monkeypatch,
-                                                           order, kind):
-    ran = []
-    runner = lagmin.jets._one_point
-    monkeypatch.setattr(lagmin.jets, "_one_point",
-                        lambda *a, **kw: ran.append(1) or runner(*a, **kw))
+def test_one_point_runner_has_the_bits_of_the_leibniz_loop(order, kind):
     cases = [(None, (0, 0))] + [
         (v, at) for v in _SPECIAL for at in ((0, 0), (1, 0), (0, order))]
     for special, at in cases:
         for p, q in _one_point_tables(order, special, at):
             with np.errstate(all="ignore"):
                 if kind == "mul":
-                    got = (Jet(p, order) * Jet(q, order)).d
+                    got = _as_point(Jet(p, order)) * _as_point(Jet(q, order))
                     want = _product_reference(p, q, order)
                 else:
-                    got = getattr(Jet(p, order), kind)().d
+                    got = getattr(_as_point(Jet(p, order)), kind)()
                     reference = (_reciprocal_reference if kind == "reciprocal"
                                  else _sqrt_reference)
                     want = reference(p, order)
-            assert_same_bits(got, want)
-    assert len(ran) == len(cases) * len(_ONE_POINT_SHAPES)
+            assert isinstance(got, _PointJet)
+            assert_same_bits(got.d, want)
+
+
+# -- the point type against the array Jet ---------------------------------
+
+# scalar operands: Python and numpy floats run on the point type's list;
+# an int, a float32 and a long double scalar on the array tables
+_SCALARS = [2.5, -0.0, 0.0, math.inf, -math.inf, math.nan, np.float64(-1.5),
+            3, np.float32(0.5), np.longdouble(1.25)]
+
+
+def _point_pairs(order):
+    """(point jet, array Jet) pairs of the same one-point tables, special
+    values included, of every point shape."""
+    for special, at in [(None, (0, 0))] + [
+            (v, at) for v in _SPECIAL for at in ((0, 0), (order, 0))]:
+        for p, q in _one_point_tables(order, special, at):
+            yield ((_as_point(Jet(p, order)), Jet(p, order)),
+                   (_as_point(Jet(q, order)), Jet(q, order)))
+
+
+@pytest.mark.parametrize("order", range(0, 4))
+def test_point_type_ops_have_the_bits_of_the_array_jet(order):
+    binary = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+              lambda a, b: a / b]
+    unary = [lambda a: -a, lambda a: a.reciprocal(), lambda a: a.sqrt(),
+             lambda a: a.truncate(0), lambda a: a.shift(0, order)]
+    with np.errstate(all="ignore"):
+        for (a, A), (b, B) in _point_pairs(order):
+            assert isinstance(a, _PointJet) and not isinstance(A, _PointJet)
+            for f in binary:
+                want = f(A, B).d
+                # point with point, and with an array Jet of one point
+                for x, y in ((a, b), (a, B), (A, b)):
+                    assert_same_bits(f(x, y).d, want)
+                for c in _SCALARS:
+                    assert_same_bits(f(a, c).d, f(A, c).d)
+                    assert_same_bits(f(c, a).d, f(c, A).d)
+            for f in unary:
+                assert_same_bits(f(a).d, f(A).d)
+            assert isinstance(a * b + a * 2.5 - np.float64(1.0), _PointJet)
+
+
+def _constructed(x, y, order):
+    """A jet from each constructor, at the points (x, y)."""
+    lower = max(order - 1, 0)
+    coeffs = {(0, 0): 1.5, (2, 1): -0.5, (3, 0): 2.0, (1, 2): 1.0}
+    return [Jet.coordinate(x, 0, order), Jet.coordinate(y, 1, order),
+            Jet.constant(x, order), jet_polynomial(x, y, coeffs, order),
+            jet_arctan_ratio(x, y, order, branch=-1), jet_log_rsq(x, y, order),
+            Jet.from_gradient(x, Jet.constant(y, lower),
+                              Jet.coordinate(x, 1, lower))]
+
+
+@pytest.mark.parametrize("order", range(0, 4))
+def test_point_type_constructors_have_the_bits_of_the_batch(order):
+    # a point of shape () or (1,) against the first of two batch points
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.3, -2.7]
+    with np.errstate(all="ignore"):
+        for x in values:
+            for y in values:
+                xs, ys = np.array([x, 0.7]), np.array([y, -0.4])
+                batch = _constructed(xs, ys, order)
+                for k in (slice(0, 1), 0):
+                    for got, want in zip(_constructed(xs[k], ys[k], order),
+                                         batch):
+                        assert isinstance(got, _PointJet)
+                        assert_same_bits(got.d, want.d[..., k])
 
 
 def test_kernel_switch_falls_inside_the_tested_sizes():

@@ -497,7 +497,7 @@ def test_one_point_evaluation_has_the_bits_of_the_batch(spec):
     S = parse_surface(spec)
     u, v = _safe_sample(S)
     with np.errstate(all="ignore"):
-        for order in range(1, 5):
+        for order in range(0, 5):
             batch = S.frame(u, v, order).d
             for k in range(len(u)):
                 _assert_same_bits(S.frame(u[k : k + 1], v[k : k + 1], order).d,

@@ -18,10 +18,48 @@ print(tracer.stats["jets.mul.calls"])
 """
 
 
-def test_every_span_resolves_in_a_fresh_interpreter():
+# single-point r2 images, as the per-point fallback of `lagmin isotropic`
+# makes them: r2 is nowhere immersed, so each one raises
+_R2_CHILD = """
+import numpy as np
+import spans
+tracer = spans.install()
+from lagmin.errors import NonImmersed
+from lagmin.grammar import parse_surface
+from lagmin.reconstruct import isotropic_image
+S = parse_surface("r2")
+for k in range(7):
+    u = np.array([0.3 + 0.1 * k])
+    try:
+        isotropic_image(S, u, u - 1.0)
+    except NonImmersed:
+        pass
+for key in ("jets.mul.calls", "jets.reciprocal.calls", "jets.polynomial.calls",
+            "surfaces.frame.calls",
+            "reconstruct.isotropic_image.single_point_calls"):
+    print(key, tracer.stats[key])
+"""
+
+
+def _run_traced(child):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]))
-    proc = subprocess.run([sys.executable, "-c", _CHILD], env=env, cwd=ROOT,
+    proc = subprocess.run([sys.executable, "-c", child], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1"]
+    return proc.stdout.split()
+
+
+def test_every_span_resolves_in_a_fresh_interpreter():
+    assert _run_traced(_CHILD) == ["1"]
+
+
+def test_single_point_r2_images_keep_their_traced_counts():
+    # the benchmark's per-layer counts of r2's single-point calls: each
+    # jet operation the builders call is one span call, whichever table
+    # type runs it
+    counts = _run_traced(_R2_CHILD)
+    assert dict(zip(counts[::2], map(int, counts[1::2]))) == {
+        "jets.mul.calls": 70, "jets.reciprocal.calls": 14,
+        "jets.polynomial.calls": 7, "surfaces.frame.calls": 7,
+        "reconstruct.isotropic_image.single_point_calls": 7}
