@@ -1,8 +1,9 @@
 """The benchmark's pinned outputs that depend only on block names,
 regenerated in-process and compared with the sha256 digests recorded in
-bench/digests.json (read, never written), and the OBJs that the benchmark
-does not pin (the gallery and a ruled patch with its ruling polylines),
-compared with digests kept here.  The digests hold for the numpy version
+bench/digests.json (read, never written), and the outputs that the
+benchmark does not pin (the gallery, a ruled patch with its ruling
+polylines, and outputs under a `--config` guard), compared with digests
+kept here.  The digests hold for the numpy version
 they were recorded under; under any other the comparison is skipped."""
 import hashlib
 import json
@@ -106,3 +107,39 @@ def test_ruled_obj_with_polylines_matches_its_pin(tmp_path):
     assert main(RULED_ARGV + [str(out)]) == 0
     assert out.read_text().count("\nl ") == 9
     assert _sha256(out) == RULED_PIN
+
+
+# sha256 of outputs under `--config` holding guard=0.3, recorded under
+# numpy 2.4.6; each one differs from its unguarded run, so together they
+# pin the guard's path into blocks, rotated blocks, tilde blocks,
+# convolutions and field specs
+_WINDOW = ["--grid", "60x50", "--range", "-2,2,-1.5,1.5"]
+GUARDED_PINS = [
+    (["generate", "--surface", "r5"] + _WINDOW + ["-o"],
+     "5f32a97b8db973da526364dcb4a6ffc15a2245715a390feb7caa1de0760fa556"),
+    (["generate", "--surface", "r6@theta=-0.7"] + _WINDOW + ["-o"],
+     "426e8ea3ea444b224d48ed27b623ed0894342b53ffccf8672b2ffd4a13a10d6f"),
+    (["generate", "--surface", "r3~@theta=0.2"] + _WINDOW + ["-o"],
+     "9f96bbec48ec6ea0cb7522cbf6851df6e2363dd9abb988cac1790bc9ebf6de61"),
+    (["generate", "--surface", "conv(1*r1,0.5*r3@theta=0.3,0.3*r5)"]
+     + _WINDOW + ["-o"],
+     "3f71fbc349895cd91c908926f45c2d0d57680d17e7ab9725619b46eee015b674"),
+    (["generate", "--surface", "field:sum(1*hyperbolic(a2=0.3,c1=0.4,"
+      "alpha1=1),0.5*elliptic(a1=1,a3=-1))"] + _WINDOW + ["-o"],
+     "482682c1742c0adb7d2c14fd542f2b2db36a6971bba6b7a242dc244408d76880"),
+    (["isotropic", "--surface", "r6", "-o"],
+     "2d539be57ae044098f72e21ec554376051df638d267b7f9af787811250db8ccf"),
+    (_verify("conv(1*r1,0.5*r2,0.4*r3@theta=0.3)", ALL_CHECKS),
+     "00b3833dc1e0dd2ceeaedff7f9f278898fa957b8de752c4f991b733fd98232a0"),
+]
+
+
+@_obj_pins
+@pytest.mark.parametrize("argv, digest", GUARDED_PINS,
+                         ids=[" ".join(a[:3]) for a, _ in GUARDED_PINS])
+def test_guarded_output_matches_its_pin(tmp_path, argv, digest):
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("guard=0.3\n")
+    out = tmp_path / "out"
+    assert main(argv[:1] + ["--config", str(cfg)] + argv[1:] + [str(out)]) == 0
+    assert _sha256(out) == digest
