@@ -471,7 +471,7 @@ class KelvinField(ScalarField):
 # -- constructors -----------------------------------------------------
 
 
-def make_polynomial_field(coeffs, *, guard=GUARD_EPS) -> PolynomialField:
+def make_polynomial_field(coeffs) -> PolynomialField:
     items = []
     for (p, q), cval in sorted(dict(coeffs).items()):
         p = int(p)
@@ -480,24 +480,23 @@ def make_polynomial_field(coeffs, *, guard=GUARD_EPS) -> PolynomialField:
             raise ValueError("polynomial exponents must be non-negative")
         if cval != 0.0:
             items.append(((p, q), float(cval)))
-    return PolynomialField(tuple(items), guard=guard)
+    return PolynomialField(tuple(items))
 
 
-def sum_fields(terms, *, guard=GUARD_EPS) -> SumField:
-    return SumField(tuple((float(w), f) for w, f in terms), guard=guard)
+def sum_fields(terms) -> SumField:
+    return SumField(tuple((float(w), f) for w, f in terms))
 
 
-def make_bump_field(center, radius, amplitude, *, guard=GUARD_EPS) -> BumpField:
+def make_bump_field(center, radius, amplitude) -> BumpField:
     radius = float(radius)
     if radius <= 0.0:
         raise ValueError("bump radius must be positive")
-    return BumpField(
-        float(center[0]), float(center[1]), radius, float(amplitude), guard=guard
-    )
+    return BumpField(float(center[0]), float(center[1]), radius,
+                     float(amplitude))
 
 
-def pushforward_inversion(F: ScalarField, *, guard=None) -> KelvinField:
-    return KelvinField(inner=F, guard=F.guard if guard is None else float(guard))
+def pushforward_inversion(F: ScalarField) -> KelvinField:
+    return KelvinField(inner=F, guard=F.guard)
 
 
 # -- module-level evaluation helpers ----------------------------------

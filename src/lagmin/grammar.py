@@ -14,6 +14,12 @@ number reader, for spec strings and command-line values alike.
 Each spec is scanned for its brackets once (`_paren_groups`): every call
 body, be it field keywords, `sum(...)`, `conv(...)` or `ruled(...)`, reads
 its comma-separated items from that scan (`_items`), however deep it nests.
+
+The guard (`--config guard`) is set here, once, as each part is built:
+`parse_field` guards the field it parsed, and `parse_surface` builds each
+block and each convolution term with the guard and guards the field of a
+`field:` spec.  Without one, every field keeps `GUARD_EPS`; a `ruled(...)`
+patch has no field and refuses one.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import GrammarError
 from .fields import (
     EllipticField,
     ExceptionalField,
+    GUARD_EPS,
     HyperbolicField,
     ParabolicField,
     SumField,
@@ -293,7 +300,8 @@ def _parse_block_ref(spec: str):
 
 
 def parse_surface(spec: str, *, branch: int = 0, guard: float = None):
-    """Surface object from a surface spec string."""
+    """Surface object from a surface spec string, each of its fields built
+    with `guard` (None: `GUARD_EPS`)."""
     spec = _strip(spec)
     if spec == "":
         raise GrammarError("empty surface spec")
@@ -302,8 +310,9 @@ def parse_surface(spec: str, *, branch: int = 0, guard: float = None):
              if spec.startswith("field:") else None)
     _check_branch(spec, branch, field)
     if field is not None:
-        surf = FieldSurface(field)
-    elif spec.startswith("ruled("):
+        return FieldSurface(field if guard is None
+                            else field.with_guard(float(guard)))
+    if spec.startswith("ruled("):
         items = _items(spec, *_call_body(spec, 0, len(spec), "ruled"), groups)
         if len(items) != 4:
             raise GrammarError("ruled(...) takes exactly A,B,C,D")
@@ -312,13 +321,11 @@ def parse_surface(spec: str, *, branch: int = 0, guard: float = None):
             raise GrammarError("ruled(...) takes no guard")
         return RuledPatch(*(parse_number(spec[a:b], "ruled(...)")
                             for a, b in items))
-    elif spec.startswith("conv("):
-        terms = []
-        for a, b in _items(spec, *_call_body(spec, 0, len(spec), "conv"),
-                           groups):
-            w, a = _weight(spec, a, b)
-            terms.append((w, building_block(*_parse_block_ref(spec[a:b]))))
-        surf = ConvolutionSurface(terms)
-    else:
-        surf = building_block(*_parse_block_ref(spec))
-    return surf if guard is None else surf.with_guard(guard)
+    guard = GUARD_EPS if guard is None else float(guard)
+    if not spec.startswith("conv("):
+        return building_block(*_parse_block_ref(spec), guard)
+    terms = []
+    for a, b in _items(spec, *_call_body(spec, 0, len(spec), "conv"), groups):
+        w, a = _weight(spec, a, b)
+        terms.append((w, building_block(*_parse_block_ref(spec[a:b]), guard)))
+    return ConvolutionSurface(terms)

@@ -24,7 +24,6 @@ order are built, summed and transformed as whole tables.
 """
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
@@ -104,9 +103,8 @@ def _cross(ru, rv):
 
 
 class ParamSurface:
-    """Map (u, v) -> R³ with derivative jets and a provenance tag."""
+    """Map (u, v) -> R³ with derivative jets."""
 
-    provenance = "surface"
     name = None                 # the name of a named, unrotated block
     default_window = (-2.0, 2.0, -2.0, 2.0)
 
@@ -143,20 +141,14 @@ class GaussMappedSurface(ParamSurface):
 
 
 class FieldSurface(GaussMappedSurface):
-    """Envelope reconstructed from a scalar field."""
-
-    provenance = "reconstructed-from-field"
+    """Envelope reconstructed from a scalar field; its domain is the
+    field's safe domain, so the field's guard is the surface's."""
 
     def __init__(self, field: ScalarField):
         self.field = field
 
     def is_safe(self, u, v):
         return self.field.is_safe(u, v)
-
-    def with_guard(self, eps: float) -> "FieldSurface":
-        out = copy.copy(self)
-        out.field = self.field.with_guard(eps)
-        return out
 
     def frame(self, u, v, order=2) -> SurfaceJet:
         fj = self.field.jet(u, v, order + 1)

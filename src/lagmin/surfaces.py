@@ -10,9 +10,14 @@ Each named block is one row of `_BLOCKS`: its closed-form builder (none
 for a tilde block, the reconstruction of its field), ring guard and its
 field as a formula in (cos theta, sin theta), flagged where it holds for
 theta != 0.  Every surface in Gauss coordinates carries its field as
-`.field`, with its own guard: the block's field (whose safe domain a block
-shares, less any ring band), the rotated block's rotated field, or the
-weighted sum of a convolution's.
+`.field`: the block's field (whose safe domain a block shares, less any
+ring band), the rotated block's rotated field, or the weighted sum of a
+convolution's.
+
+The guard is set once, where a block is built (`building_block(name,
+theta, guard)` guards its field); a rotated block keeps its base's and a
+convolution takes terms that are already guarded, so no surface changes
+a guard after it is built.
 
 Block derivatives come from the same exact-jet arithmetic the fields use,
 so frames are closed-form everywhere they are defined.
@@ -224,10 +229,9 @@ class BlockSurface(FieldSurface):
     through exact jets, or, for a tilde block (no builder), the
     reconstruction of its field."""
 
-    def __init__(self, name):
-        super().__init__(block_field(name))
+    def __init__(self, name, guard=GUARD_EPS):
+        super().__init__(block_field(name).with_guard(guard))
         self.name = name
-        self.provenance = name
         self._block = _BLOCKS[name]
 
     def is_safe(self, u, v):
@@ -254,7 +258,6 @@ class RotatedSurface(GaussMappedSurface):
     def __init__(self, base: ParamSurface, theta: float):
         self.base = base
         self.theta = float(theta)
-        self.provenance = "%s@theta=%g" % (base.provenance, self.theta)
 
     def _params(self, u, v):
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -272,9 +275,6 @@ class RotatedSurface(GaussMappedSurface):
     def is_safe(self, u, v):
         s0, t0, _, _ = self._params(u, v)
         return self.base.is_safe(s0, t0)
-
-    def with_guard(self, eps: float) -> "RotatedSurface":
-        return RotatedSurface(self.base.with_guard(eps), self.theta)
 
     def frame(self, u, v, order=2) -> SurfaceJet:
         s0, t0, c, s = self._params(u, v)
@@ -310,15 +310,10 @@ class ConvolutionSurface(GaussMappedSurface):
                                      for _, s in self.terms):
             raise DomainMismatch(
                 "a convolution sums surfaces in Gauss coordinates")
-        self.provenance = "convolution(%s)" % ", ".join(
-            "%g*%s" % (w, s.provenance) for w, s in self.terms
-        )
-        self.guard = GUARD_EPS
 
     @property
     def field(self) -> ScalarField:
-        return sum_fields([(w, s.field) for w, s in self.terms],
-                          guard=self.guard)
+        return sum_fields([(w, s.field) for w, s in self.terms])
 
     def is_safe(self, u, v):
         u = np.asarray(u)
@@ -327,11 +322,6 @@ class ConvolutionSurface(GaussMappedSurface):
         for _, s in self.terms:
             ok = ok & s.is_safe(u, v)
         return ok
-
-    def with_guard(self, eps: float) -> "ConvolutionSurface":
-        out = ConvolutionSurface([(w, s.with_guard(eps)) for w, s in self.terms])
-        out.guard = float(eps)
-        return out
 
     def frame(self, u, v, order=2) -> SurfaceJet:
         total = None
@@ -355,7 +345,6 @@ class RuledPatch(ParamSurface):
         self.B = float(B)
         self.C = float(C)
         self.D = float(D)
-        self.provenance = "ruled(%g,%g,%g,%g)" % (self.A, self.B, self.C, self.D)
         self.default_window = (-math.pi, math.pi, -2.0, 2.0)
         self.rulings = cyclographic_preimage(
             ("elliptic", (self.A, self.B, self.C, self.D, 0.0, 0.0, 0.0)))
@@ -387,12 +376,14 @@ class RuledPatch(ParamSurface):
 # -- building blocks by name -----------------------------------------
 
 
-def building_block(name: str, theta: float = None) -> ParamSurface:
-    """Closed-form block by name; tilde variants are reconstructions of
-    their fields (they have no standalone closed form)."""
+def building_block(name: str, theta: float = None,
+                   guard: float = GUARD_EPS) -> ParamSurface:
+    """Closed-form block by name, its field guarded by `guard`; tilde
+    variants are reconstructions of their fields (they have no standalone
+    closed form)."""
     if name not in _BLOCKS:
         raise UnknownName("unknown building block %r" % (name,))
-    surf = BlockSurface(name)
+    surf = BlockSurface(name, guard)
     if theta is not None and theta != 0.0:
         surf = RotatedSurface(surf, theta)
     return surf
@@ -547,7 +538,7 @@ def kinematic_weights(S):
             th, surf = surf.theta, surf.base
         if surf.name not in key:
             raise ProvenanceMismatch(
-                f"surface {getattr(surf, 'provenance', surf)!r} is not a "
+                f"surface {surf.name or type(surf).__name__!r} is not a "
                 "kinematic block")
         idx = key[surf.name]
         weights[idx] += w

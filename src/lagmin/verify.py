@@ -227,8 +227,7 @@ def gaussmap_identity_residual(S, tolerance=GAUSSMAP_TOL) -> CheckReport:
     (`_remeasured`)."""
     if not isinstance(S, GaussMappedSurface):
         raise ProvenanceMismatch(
-            f"surface {getattr(S, 'provenance', S)!r} is not in Gauss coordinates"
-        )
+            f"a {type(S).__name__} is not in Gauss coordinates")
     window = S.default_window
     shape = (100, 100)
     u, v = meshing.grid_axes(window, shape)

@@ -146,13 +146,14 @@ def test_a_block_spec_carries_its_field(name, theta):
 
 @pytest.mark.parametrize("guard", [None, 0.5])
 def test_a_convolution_carries_the_weighted_sum_of_its_fields(guard):
+    # the guard lives on the term fields; the sum keeps the default, as
+    # its mask is the AND of theirs
     spec = "conv(1*r1, 0.5*r2, 0.3*r3@theta=0.4, -2*r7@theta=1)"
-    want = sum_fields([(1.0, block_field("r1")), (0.5, block_field("r2")),
-                       (0.3, block_field("r3", 0.4)),
-                       (-2.0, block_field("r7", 1.0))])
+    terms = [(1.0, block_field("r1")), (0.5, block_field("r2")),
+             (0.3, block_field("r3", 0.4)), (-2.0, block_field("r7", 1.0))]
     if guard is not None:
-        want = want.with_guard(guard)
-    assert parse_surface(spec, guard=guard).field == want
+        terms = [(w, f.with_guard(guard)) for w, f in terms]
+    assert parse_surface(spec, guard=guard).field == sum_fields(terms)
 
 
 def test_a_rotated_block_without_a_closed_rotated_field_says_so():

@@ -108,7 +108,6 @@ def test_field_surface_carries_its_field():
     F = EllipticField(a1=1.0, a3=-1.0)
     S = FieldSurface(F)
     assert S.field is F
-    assert S.provenance == "reconstructed-from-field"
 
 
 def test_tilde_block_round_trip():

@@ -407,30 +407,31 @@ def _mask_grid(g):
 def test_block_masks_are_the_field_guard_plus_the_ring_band(g):
     u, v = _mask_grid(g)
     for name in BLOCK_NAMES:
-        got = building_block(name).with_guard(g).is_safe(u, v)
+        got = building_block(name, guard=g).is_safe(u, v)
         assert np.array_equal(got, _reference_mask(name, g, u, v)), name
         # scalar points give the same answers
         for k in (0, 1, 5, 13, 30):
-            assert bool(building_block(name).with_guard(g).is_safe(u[k], v[k])) \
+            assert bool(building_block(name, guard=g).is_safe(u[k], v[k])) \
                 == bool(got[k]), (name, k)
     for name, theta in (("r3", 0.5), ("r6", -0.7)):
-        got = building_block(name, theta).with_guard(g).is_safe(u, v)
+        got = building_block(name, theta, g).is_safe(u, v)
         want = _reference_mask(name, g, *_rotated(theta, u, v))
         assert np.array_equal(got, want), (name, theta)
-    conv = ConvolutionSurface([(1.0, building_block("r1")),
-                     (0.5, building_block("r3", 0.2)),
-                     (0.3, building_block("r5"))]).with_guard(g)
+    conv = ConvolutionSurface([(1.0, building_block("r1", guard=g)),
+                               (0.5, building_block("r3", 0.2, g)),
+                               (0.3, building_block("r5", guard=g))])
     want = (_reference_mask("r1", g, u, v) & _reference_mask("r5", g, u, v)
             & _reference_mask("r3", g, *_rotated(0.2, u, v)))
     assert np.array_equal(conv.is_safe(u, v), want)
 
 
 def test_block_guard_lives_on_the_block_field():
-    S = building_block("r5")
-    assert S.field.guard == 1e-6
-    T = S.with_guard(0.25)
-    assert T.field.guard == 0.25 and S.field.guard == 1e-6
+    assert building_block("r5").field == block_field("r5")
+    assert block_field("r5").guard == 1e-6
+    T = building_block("r5", guard=0.25)
     assert T.field == block_field("r5").with_guard(0.25)
+    R = building_block("r6", -0.7, 0.25)
+    assert R.base.field.guard == R.field.guard == 0.25
 
 
 @pytest.mark.parametrize("name, theta", [("r1~", None), ("r3~", None),
@@ -441,17 +442,17 @@ def test_a_tilde_block_is_a_block_surface_framed_by_its_field(name, theta,
                                                               guard):
     # a tilde block is a table row without a builder: the reconstruction
     # of its field, named, to the last bit
-    got = building_block(name, theta)
-    want = FieldSurface(block_field(name))
-    if theta is not None:
-        assert isinstance(got, RotatedSurface)
-        assert got.provenance == "%s@theta=%g" % (name, theta)
-        want = RotatedSurface(want, theta)
+    if guard is None:
+        got, want = building_block(name, theta), FieldSurface(block_field(name))
+    else:
+        got = building_block(name, theta, guard)
+        want = FieldSurface(block_field(name).with_guard(guard))
     block = got.base if theta is not None else got
     assert isinstance(block, BlockSurface)
-    assert block.name == block.provenance == name
-    if guard is not None:
-        got, want = got.with_guard(guard), want.with_guard(guard)
+    assert block.name == name and block.field == want.field
+    if theta is not None:
+        assert isinstance(got, RotatedSurface) and got.theta == theta
+        want = RotatedSurface(want, theta)
     u = np.array([0.3, -1.1, 0.8, 1.5, 0.05])
     v = np.array([0.9, 0.2, -1.4, 0.6, -0.02])
     safe = want.is_safe(u, v)

@@ -177,7 +177,7 @@ def _tangency_cases():
         # r1's 400x400 plan window
         "r1-plan": (building_block("r1"), window, spheres),
         # a guarded block: 7820 grid points masked
-        "r1-guarded": (building_block("r1").with_guard(0.5),
+        "r1-guarded": (building_block("r1", guard=0.5),
                        (-2.0, 2.0, -2.0, 2.0), others),
         # overflow: 46400 unguarded grid points with non-finite coordinates
         "poly-overflow": (parse_surface("field:poly(x^2000)"),
@@ -263,7 +263,7 @@ def test_curvatures_of_the_cycloid_block_are_undefined():
 def test_curvature_check_never_passes_on_too_few_samples():
     # a guard that leaves a thin rim of the sampling annulus: the few
     # samples there agree, but fewer than 20 prove nothing
-    rep = fd_curvature_check(building_block("r1").with_guard(1.499), seed=0)
+    rep = fd_curvature_check(building_block("r1", guard=1.499), seed=0)
     assert 0 < rep.samples < 20
     assert rep.max_residual < 1e-5 and not rep.passed
 
