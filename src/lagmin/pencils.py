@@ -111,13 +111,14 @@ def _intersect_span(c1, c2):
     cands = [c1, c2, c1 + c2, c1 - c2]
     circ = max(cands, key=lambda w: abs(w[0]))
     if abs(circ[0]) < TINY:
-        # two lines: a single linear system
+        # two lines: a single linear system for the finite common point;
+        # lines also share the ideal point
         mat = np.array([[c1[1], c1[2]], [c2[1], c2[2]]])
         rhs = -np.array([c1[3], c2[3]])
         if abs(np.linalg.det(mat)) < TINY:
             return []
         pt = np.linalg.solve(mat, rhs)
-        return [(float(pt[0]), float(pt[1]))]
+        return [(float(pt[0]), float(pt[1])), None]
     other = c2 if circ is not c2 else c1
     # radical line: eliminate the quadratic term
     w = other - (other[0] / circ[0]) * circ
@@ -154,6 +155,10 @@ def classify_family(cycles) -> PencilClass:
     if len(cycles) < 3:
         raise TooFew("need at least 3 cycles to classify")
     mat = np.stack([cy.vec() for cy in cycles])
+    # a row whose norm overflows is first scaled by its largest entry
+    with np.errstate(over="ignore"):
+        big = ~np.isfinite(np.linalg.norm(mat, axis=1))
+    mat[big] /= np.max(np.abs(mat[big]), axis=1, keepdims=True)
     mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
     sv = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.sum(sv > RANK_TOL * sv[0]))

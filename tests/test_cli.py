@@ -303,19 +303,27 @@ def test_negative_non_finite_values_are_read_as_values(tmp_path, capsys, argv):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("check, spec", [
+@pytest.mark.parametrize("check, spec, guard", [
     # poly(x) reconstructs to a point: no sample survives either check
-    pytest.param("gaussmap", "field:poly(x)", id="gaussmap"),
-    pytest.param("stationarity", "field:poly(x)", id="stationarity"),
+    pytest.param("gaussmap", "field:poly(x)", None, id="gaussmap"),
+    pytest.param("stationarity", "field:poly(x)", None, id="stationarity"),
     # r2 is nowhere immersed, rotated or in a convolution alike
-    *(pytest.param("gaussmap", spec, id="gaussmap-" + spec)
+    *(pytest.param("gaussmap", spec, None, id="gaussmap-" + spec)
       for spec in ("r2", "r2@theta=0.3", "conv(1*r2)")),
+    # the guard masks the whole sampling window
+    pytest.param("biharmonic", "r1", "10", id="biharmonic-guarded"),
+    # the ring band masks R5's whole plan window
+    pytest.param("tangency", "r5", "0.3", id="tangency-guarded"),
 ])
-def test_check_without_samples_fails(tmp_path, check, spec):
+def test_check_without_samples_fails(tmp_path, check, spec, guard):
     rep = tmp_path / "r.json"
-    code = main(["verify", "--surface", spec, "--checks", check,
-                 "--report", str(rep)])
-    assert code == 1
+    argv = ["verify", "--surface", spec, "--checks", check,
+            "--report", str(rep)]
+    if guard is not None:
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("guard=%s\n" % guard)
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
     records = json.loads(rep.read_text())
     assert records[0]["samples"] == 0 and records[0]["pass"] is False
 

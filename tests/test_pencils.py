@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,6 +85,30 @@ def test_common_points_family_is_elliptic():
     assert pc.tag == "elliptic"
     bp = sorted(tuple(round(t, 9) for t in p) for p in pc.base_points)
     assert bp == [(-1.0, 0.0), (1.0, 0.0)]
+
+
+@pytest.mark.parametrize("point", [(0.0, 0.0), (1.0, 2.0)])
+def test_a_pencil_of_lines_meets_at_a_point_and_the_ideal_point(point):
+    # three lines through one point: the pencil's second common point is
+    # the ideal one, reported last as null like a hyperbolic ideal limit
+    x, y = point
+    lines = [Cycle(0.0, 1.0, 0.0, -x), Cycle(0.0, 0.0, 1.0, -y),
+             Cycle(0.0, 1.0, 1.0, -x - y)]
+    pc = classify_family(lines)
+    assert pc.tag == "elliptic" and len(pc.base_points) == 2
+    assert np.allclose(pc.base_points[0], point, atol=1e-12)
+    assert classification_report(pc)["base_points"][1] is None
+
+
+def test_a_row_whose_norm_overflows_is_classified_as_scaled():
+    # |(1e308, 1e308, 1e308, 1e308)| overflows; scaled to (1, 1, 1, 1) the
+    # family is no pencil, to the last bit of its singular values
+    circles = [Cycle.from_circle((0.0, 0.0), r) for r in (1.0, 2.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = classify_family([Cycle(*[1e308] * 4)] + circles)
+    assert big.tag == "not-a-pencil"
+    assert big == classify_family([Cycle(1.0, 1.0, 1.0, 1.0)] + circles)
 
 
 def test_tangent_family_is_parabolic():
