@@ -5,7 +5,8 @@ some other code of the package or named, with its reason, in
 UNREAD_PUBLIC.  The package `__init__` re-exports what it imports, so its
 imports count as used, but a re-export is not a read.  No public
 module-level name is a second name for a class or function of the
-package."""
+package, and only `fields.py` defines `with_guard`: surfaces are built
+with their guard and never change it."""
 import ast
 import importlib
 import inspect
@@ -179,3 +180,16 @@ def test_no_public_name_aliases_a_class_or_function():
                 and value.__module__.startswith("lagmin")):
             aliases.append("%s:%d %s" % (module, line, name))
     assert aliases == [], "public aliases: %s" % (", ".join(aliases),)
+
+
+def test_only_fields_define_with_guard():
+    # a surface takes its guard where it is built (`building_block`,
+    # `grammar.parse_surface`); a surface kind with its own `with_guard`
+    # would guard a second time what its fields already guard
+    defs = ["%s:%d" % (module, node.lineno)
+            for module, tree in MODULES.items() if module != "fields.py"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "with_guard"]
+    assert defs == [], "with_guard defined outside fields.py: %s" % (
+        ", ".join(defs),)
