@@ -15,11 +15,8 @@ Each spec is scanned for its brackets once (`_paren_groups`): every call
 body, be it field keywords, `sum(...)`, `conv(...)` or `ruled(...)`, reads
 its comma-separated items from that scan (`_items`), however deep it nests.
 
-The guard (`--config guard`) is set here, once, as each part is built:
-`parse_field` guards the field it parsed, and `parse_surface` builds each
-block and each convolution term with the guard and guards the field of a
-`field:` spec.  Without one, every field keeps `GUARD_EPS`; a `ruled(...)`
-patch has no field and refuses one.
+The guard (`--config guard`) is set here, as each part is built: each
+block, convolution term and parsed field takes it; `ruled(...)` refuses it.
 """
 
 from __future__ import annotations

@@ -141,8 +141,7 @@ class GaussMappedSurface(ParamSurface):
 
 
 class FieldSurface(GaussMappedSurface):
-    """Envelope reconstructed from a scalar field; its domain is the
-    field's safe domain, so the field's guard is the surface's."""
+    """Envelope reconstructed from a scalar field, safe where it is."""
 
     def __init__(self, field: ScalarField):
         self.field = field

@@ -12,12 +12,8 @@ field as a formula in (cos theta, sin theta), flagged where it holds for
 theta != 0.  Every surface in Gauss coordinates carries its field as
 `.field`: the block's field (whose safe domain a block shares, less any
 ring band), the rotated block's rotated field, or the weighted sum of a
-convolution's.
-
-The guard is set once, where a block is built (`building_block(name,
-theta, guard)` guards its field); a rotated block keeps its base's and a
-convolution takes terms that are already guarded, so no surface changes
-a guard after it is built.
+convolution's.  The guard is set once, where a block is built
+(`building_block` guards its field); no surface changes it afterwards.
 
 Block derivatives come from the same exact-jet arithmetic the fields use,
 so frames are closed-form everywhere they are defined.
@@ -229,7 +225,7 @@ class BlockSurface(FieldSurface):
     through exact jets, or, for a tilde block (no builder), the
     reconstruction of its field."""
 
-    def __init__(self, name, guard=GUARD_EPS):
+    def __init__(self, name, guard):
         super().__init__(block_field(name).with_guard(guard))
         self.name = name
         self._block = _BLOCKS[name]

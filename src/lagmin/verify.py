@@ -57,16 +57,14 @@ class CheckReport:
     meta: dict = field(default_factory=dict)
 
     @classmethod
-    def from_residuals(cls, check, residuals, tolerance, meta=None,
-                       needed=1):
+    def from_residuals(cls, check, residuals, tolerance, meta=None, needed=1):
         res = np.asarray(residuals, dtype=float)
         if res.size == 0:
             mx = rms = 0.0
         else:
             mx = float(np.max(res))
             rms = float(np.sqrt(np.mean(res * res)))
-        # a check that measured fewer than `needed` samples, nothing by
-        # default, has not shown enough: it fails
+        # fewer than `needed` samples (none, by default) show too little
         return cls(check, int(res.size), mx, rms, float(tolerance),
                    0 < res.size >= needed and mx <= float(tolerance),
                    dict(meta or {}))
@@ -317,9 +315,8 @@ def tangency_residual(S, spheres, *, window=None, shape=(400, 400),
                       tolerance=TANGENCY_TOL) -> CheckReport:
     """Max over spheres of the min contact gap | |r - m| - |R| | over the
     valid grid points (guarded and finite, the vertices `surface_mesh`
-    would keep): small means every sphere of the family touches S.  With
-    no valid grid point there is no gap to take, and the report has 0
-    samples."""
+    would keep): small means every sphere of the family touches S.  No
+    valid grid point, no gap: 0 samples."""
     if shape[0] < 400 or shape[1] < 400:
         raise ValueError("mesh resolution must be at least 400x400")
     window = window or S.default_window
