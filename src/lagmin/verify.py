@@ -64,9 +64,10 @@ class CheckReport:
         else:
             mx = float(np.max(res))
             rms = float(np.sqrt(np.mean(res * res)))
-        # fewer than `needed` samples (none, by default) show too little
+        # a check that measured fewer than `needed` samples, by default
+        # nothing at all, has not shown enough: it fails
         return cls(check, int(res.size), mx, rms, float(tolerance),
-                   0 < res.size >= needed and mx <= float(tolerance),
+                   res.size >= max(needed, 1) and mx <= float(tolerance),
                    dict(meta or {}))
 
 
