@@ -33,10 +33,8 @@ def _jobs():
     jobs = [("certify", "verify-r1.json", _verify("r1", ALL_CHECKS))]
     for b in BLOCK_NAMES:
         tag = b.replace("~", "t")
-        # r2's image takes the single-point path, 10^4 evaluations
-        if b != "r2":
-            jobs.append(("isotropic", "isotropic-%s.obj" % tag,
-                         ["isotropic", "--surface", b, "-o"]))
+        jobs.append(("isotropic", "isotropic-%s.obj" % tag,
+                     ["isotropic", "--surface", b, "-o"]))
         jobs.append(("certify", "biharmonic-%s.json" % tag,
                      _verify(b, "biharmonic")))
     for b in TANGENCY_BLOCKS:
@@ -49,8 +47,8 @@ JOBS = _jobs()
 
 
 def test_the_pinned_block_outputs_are_all_covered():
-    assert len(JOBS) == 41
-    assert len({name for _, name, _ in JOBS}) == 41
+    assert len(JOBS) == 42
+    assert len({name for _, name, _ in JOBS}) == 42
 
 
 @pytest.mark.skipif(np.__version__ != PINS["numpy"],

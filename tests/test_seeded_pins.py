@@ -3,10 +3,8 @@ seed writes: the three seed-0 exports, the seeded convolution's reports and
 the four pencil reports.  Their argv and circle files come from
 bench/workloads.py (read, never written), they run in-process, and their
 sha256 is compared with bench/digests.json.  With tests/test_pinned_outputs.py
-this covers every pinned byte but `isotropic-r2.obj`, whose 10^4
-single-point evaluations are left to the benchmark.  The digests hold for
-the numpy version they were recorded under; under any other the comparison
-is skipped."""
+this covers every pinned byte.  The digests hold for the numpy version they
+were recorded under; under any other the comparison is skipped."""
 import hashlib
 import importlib.util
 import json
