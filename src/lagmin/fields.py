@@ -364,11 +364,18 @@ class PolynomialField(StatedField):
 
 @dataclass(frozen=True)
 class SumField(ScalarField):
-    """Weighted sum of other fields; guards accumulate."""
+    """Weighted sum of other fields.  Its mask is the AND of its terms',
+    and its `guard`, which the singular-guard message and `fd_bilaplacian`'s
+    reach read, is the largest guard of a term with a singular center."""
 
     terms: tuple = ()
 
     family = "custom-sum"
+
+    def __post_init__(self):
+        guards = [f.guard for _, f in self.terms if f.singular_centers()]
+        if guards:
+            object.__setattr__(self, "guard", max(guards))
 
     def singular_centers(self):
         out = []

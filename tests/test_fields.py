@@ -20,6 +20,7 @@ from lagmin.fields import (
     restrict_to_circle,
     sum_fields,
 )
+from lagmin.grammar import parse_surface
 
 BIHARMONIC_TOL = 1e-9
 VALUE_TOL = 1e-12
@@ -127,6 +128,20 @@ def test_sum_field_monomials_need_every_term():
     assert sum_fields([(2.0, P), (-1.0, Q)]).monomials() == {
         (2, 1): -1.0, (0, 0): 4.0}
     assert sum_fields([(1.0, P), (1.0, ELLIPTIC)]).monomials() is None
+
+
+def test_a_convolution_field_names_its_terms_guard():
+    # the terms mask at the parsed guard, so the sum's guard is that one
+    F = parse_surface("conv(1*r1,0.5*r4)", guard=0.5).field
+    assert F.guard == 0.5
+    with pytest.raises(SingularPoint, match="inside the 0.5 singular guard"):
+        F.jet(0.1, 0.2)
+    with pytest.raises(SingularPoint,
+                       match="stencil box overlaps a singular locus"):
+        fd_bilaplacian(F, 0.45, 0.0, 1e-3)
+    # a term without a singular center has no say
+    bump = make_bump_field((0.0, 0.0), 1.0, 1.0).with_guard(2.0)
+    assert sum_fields([(1.0, F), (1.0, bump)]).guard == 0.5
 
 
 def test_fd_stencil_error_drops_by_four_per_halving():
