@@ -27,8 +27,8 @@ import sys
 import numpy as np
 
 from . import grammar, meshing, pencils, verify
-from .errors import GrammarError, IdealImage, LagminError, NonImmersed
-from .reconstruct import GaussMappedSurface, isotropic_image
+from .errors import GrammarError, LagminError
+from .reconstruct import GaussMappedSurface, _isotropic_rows
 from .surfaces import RuledPatch, building_block, kinematic_rulings
 
 CHECK_NAMES = ("biharmonic", "gaussmap", "ruling", "curvature",
@@ -283,18 +283,9 @@ def _cmd_classify_pencil(args, cfg):
 def _cmd_isotropic(args, cfg):
     S = _surface(args, cfg)
 
-    def image(fu, fv):
-        try:
-            return isotropic_image(S, fu, fv)
-        except (NonImmersed, IdealImage):
-            # fall back to per-point evaluation, dropping the bad spots
-            vals = np.full((fu.size, 3), np.nan)
-            for i in range(fu.size):
-                try:
-                    vals[i] = isotropic_image(S, fu[i : i + 1], fv[i : i + 1])
-                except (NonImmersed, IdealImage):
-                    pass
-            return vals
+    def image(u, v):
+        # undefined and ideal tangent planes come back NaN and are dropped
+        return _isotropic_rows(S, u, v, None)
 
     mesh = meshing.grid_mesh(S.default_window, (100, 100), S.is_safe, image)
     _write_mesh(mesh, args.output,

@@ -24,8 +24,6 @@ order are built, summed and transformed as whole tables.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import IdealImage, NonImmersed
@@ -84,17 +82,7 @@ def unit_normal(S, ru, rv, u, v, what):
 def _cross(ru, rv):
     """r_u × r_v by components, the same bits as numpy's cross product at
     under half its per-call cost, and its length as np.linalg.norm sums
-    it: (x² + y²) + z².
-    One float64 point runs on Python floats, the same IEEE 754 operations
-    without numpy's per-call cost, which single-point fallbacks pay
-    thousands of times."""
-    if ru.size == rv.size == 3 and ru.dtype == rv.dtype == np.float64:
-        (a0, a1, a2), (b0, b1, b2) = ru.ravel().tolist(), rv.ravel().tolist()
-        c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-        ln = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-        shape = ru.shape if ru.ndim >= rv.ndim else rv.shape
-        return (np.array([c0, c1, c2]).reshape(shape),
-                np.array(ln).reshape(shape[:-1]))
+    it: (x² + y²) + z²."""
     a0, a1, a2 = ru[..., 0], ru[..., 1], ru[..., 2]
     b0, b1, b2 = rv[..., 0], rv[..., 1], rv[..., 2]
     cr = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
@@ -171,11 +159,23 @@ def isotropic_image(S: ParamSurface, u, v):
     """
     ua = np.asarray(u, dtype=float)
     va = np.asarray(v, dtype=float)
-    fr = S.frame(ua, va, order=1)
-    n, _ = unit_normal(S, fr.ru, fr.rv, ua, va, "tangent plane")
-    if np.any(np.abs(1.0 + n[..., 2]) <= IDEAL_TOL):
-        raise IdealImage("tangent plane maps to an ideal point (n3 = -1)")
-    img = isotropic(n, -np.sum(n * fr.r, axis=-1))
+    img = _isotropic_rows(S, ua, va, "tangent plane")
     if ua.ndim == 0 and va.ndim == 0:
         return IsoPoint.finite(float(img[0]), float(img[1]), float(img[2]))
     return img
+
+
+def _isotropic_rows(S, u, v, what):
+    """The (..., 3) model images of the tangent planes of S at the float
+    arrays u, v.  Where a plane is undefined or maps to the ideal line,
+    NonImmersed("<what> undefined at N point(s)") or IdealImage is raised,
+    or, when `what` is None, that row comes back NaN."""
+    fr = S.frame(u, v, order=1)
+    n, _ = unit_normal(S, fr.ru, fr.rv, u, v, what)
+    ideal = np.abs(1.0 + n[..., 2]) <= IDEAL_TOL
+    if what is None:
+        # a NaN normal projects to a NaN row without a division by zero
+        n = np.where(ideal[..., None], np.nan, n)
+    elif np.any(ideal):
+        raise IdealImage("tangent plane maps to an ideal point (n3 = -1)")
+    return isotropic(n, -np.sum(n * fr.r, axis=-1))

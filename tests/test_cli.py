@@ -18,8 +18,11 @@ from hypothesis import strategies as st
 import lagmin.cli
 from lagmin import BLOCK_NAMES
 from lagmin.cli import _merge_meshes, main
+from lagmin.errors import IdealImage, NonImmersed
 from lagmin.fields import EllipticField
-from lagmin.meshing import Mesh
+from lagmin.grammar import parse_surface
+from lagmin.meshing import Mesh, grid_mesh
+from lagmin.reconstruct import isotropic_image
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -217,6 +220,49 @@ def test_isotropic_graph_heights(tmp_path):
     assert np.isfinite(verts).all()
     for x, y, z in verts[:: max(1, len(verts) // 25)]:
         assert abs(z - F.value(x, y)) < 1e-8
+
+
+def _per_point_images(S, u, v):
+    """Reference images: each grid point mapped alone, NaN where its
+    tangent plane is undefined or maps to the ideal line."""
+    vals = np.full((u.size, 3), np.nan)
+    for i in range(u.size):
+        try:
+            vals[i] = isotropic_image(S, u[i : i + 1], v[i : i + 1])
+        except (NonImmersed, IdealImage):
+            pass
+    return vals
+
+
+# (dropped points, sha256 of the OBJ under numpy 2.4.6, made by the
+# per-point reference): the zero patch has no tangent plane anywhere on
+# half of its window, and ruled(1,0,0,0) has ideal ones besides
+_PARTIAL_DROPS = {
+    "ruled(0,0,0,0)": (5000, "29c06860d078316a3155ae2247b984e7"
+                             "65d8d08aec93a9672f4739e27d143a89"),
+    "ruled(1,0,0,0)": (5030, "308721cf48c35169284953a144cffe68"
+                             "cd75b039594a0a36fddb75220e5a5ce0"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", sorted(_PARTIAL_DROPS))
+def test_isotropic_drops_the_points_a_per_point_loop_drops(tmp_path, capfd,
+                                                           spec):
+    dropped, digest = _PARTIAL_DROPS[spec]
+    out = tmp_path / "iso.obj"
+    assert main(["isotropic", "--surface", spec, "-o", str(out)]) == 0
+    assert capfd.readouterr().err == ("note: dropped %d grid point(s) with "
+                                      "non-finite coordinates\n" % dropped)
+    S = parse_surface(spec)
+    ref = grid_mesh(S.default_window, (100, 100), S.is_safe,
+                    lambda u, v: _per_point_images(S, u, v))
+    assert ref.nonfinite == dropped
+    verts, faces, _ = read_obj(out)
+    assert np.array_equal(verts, ref.vertices)
+    assert faces == (ref.faces + 1).tolist()
+    if np.__version__ == "2.4.6":
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_ruled_command_emits_ruling_polylines(tmp_path):

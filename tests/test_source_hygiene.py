@@ -41,6 +41,8 @@ UNREAD_PUBLIC = {
     "imsphere_map": "planned: maps the spheres of a Laguerre image "
                     "(ROADMAP item 5)",
     "parse_field": "the public field parser that bench/spans.py traces",
+    "isotropic_image": "criterion 03 and bench/checks.py map tangent planes "
+                       "with it; lagmin isotropic masks them instead",
 }
 
 

@@ -18,8 +18,8 @@ print(tracer.stats["jets.mul.calls"])
 """
 
 
-# single-point r2 images, as the per-point fallback of `lagmin isotropic`
-# makes them: r2 is nowhere immersed, so each one raises
+# single-point r2 images, as bench/checks.py samples a grid's points one at
+# a time: r2 is nowhere immersed, so each one raises
 _R2_CHILD = """
 import numpy as np
 import spans
@@ -41,10 +41,24 @@ for key in ("jets.mul.calls", "jets.reciprocal.calls", "jets.polynomial.calls",
 """
 
 
-def _run_traced(child):
+# `lagmin isotropic` on r2, whose tangent planes are all undefined
+_R2_CLI_CHILD = """
+import sys
+import spans
+tracer = spans.install()
+from lagmin import cli
+assert cli.main(["isotropic", "--surface", "r2", "-o", sys.argv[1]]) == 0
+for key in ("surfaces.frame.calls",
+            "reconstruct.isotropic_image.single_point_calls"):
+    print(key, tracer.stats.get(key, 0))
+"""
+
+
+def _run_traced(child, *argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]))
-    proc = subprocess.run([sys.executable, "-c", child], env=env, cwd=ROOT,
+    proc = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                          cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
@@ -63,3 +77,12 @@ def test_single_point_r2_images_keep_their_traced_counts():
         "jets.mul.calls": 70, "jets.reciprocal.calls": 14,
         "jets.polynomial.calls": 7, "surfaces.frame.calls": 7,
         "reconstruct.isotropic_image.single_point_calls": 7}
+
+
+def test_isotropic_maps_a_grid_in_one_batch(tmp_path):
+    # one frame for the whole grid, and no point retried alone, although
+    # no point of r2 has an image
+    counts = _run_traced(_R2_CLI_CHILD, str(tmp_path / "r2.obj"))
+    assert dict(zip(counts[::2], map(int, counts[1::2]))) == {
+        "surfaces.frame.calls": 1,
+        "reconstruct.isotropic_image.single_point_calls": 0}
