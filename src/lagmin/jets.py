@@ -24,10 +24,11 @@ which IEEE 754 leaves open and numpy's loops do not keep):
   frame builds one array, at the end (`stack_tables`).  Each plan's sums
   run as straight-line Python, compiled on first use (`_one_point`).  At
   one point numpy's cost per call, not the arithmetic, is the time, and
-  single-point fallbacks pay it thousands of times; a Python float
-  multiply, add or subtract is the same IEEE 754 double operation as
-  numpy's.  It runs on every such table and on no other, so it has no
-  threshold: a second point is already a table the rounds kernel serves.
+  code that evaluates one point at a time pays it on every call; a
+  Python float multiply, add or subtract is the same IEEE 754 double
+  operation as numpy's.  It runs on every such table and on no other, so
+  it has no threshold: a second point is already a table the rounds
+  kernel serves.
   Everything else stays numpy, on one-element arrays or numpy scalars:
   arctan2, rint, log and powers, whose vector kernels differ from libm in
   the last bit, and the (0, 0) entry of a reciprocal or square root,

@@ -235,8 +235,8 @@ def _per_point_images(S, u, v):
 
 
 # (dropped points, sha256 of the OBJ under numpy 2.4.6, made by the
-# per-point reference): the zero patch has no tangent plane anywhere on
-# half of its window, and ruled(1,0,0,0) has ideal ones besides
+# per-point reference): the dropped tangent planes map to the ideal line;
+# r2's pinned image drops undefined ones
 _PARTIAL_DROPS = {
     "ruled(0,0,0,0)": (5000, "29c06860d078316a3155ae2247b984e7"
                              "65d8d08aec93a9672f4739e27d143a89"),

@@ -4,13 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from lagmin.errors import NonImmersed
+from lagmin.errors import IdealImage, NonImmersed
 from lagmin.fields import (
     EllipticField,
     HyperbolicField,
     make_polynomial_field,
 )
-from lagmin.reconstruct import FieldSurface, isotropic_image
+from lagmin.meshing import grid_mesh
+from lagmin.reconstruct import (
+    FieldSurface,
+    ParamSurface,
+    SurfaceJet,
+    _isotropic_rows,
+    isotropic_image,
+)
 from lagmin.surfaces import block_field, building_block
 
 ROUND_TRIP_TOL = 1e-10
@@ -102,6 +109,37 @@ def test_non_immersed_parametrization_raises():
     S = FieldSurface(block_field("r2"))
     with pytest.raises(NonImmersed):
         isotropic_image(S, 0.8, 0.4)
+
+
+class _DownwardPlane(ParamSurface):
+    """r = (0, 0, 2) + u·(0, 1, 0) + v·(√(1−s²), 0, s), whose unit normal
+    (s, 0, −√(1−s²)) is within IDEAL_TOL of (0, 0, −1) for |s| <= 4e-5."""
+
+    def __init__(self, s):
+        self.ru = np.array([0.0, 1.0, 0.0])
+        self.rv = np.array([math.sqrt(1.0 - s * s), 0.0, s])
+
+    def frame(self, u, v, order=2):
+        u, v = np.broadcast_arrays(u, v)
+        d = np.zeros((order + 1, order + 1) + u.shape + (3,))
+        d[0, 0] = ([0.0, 0.0, 2.0] + u[..., None] * self.ru
+                   + v[..., None] * self.rv)
+        if order >= 1:
+            d[1, 0], d[0, 1] = self.ru, self.rv
+        return SurfaceJet(d, order)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [0.0, 1e-5])
+def test_ideal_tangent_planes_are_masked_without_a_warning(s):
+    # at s = 0 the image (0, 0, 2)/0 would divide by zero, and at s = 1e-5
+    # it would be a finite point near 2e5; both are ideal, so NaN
+    S = _DownwardPlane(s)
+    with pytest.raises(IdealImage):
+        isotropic_image(S, 0.1, 0.2)
+    mesh = grid_mesh((-1.0, 1.0, -1.0, 1.0), (4, 4), S.is_safe,
+                     lambda u, v: _isotropic_rows(S, u, v, None))
+    assert mesh.nonfinite == 16 and len(mesh.vertices) == 0
 
 
 def test_field_surface_carries_its_field():

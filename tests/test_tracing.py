@@ -69,7 +69,7 @@ def test_every_span_resolves_in_a_fresh_interpreter():
 
 
 def test_single_point_r2_images_keep_their_traced_counts():
-    # the benchmark's per-layer counts of r2's single-point calls: each
+    # the per-layer counts of r2's single-point calls: each
     # jet operation the builders call is one span call, whichever table
     # type runs it
     counts = _run_traced(_R2_CHILD)
