@@ -492,7 +492,7 @@ def _safe_sample(S, n=32, seed=5):
 
 @pytest.mark.parametrize("spec", _ONE_POINT_SPECS)
 def test_one_point_evaluation_has_the_bits_of_the_batch(spec):
-    # an array of one point and a scalar, a point of shape (), both run the
+    # an array of one point and a scalar (a point of shape ()) both run the
     # one-point jet code, the batch the numpy kernels
     S = parse_surface(spec)
     u, v = _safe_sample(S)

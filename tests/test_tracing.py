@@ -58,8 +58,8 @@ def _run_traced(child, *argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]))
     proc = subprocess.run([sys.executable, "-c", child, *argv], env=env,
-                          cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 
@@ -69,9 +69,8 @@ def test_every_span_resolves_in_a_fresh_interpreter():
 
 
 def test_single_point_r2_images_keep_their_traced_counts():
-    # the per-layer counts of r2's single-point calls: each
-    # jet operation the builders call is one span call, whichever table
-    # type runs it
+    # the per-layer counts of r2's single-point calls: each jet operation
+    # the builders call is one span call, whichever table type runs it
     counts = _run_traced(_R2_CHILD)
     assert dict(zip(counts[::2], map(int, counts[1::2]))) == {
         "jets.mul.calls": 70, "jets.reciprocal.calls": 14,
