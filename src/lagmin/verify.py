@@ -266,14 +266,15 @@ def ruling_residual(S, *, tolerance=RULING_TOL) -> CheckReport:
     A ruling with direction (sin phi, cos phi, 0) meets the surface
     along the Gauss line (u, v) = s (cos phi, -sin phi); the radius s
     belonging to a given lambda solves a monotone 1-D equation, handled
-    by bracketed bisection.
+    by bracketed bisection.  The surface is evaluated once, at every
+    bracketed point that its guard keeps.
     """
     a1, a2, a3, theta = kinematic_weights(S)
     family = kinematic_rulings(S)
 
     phis = np.linspace(-1.2, 1.2, 13)
     lams = (-0.8, -0.3, 0.2, 0.7)
-    residuals = []
+    us, vs, centres = [], [], []
     skipped = 0
     for phi in phis:
         c = a1 + a3 * np.sin(phi + theta) * np.cos(phi + theta)
@@ -299,13 +300,15 @@ def ruling_residual(S, *, tolerance=RULING_TOL) -> CheckReport:
                 else:
                     hi = mid
             s = 0.5 * (lo + hi)
-            u = s * np.cos(phi)
-            v = -s * np.sin(phi)
-            if not bool(np.all(S.is_safe(u, v))):
-                skipped += 1
-                continue
-            p = S.frame(u, v, order=0).r
-            residuals.append(float(np.linalg.norm(p - line.sphere(lam).m)))
+            us.append(s * np.cos(phi))
+            vs.append(-s * np.sin(phi))
+            centres.append(line.sphere(lam).m)
+    u, v = np.array(us), np.array(vs)
+    safe = S.is_safe(u, v)
+    skipped += int(np.count_nonzero(~safe))
+    points = S.frame(u[safe], v[safe], order=0).r
+    residuals = [float(np.linalg.norm(p - m))
+                 for p, m in zip(points, np.array(centres)[safe])]
     return CheckReport.from_residuals(
         "ruling-incidence", residuals, tolerance,
         {"phis": len(phis), "lams": len(lams), "skipped": skipped},
