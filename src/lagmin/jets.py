@@ -12,38 +12,21 @@ handful of vectorized operations.
 Every Leibniz sum follows one term plan per (order, operation), built once
 (`_Plan`).  It lists each entry's terms (a, b, i−a, j−b, C(i,a)·C(j,b)) in
 the order of a double loop over a <= i, then b <= j, and every entry is
-summed as 0.0 + t0 + t1 + ... with each term formed as (c·p)·q.  Three
-runners carry out the plan and give the same bits (a NaN's sign aside,
-which IEEE 754 leaves open and numpy's loops do not keep):
+summed as 0.0 + t0 + t1 + ... with each term formed as (c·p)·q.  Two
+kernels carry out the plan and give the same bits (a NaN's sign aside,
+which IEEE 754 leaves open and numpy's loops do not keep), in the tables'
+own precision, long double included:
 
-- one point, for a float64 table of a single point (point shape () or
-  (1,)).  Such a table is a `_PointJet`, a list of Python floats from the
-  constructor on: `Jet.coordinate`, `Jet.constant`, `Jet.from_gradient`
-  and `jet_polynomial` return one for one-point float64 input, and sums,
-  differences, products, reciprocals and square roots keep it one, so a
-  frame builds one array, at the end (`stack_tables`).  Each plan's sums
-  run as straight-line Python, compiled on first use (`_one_point`).  At
-  one point numpy's cost per call, not the arithmetic, is the time, and
-  code that evaluates one point at a time pays it on every call; a
-  Python float multiply, add or subtract is the same IEEE 754 double
-  operation as numpy's.  It runs on every such table and on no other, so
-  it has no threshold: a second point is already a table the rounds
-  kernel serves.
-  Everything else stays numpy, on one-element arrays or numpy scalars:
-  arctan2, rint, log and powers, whose vector kernels differ from libm in
-  the last bit, and the (0, 0) entry of a reciprocal or square root,
-  which gives inf and NaN where Python float division and math.sqrt
-  raise;
-- rounds, for other small tables: gather every term's factors at once,
-  scale, multiply, then add the r-th term of every entry that has one in
-  one slice add per round (entries sorted by falling term count, so each
+- rounds, for small tables: gather every term's factors at once, scale,
+  multiply, then add the r-th term of every entry that has one in one
+  slice add per round (entries sorted by falling term count, so each
   round is a prefix) and take the table from the sums at the end: about
   6 + R numpy calls a product, R <= 9 at order 4;
 - in place, for large tables: add term by term into each entry with
   ``out=``, so no term allocates a temporary.
 
-The rounds and in-place kernels work in the tables' own precision, long
-double included.
+A table of one point, of point shape () or (1,), runs these kernels as
+any other table does, so a point alone has the bits it has in a batch.
 
 The rounds kernel holds (buffer rows + the largest stage's terms) elements
 per point at once.  Measured on 2 vCPUs (Intel Xeon, numpy 2.4.6), it was
@@ -52,17 +35,12 @@ points; beyond about 2^14 held elements (1820 points for an order-1
 product, 190 at order 4) its cost jumped several-fold, while in-place
 accumulation stayed 1.1–2× faster than the loop up to 1.6e5 points.  So
 the switch (`ROUNDS_MAX_ELEMENTS`) weighs the operands' point count
-against that bound.  On the same host, keeping one-point tables as lists
-from constructor to frame took r2's single-point `isotropic_image` from
-90 to 55 µs and an order-1 product from 4.9 to 1.9 µs (medians of 15
-interleaved rounds, `BENCH_19.json`); compiled straight-line sums run an
-order-1 product's plan in 0.4 µs, a loop over its terms in 1.2 µs.
+against that bound.
 """
 from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 
@@ -166,7 +144,7 @@ class _Plan:
     (row 0 holds the (0, 0) entry of a reciprocal or square root) and a
     last row of zeros; `perm` takes the table, cell by cell, from it."""
 
-    __slots__ = ("stages", "perm", "rows", "max_points", "terms")
+    __slots__ = ("stages", "perm", "rows", "max_points")
 
     def __init__(self, order, kind):
         n1 = order + 1
@@ -195,42 +173,9 @@ class _Plan:
         self.max_points = ROUNDS_MAX_ELEMENTS // held
         self.perm = _frozen([row.get((i, j), len(row))
                              for i in range(n1) for j in range(n1)])
-        # the one-point runner's copy: per entry in stage order, its cell
-        # and its terms (factor cells a·(order+1)+b, coefficient)
-        self.terms = tuple(
-            (cell(i, j), tuple((cell(a, b), cell(qa, qb), float(c))
-                               for a, b, qa, qb, c in terms))
-            for stage in stages for (i, j), terms in stage.entries)
 
 
 _plan = functools.lru_cache(maxsize=None)(_Plan)
-
-_FLOAT64 = np.dtype(np.float64)
-_ONE = np.float64(1.0)
-
-
-@functools.lru_cache(maxsize=None)
-def _one_point(order, kind):
-    """The one-point runner of `_plan(order, kind)`, compiled on first use:
-    straight-line Python that writes each entry's sum 0.0 + t0 + t1 + ...,
-    with t = (c·p)·q, to its cell of `out`, as is for a product, as
-    scale·sum for a reciprocal and as (G[cell] − sum)·scale for a square
-    root.  P, Q, out and G are Python float lists, one item per table
-    cell; `out` may be P or Q, since a reciprocal or a square root reads
-    the entries it has computed.  A Python float multiply or add is the
-    same IEEE 754 double operation as numpy's, and 1.0·p is p, so a
-    coefficient of 1 gives the bits of the kernels' p·q."""
-    finish = {"mul": "{s}", "reciprocal": "scale * ({s})",
-              "sqrt": "(G[{ij}] - ({s})) * scale"}[kind]
-    lines = ["def run(P, Q, out, G, scale):"]
-    for ij, terms in _plan(order, kind).terms:
-        s = "0.0" + "".join(" + %r * P[%d] * Q[%d]" % (c, a, b)
-                            for a, b, c in terms)
-        lines.append("    out[%d] = %s" % (ij, finish.format(s=s, ij=ij)))
-    lines.append("    return out")
-    scope = {}
-    exec("\n".join(lines), scope)
-    return scope["run"]
 
 
 def _broadcast_tables(*tables):
@@ -266,15 +211,6 @@ def _product(p, q, n):
     return out
 
 
-# The point shapes of a point jet; two of them broadcast to `a or b`.
-_POINT_SHAPES = ((), (1,))
-
-
-def _is_point(value):
-    """Whether the float array `value` is one float64 point."""
-    return value.shape in _POINT_SHAPES and value.dtype == _FLOAT64
-
-
 class Jet:
     __slots__ = ("d", "order")
 
@@ -290,8 +226,6 @@ class Jet:
         shape = tuple(shape)
         if value.shape and value.shape != shape:
             shape = np.broadcast_shapes(shape, value.shape)
-        if value.dtype == _FLOAT64 and shape in _POINT_SHAPES:
-            return _PointJet.at(value, order, shape)
         d = np.zeros((order + 1, order + 1) + shape, dtype=value.dtype)
         d[0, 0] = value
         return cls(d, order)
@@ -300,11 +234,6 @@ class Jet:
     def coordinate(cls, value, axis, order):
         """Jet of the coordinate function x (axis=0) or y (axis=1)."""
         value = _asfloat(value)
-        if _is_point(value):
-            out = _PointJet.at(value, order, value.shape)
-            if order >= 1:
-                out.t[order + 1 if axis == 0 else 1] = 1.0
-            return out
         d = np.zeros((order + 1, order + 1) + value.shape, dtype=value.dtype)
         d[0, 0] = value
         if order >= 1:
@@ -317,16 +246,6 @@ class Jet:
         derivatives (each of one lower order)."""
         order = jx.order + 1
         value = _asfloat(value)
-        if (_is_point(value) and isinstance(jx, _PointJet)
-                and isinstance(jy, _PointJet)):
-            out = _PointJet.at(value, order, value.shape or jx.shape or jy.shape)
-            n1 = order + 1
-            for i in range(1, n1):
-                for j in range(n1 - i):
-                    out.t[i * n1 + j] = jx.t[(i - 1) * order + j]
-            for j in range(1, n1):
-                out.t[j] = jy.t[j - 1]
-            return out
         shape = np.broadcast(value, jx.d[0, 0], jy.d[0, 0]).shape
         d = np.zeros(
             (order + 1, order + 1) + shape,
@@ -469,142 +388,6 @@ class Jet:
         return Jet(h, n)
 
 
-class _PointJet(Jet):
-    """A jet at one float64 point, of point shape () or (1,): its table is
-    `t`, a list of Python floats in cell order i·(order+1) + j, and it
-    stays one from operation to operation.  `d` builds the array table.
-    Sums, differences, negation and products by a float run on the list;
-    products, reciprocals and square roots through `_one_point`.  With an
-    operand that is neither a float nor a jet at one float64 point, an
-    operation runs on the array tables, with the same bits."""
-
-    __slots__ = ("t", "shape")
-
-    def __init__(self, t, order, shape):
-        self.t = t
-        self.order = order
-        self.shape = shape
-
-    @classmethod
-    def at(cls, value, order, shape):
-        """The table with `value`, a float64 array of one element, at (0, 0)
-        and zeros elsewhere."""
-        t = [0.0] * (order + 1) ** 2
-        t[0] = value.item()
-        return cls(t, order, shape)
-
-    @property
-    def d(self):
-        n1 = self.order + 1
-        return np.array(self.t).reshape((n1, n1) + self.shape)
-
-    def _operand(self, other):
-        """`other` as a point jet: a float is the constant jet, as the array
-        `Jet` coerces it; None for any other operand that is not a jet at
-        one float64 point."""
-        if isinstance(other, Jet):
-            if other.order != self.order:
-                raise ValueError("jet order mismatch")
-            return other if other.__class__ is _PointJet else _as_point(other)
-        if isinstance(other, float):
-            t = [0.0] * len(self.t)
-            t[0] = float(other)
-            return _PointJet(t, self.order, ())
-        return None
-
-    def _zip(self, other, op):
-        """op on each cell of self and other, or None (`_operand`)."""
-        q = self._operand(other)
-        if q is None:
-            return None
-        return _PointJet(list(map(op, self.t, q.t)), self.order,
-                         self.shape or q.shape)
-
-    def __add__(self, other):
-        out = self._zip(other, operator.add)
-        return Jet(self.d, self.order) + other if out is None else out
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        out = self._zip(other, operator.sub)
-        return Jet(self.d, self.order) - other if out is None else out
-
-    def __rsub__(self, other):
-        out = self._zip(other, _rsub)
-        return other - Jet(self.d, self.order) if out is None else out
-
-    def __neg__(self):
-        return _PointJet([-a for a in self.t], self.order, self.shape)
-
-    def __mul__(self, other):
-        return self._times(other, False)
-
-    def __rmul__(self, other):
-        return self._times(other, True)
-
-    def _times(self, other, reflected):
-        """self·other, or other·self if `reflected`: a product keeps the
-        order of its factors, as the Leibniz plan sums (c·p)·q."""
-        n = self.order
-        if other.__class__ is _PointJet and other.order == n:
-            q = other
-        elif isinstance(other, float):
-            c = float(other)
-            return _PointJet([a * c for a in self.t], n, self.shape)
-        else:
-            q = self._operand(other)
-            if q is None:
-                if not isinstance(other, Jet):
-                    return Jet(self.d * other, n)
-                p, q = (other.d, self.d) if reflected else (self.d, other.d)
-                return Jet(_product(p, q, n), n)
-        P, Q = (q.t, self.t) if reflected else (self.t, q.t)
-        out = (_one_point(n, "mul")(P, Q, [0.0] * len(P), None, None) if n
-               else [P[0] * Q[0] + 0.0])
-        return _PointJet(out, n, self.shape or q.shape)
-
-    def _solve(self, kind):
-        g, n = self.t, self.order
-        recip = kind == "reciprocal"
-        # (0, 0) in numpy, which gives inf and NaN where Python floats
-        # would raise
-        h00 = _ONE / g[0] if recip else np.sqrt(g[0])
-        h = [0.0] * len(g)
-        h[0] = float(h00)
-        if n:
-            scale = float(-h00 if recip else 0.5 / h00)
-            _one_point(n, kind)(g if recip else h, h, h, g, scale)
-        return _PointJet(h, n, self.shape)
-
-
-def _rsub(a, b):
-    return b - a
-
-
-def _as_point(jet):
-    """The array `Jet` `jet` as a point jet if its table is one float64
-    point, else None."""
-    d = jet.d
-    if d.dtype == _FLOAT64 and d.shape[2:] in _POINT_SHAPES:
-        return _PointJet(d.ravel().tolist(), jet.order, d.shape[2:])
-    return None
-
-
-def stack_tables(jets):
-    """The tables of `jets` on a new last axis: one array of shape
-    (order+1, order+1, ..., len(jets))."""
-    first, k = jets[0], len(jets)
-    if all(j.__class__ is _PointJet and j.order == first.order
-           and j.shape == first.shape for j in jets):
-        flat = [0.0] * (len(first.t) * k)
-        for m, j in enumerate(jets):
-            flat[m::k] = j.t
-        n1 = first.order + 1
-        return np.array(flat).reshape((n1, n1) + first.shape + (k,))
-    return np.concatenate([j.d[..., None] for j in jets], axis=-1)
-
-
 def compose(fjet: Jet, ujet: Jet, vjet: Jet) -> Jet:
     """Jet of f(u(x,y), v(x,y)) from the jet of f at (u0, v0) and the jets of
     the inner coordinates.  Standard truncated-Taylor substitution: powers of
@@ -667,13 +450,7 @@ def jet_arctan_ratio(x, y, order, branch=0):
     value (not the derivatives) jumps across x = 0."""
     x = _asfloat(x)
     y = _asfloat(y)
-    if _is_point(x) and _is_point(y):
-        # on numpy scalars: the same ufunc loops and IEEE 754 operations,
-        # without an array at each step
-        val = principal_angle(x.item(), y.item())
-    else:
-        val = principal_angle(x, y)
-    val = val + branch * np.pi
+    val = principal_angle(x, y) + branch * np.pi
     return _gradient_jet(val, x, y, order,
                          lambda jx, jy, inv_r2: (-jy * inv_r2, jx * inv_r2))
 
@@ -694,26 +471,16 @@ def jet_polynomial(x, y, coeffs, order):
     terms = [(p, q, c, i, j) for (p, q), c in coeffs.items() if c != 0
              for i in range(min(p, order) + 1)
              for j in range(min(q, order - i) + 1)]
-    point = _is_point(x) and _is_point(y)
-    if point:
-        out = _PointJet([0.0] * (order + 1) ** 2, order, x.shape or y.shape)
-    else:
-        shape = np.broadcast(x, y).shape
-        out = Jet(np.zeros((order + 1, order + 1) + shape,
-                           dtype=np.result_type(x, y)), order)
+    shape = np.broadcast(x, y).shape
+    out = Jet(np.zeros((order + 1, order + 1) + shape,
+                       dtype=np.result_type(x, y)), order)
     if not terms:
         return out
     xpow = _Powers(x, [p - i for p, _, _, i, _ in terms])
     ypow = _Powers(y, [q - j for _, q, _, _, j in terms])
     for t, (p, q, c, i, j) in enumerate(terms):
         fall = (math.perm(p, i) * math.perm(q, j))
-        if point:
-            # the powers stay numpy calls; their products and sums floats
-            cell = i * (order + 1) + j
-            out.t[cell] = out.t[cell] + (c * fall * xpow.take(t, p - i).item()
-                                         * ypow.take(t, q - j).item())
-        else:
-            out.d[i, j] += c * fall * xpow.take(t, p - i) * ypow.take(t, q - j)
+        out.d[i, j] += c * fall * xpow.take(t, p - i) * ypow.take(t, q - j)
     return out
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import IdealImage, NonImmersed
 from .fields import ScalarField
 from .isotropic import IDEAL_TOL, IsoPoint, inverse_stereographic, isotropic
-from .jets import jet_xy, stack_tables
+from .jets import jet_xy
 
 IMMERSION_TOL = 1e-10
 
@@ -51,7 +51,7 @@ class SurfaceJet:
     def from_components(cls, X, Y, Z, order) -> "SurfaceJet":
         """Frame of order `order` from the jets X, Y, Z of the three
         coordinate functions."""
-        return cls(stack_tables((X, Y, Z)), order)
+        return cls(np.stack((X.d, Y.d, Z.d), axis=-1), order)
 
     r = property(lambda self: self.d[0, 0])
     ru = property(lambda self: self.d[1, 0])
@@ -71,8 +71,6 @@ def unit_normal(S, ru, rv, u, v, what):
     """
     cr, ln = _cross(ru, rv)
     bad = ln <= IMMERSION_TOL
-    # count_nonzero, not any(): at one point a reduction's set-up is most
-    # of the cost
     nbad = 0 if what is None else np.count_nonzero(bad)
     if nbad:
         raise NonImmersed("%s undefined at %d point(s)" % (what, nbad))

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from lagmin.jets import (
     Jet,
-    _PointJet,
-    _as_point,
     _plan,
     compose,
     jet_arctan_ratio,
@@ -305,9 +303,9 @@ _BIG = max(_plan(order, kind).max_points for order in range(1, 7)
            for kind in ("mul", "reciprocal", "sqrt")) + 1
 # point shapes of the two factors, broadcasting included; (64,) is below
 # every plan's kernel switch and (_BIG,) past it
-_SHAPES = [((), ()), ((1,), (1,)), ((3, 4), (3, 4)), ((), (3, 4)),
-           ((3, 4), ()), ((4,), (3, 4)), ((64,), (64,)), ((_BIG,), (_BIG,)),
-           ((), (_BIG,))]
+_SHAPES = [((), ()), ((1,), (1,)), ((), (1,)), ((1,), ()), ((3, 4), (3, 4)),
+           ((), (3, 4)), ((3, 4), ()), ((4,), (3, 4)), ((64,), (64,)),
+           ((_BIG,), (_BIG,)), ((), (_BIG,))]
 
 
 def _table(rng, order, shape, dtype, special):
@@ -340,83 +338,6 @@ def test_jet_arithmetic_has_the_bits_of_the_leibniz_loop(order, shapes, dtypes,
             assert_same_bits(Jet(g, order).sqrt().d, _sqrt_reference(g, order))
 
 
-_ONE_POINT_SHAPES = [((), ()), ((1,), (1,)), ((), (1,)), ((1,), ())]
-
-
-def _one_point_tables(order, special, at):
-    """Seeded one-point float64 tables of both factors, each of every shape
-    in _ONE_POINT_SHAPES, with a positive (0, 0) entry unless `special`
-    is put there; `special` goes into cell `at` of p and its mirror of q."""
-    rng = np.random.default_rng(order)
-    p = _table(rng, order, (), np.float64, 0.0)
-    q = _table(rng, order, (), np.float64, 0.0)
-    p[0, 0], q[0, 0] = abs(p[0, 0]), abs(q[0, 0])
-    if special is not None:
-        p[at], q[at[::-1]] = special, special
-    for sp, sq in _ONE_POINT_SHAPES:
-        yield p.reshape(p.shape + sp), q.reshape(q.shape + sq)
-
-
-@pytest.mark.parametrize("kind", ["mul", "reciprocal", "sqrt"])
-@pytest.mark.parametrize("order", range(1, HIGH + 1))
-def test_one_point_runner_has_the_bits_of_the_leibniz_loop(order, kind):
-    cases = [(None, (0, 0))] + [
-        (v, at) for v in _SPECIAL for at in ((0, 0), (1, 0), (0, order))]
-    for special, at in cases:
-        for p, q in _one_point_tables(order, special, at):
-            with np.errstate(all="ignore"):
-                if kind == "mul":
-                    got = _as_point(Jet(p, order)) * _as_point(Jet(q, order))
-                    want = _product_reference(p, q, order)
-                else:
-                    got = getattr(_as_point(Jet(p, order)), kind)()
-                    reference = (_reciprocal_reference if kind == "reciprocal"
-                                 else _sqrt_reference)
-                    want = reference(p, order)
-            assert isinstance(got, _PointJet)
-            assert_same_bits(got.d, want)
-
-
-# -- the point type against the array Jet ---------------------------------
-
-# scalar operands: Python and numpy floats run on the point type's list;
-# an int, a float32 and a long double scalar on the array tables
-_SCALARS = [2.5, -0.0, 0.0, math.inf, -math.inf, math.nan, np.float64(-1.5),
-            3, np.float32(0.5), np.longdouble(1.25)]
-
-
-def _point_pairs(order):
-    """(point jet, array Jet) pairs of the same one-point tables, special
-    values included, of every point shape."""
-    for special, at in [(None, (0, 0))] + [
-            (v, at) for v in _SPECIAL for at in ((0, 0), (order, 0))]:
-        for p, q in _one_point_tables(order, special, at):
-            yield ((_as_point(Jet(p, order)), Jet(p, order)),
-                   (_as_point(Jet(q, order)), Jet(q, order)))
-
-
-@pytest.mark.parametrize("order", range(0, 4))
-def test_point_type_ops_have_the_bits_of_the_array_jet(order):
-    binary = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
-              lambda a, b: a / b]
-    unary = [lambda a: -a, lambda a: a.reciprocal(), lambda a: a.sqrt(),
-             lambda a: a.truncate(0), lambda a: a.shift(0, order)]
-    with np.errstate(all="ignore"):
-        for (a, A), (b, B) in _point_pairs(order):
-            assert isinstance(a, _PointJet) and not isinstance(A, _PointJet)
-            for f in binary:
-                want = f(A, B).d
-                # point with point, and with an array Jet of one point
-                for x, y in ((a, b), (a, B), (A, b)):
-                    assert_same_bits(f(x, y).d, want)
-                for c in _SCALARS:
-                    assert_same_bits(f(a, c).d, f(A, c).d)
-                    assert_same_bits(f(c, a).d, f(c, A).d)
-            for f in unary:
-                assert_same_bits(f(a).d, f(A).d)
-            assert isinstance(a * b + a * 2.5 - np.float64(1.0), _PointJet)
-
-
 def _constructed(x, y, order):
     """A jet from each constructor, at the points (x, y)."""
     lower = max(order - 1, 0)
@@ -429,7 +350,7 @@ def _constructed(x, y, order):
 
 
 @pytest.mark.parametrize("order", range(0, 4))
-def test_point_type_constructors_have_the_bits_of_the_batch(order):
+def test_one_point_constructors_have_the_bits_of_the_batch(order):
     # a point of shape () or (1,) against the first of two batch points
     values = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.3, -2.7]
     with np.errstate(all="ignore"):
@@ -440,7 +361,6 @@ def test_point_type_constructors_have_the_bits_of_the_batch(order):
                 for k in (slice(0, 1), 0):
                     for got, want in zip(_constructed(xs[k], ys[k], order),
                                          batch):
-                        assert isinstance(got, _PointJet)
                         assert_same_bits(got.d, want.d[..., k])
 
 

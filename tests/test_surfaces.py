@@ -492,8 +492,8 @@ def _safe_sample(S, n=32, seed=5):
 
 @pytest.mark.parametrize("spec", _ONE_POINT_SPECS)
 def test_one_point_evaluation_has_the_bits_of_the_batch(spec):
-    # an array of one point and a scalar (a point of shape ()) both run the
-    # one-point jet code, the batch the numpy kernels
+    # an array of one point and a scalar (a point of shape ()) run the same
+    # jet kernels as the batch, and must give each point's bits in it
     S = parse_surface(spec)
     u, v = _safe_sample(S)
     with np.errstate(all="ignore"):

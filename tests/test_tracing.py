@@ -70,7 +70,7 @@ def test_every_span_resolves_in_a_fresh_interpreter():
 
 def test_single_point_r2_images_keep_their_traced_counts():
     # the per-layer counts of r2's single-point calls: each jet operation
-    # the builders call is one span call, whichever table type runs it
+    # the builders call is one span call
     counts = _run_traced(_R2_CHILD)
     assert dict(zip(counts[::2], map(int, counts[1::2]))) == {
         "jets.mul.calls": 70, "jets.reciprocal.calls": 14,
