@@ -5,8 +5,9 @@ some other code of the package or named, with its reason, in
 UNREAD_PUBLIC.  The package `__init__` re-exports what it imports, so its
 imports count as used, but a re-export is not a read.  No public
 module-level name is a second name for a class or function of the
-package, and only `fields.py` defines `with_guard`: surfaces are built
-with their guard and never change it."""
+package, only `fields.py` defines `with_guard`: surfaces are built with
+their guard and never change it, and no module calls `exec`, `eval` or
+`compile`: every line the package runs is in its source."""
 import ast
 import importlib
 import inspect
@@ -195,3 +196,14 @@ def test_only_fields_define_with_guard():
             and node.name == "with_guard"]
     assert defs == [], "with_guard defined outside fields.py: %s" % (
         ", ".join(defs),)
+
+
+def test_no_code_is_generated_at_run_time():
+    # code built as a string and run with exec, eval or compile is code
+    # that no reader, linter or test coverage sees in the source
+    calls = ["%s:%d %s" % (module, node.lineno, node.func.id)
+             for module, tree in MODULES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("exec", "eval", "compile")]
+    assert calls == [], "run-time code generation: %s" % (", ".join(calls),)
