@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagmin.jets import (
@@ -316,7 +316,19 @@ def _table(rng, order, shape, dtype, special):
     return d.astype(dtype)
 
 
+def _one_point_examples(test):
+    """`test` with one float64 point against one, special values included,
+    at every order and in every pairing of the point shapes () and (1,)."""
+    for order in range(1, 7):
+        for shapes in _SHAPES[:4]:
+            test = example(order=order, shapes=shapes,
+                           dtypes=(np.float64, np.float64), special=0.3,
+                           seed=order)(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
+@_one_point_examples
 @given(order=st.integers(0, 6), shapes=st.sampled_from(_SHAPES),
        dtypes=st.sampled_from([(np.float64, np.float64),
                                (np.longdouble, np.longdouble),
