@@ -468,20 +468,17 @@ def jet_polynomial(x, y, coeffs, order):
     """Jet of sum coeffs[(i, j)] * x^i * y^j with exact derivatives."""
     x = _asfloat(x)
     y = _asfloat(y)
+    shape = np.broadcast(x, y).shape
+    d = np.zeros((order + 1, order + 1) + shape, dtype=np.result_type(x, y))
     terms = [(p, q, c, i, j) for (p, q), c in coeffs.items() if c != 0
              for i in range(min(p, order) + 1)
              for j in range(min(q, order - i) + 1)]
-    shape = np.broadcast(x, y).shape
-    out = Jet(np.zeros((order + 1, order + 1) + shape,
-                       dtype=np.result_type(x, y)), order)
-    if not terms:
-        return out
     xpow = _Powers(x, [p - i for p, _, _, i, _ in terms])
     ypow = _Powers(y, [q - j for _, q, _, _, j in terms])
     for t, (p, q, c, i, j) in enumerate(terms):
         fall = (math.perm(p, i) * math.perm(q, j))
-        out.d[i, j] += c * fall * xpow.take(t, p - i) * ypow.take(t, q - j)
-    return out
+        d[i, j] += c * fall * xpow.take(t, p - i) * ypow.take(t, q - j)
+    return Jet(d, order)
 
 
 class _Powers:
