@@ -125,6 +125,9 @@ def _load_config(path):
                 "config line %d: unknown key %r (allowed: %s)"
                 % (lineno, key, ", ".join(_CONFIG_KEYS))
             )
+        if key in cfg:
+            raise _UsageError("config line %d: key %r is set more than once"
+                              % (lineno, key))
         try:
             value = _finite_float(val.strip())
         except argparse.ArgumentTypeError as exc:

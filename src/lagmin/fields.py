@@ -18,8 +18,10 @@ and each nonzero Pk·gk in the stated order.
 
 Multi-valued terms: only the Arctan(y/x) of `EllipticField` carries a
 branch integer (value plus branch*pi); the logarithm of x^2 + y^2 is
-single-valued off the origin.  Evaluation inside the singular guard raises
-SingularPoint.
+single-valued off the origin.  A field's `excluded()` loci (cx, cy, rho)
+are its singular points (rho = 0) and fold circles; its domain leaves out
+a band of half-width `guard` about each, and `jet` raises SingularPoint
+there.
 """
 from __future__ import annotations
 
@@ -71,6 +73,19 @@ def _nonzero(*vals) -> bool:
     return any(v != 0.0 for v in vals)
 
 
+def clear_of(loci, x, y, g):
+    """True where (x, y) is at least g from each locus (cx, cy, rho): the
+    point when rho = 0, else the circle of radius rho about it."""
+    ok = np.ones(np.broadcast(x, y).shape, dtype=bool)
+    for cx, cy, rho in loci:
+        d2 = (x - cx) ** 2 + (y - cy) ** 2
+        if rho == 0.0:
+            ok &= d2 >= g * g
+        else:
+            ok &= np.abs(np.sqrt(d2) - rho) >= g
+    return ok
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Base class: guarded evaluation plus jet-derived differential helpers."""
@@ -79,8 +94,9 @@ class ScalarField:
 
     family = "custom"
 
-    def singular_centers(self):
-        """Finite points excluded from the domain (with radius `guard`)."""
+    def excluded(self):
+        """Loci (cx, cy, rho), left out with a band of half-width `guard`:
+        singular points (rho = 0) and fold circles."""
         return ()
 
     def monomials(self):
@@ -89,13 +105,8 @@ class ScalarField:
         return None
 
     def is_safe(self, x, y):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        ok = np.ones(np.broadcast(x, y).shape, dtype=bool)
-        g2 = self.guard * self.guard
-        for cx, cy in self.singular_centers():
-            ok = ok & ((x - cx) ** 2 + (y - cy) ** 2 >= g2)
-        return ok
+        return clear_of(self.excluded(), np.asarray(x), np.asarray(y),
+                        self.guard)
 
     def jet(self, x, y, order=4):
         x = np.asarray(x)
@@ -137,7 +148,10 @@ class StatedField(ScalarField):
     polynomial {(p, q): c} and each gk, singular at the origin, is
     Arctan(y/x), ln(x²+y²) or 1/(x²+y²) as a jet builder (x, y, order).
     The singular center, the monomials and the jet follow from the terms,
-    and only the singular parts with a nonzero coefficient take part."""
+    and only the singular parts with a nonzero coefficient take part.
+    The block table states the fold circles, which the terms cannot show."""
+
+    folds: tuple = field(default=(), kw_only=True)
 
     def _terms(self):
         """(P0, ((P1, g1), (P2, g2), ...)), in evaluation order."""
@@ -147,8 +161,9 @@ class StatedField(ScalarField):
         P0, parts = self._terms()
         return P0, [(P, g) for P, g in parts if _nonzero(*P.values())]
 
-    def singular_centers(self):
-        return ((0.0, 0.0),) if self._parts()[1] else ()
+    def excluded(self):
+        origin = ((0.0, 0.0, 0.0),) if self._parts()[1] else ()
+        return origin + self.folds
 
     def monomials(self):
         P0, parts = self._parts()
@@ -304,9 +319,9 @@ class ExceptionalField(ScalarField):
 
     family = "exceptional"
 
-    def singular_centers(self):
+    def excluded(self):
         if _nonzero(self.B, self.C, self.D):
-            return ((self.c, self.d),)
+            return ((self.c, self.d, 0.0),)
         return ()
 
     def _jet(self, x, y, order):
@@ -365,23 +380,21 @@ class PolynomialField(StatedField):
 @dataclass(frozen=True)
 class SumField(ScalarField):
     """Weighted sum of other fields.  Its mask is the AND of its terms',
-    and its `guard`, which the singular-guard message and `fd_bilaplacian`'s
-    reach read, is the largest guard of a term with a singular center."""
+    its excluded set the union of theirs, and its `guard`, which the
+    singular-guard message and `fd_bilaplacian`'s reach read, is the
+    largest guard of a term that excludes a locus."""
 
     terms: tuple = ()
 
     family = "custom-sum"
 
     def __post_init__(self):
-        guards = [f.guard for _, f in self.terms if f.singular_centers()]
+        guards = [f.guard for _, f in self.terms if f.excluded()]
         if guards:
             object.__setattr__(self, "guard", max(guards))
 
-    def singular_centers(self):
-        out = []
-        for _, f in self.terms:
-            out.extend(f.singular_centers())
-        return tuple(out)
+    def excluded(self):
+        return tuple(locus for _, f in self.terms for locus in f.excluded())
 
     def is_safe(self, x, y):
         x = np.asarray(x)
@@ -454,16 +467,14 @@ class KelvinField(ScalarField):
 
     family = "custom"
 
-    def singular_centers(self):
-        return ((0.0, 0.0),)
+    def excluded(self):
+        return ((0.0, 0.0, 0.0),)
 
     def is_safe(self, x, y):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        r2 = x * x + y * y
-        ok = r2 >= self.guard * self.guard
-        safe = np.where(ok, r2, 1.0)
-        return ok & self.inner.is_safe(x / safe, y / safe)
+        # the origin's disc, and F's mask pulled back through the inversion
+        ok = super().is_safe(x, y)
+        r2 = np.where(ok, np.asarray(x) ** 2 + np.asarray(y) ** 2, 1.0)
+        return ok & self.inner.is_safe(x / r2, y / r2)
 
     def _jet(self, x, y, order):
         jx, jy = jet_xy(x, y, order)
@@ -554,9 +565,8 @@ def fd_bilaplacian(F: ScalarField, x, y, h):
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)) or h <= 0:
         raise ValueError("fd_bilaplacian needs finite points and h > 0")
     reach = 2.0 * math.sqrt(2.0) * float(h) + F.guard
-    for cx, cy in F.singular_centers():
-        if np.any((x - cx) ** 2 + (y - cy) ** 2 <= reach * reach):
-            raise SingularPoint("stencil box overlaps a singular locus")
+    if not np.all(clear_of(F.excluded(), x, y, reach)):
+        raise SingularPoint("stencil box overlaps a singular locus")
     dx, dy, w = np.array(_STENCIL, dtype=np.longdouble).T.reshape(
         (3, len(_STENCIL)) + (1,) * x.ndim
     )

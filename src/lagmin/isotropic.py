@@ -215,25 +215,9 @@ def imtransform_apply(tf: IMTransform, q: IsoPoint) -> IsoPoint:
     return IsoPoint.finite(*(p[1:4] / p[0]))
 
 
-_CHECK_XY = np.array([(0.7, 0.2), (-0.4, 1.1), (1.3, -0.5), (0.6, 0.9), (-1.2, -0.8), (2.1, 0.4)])
-
-
 def imsphere_map(tf: IMTransform, s: IMSphere) -> IMSphere:
     """Push a model sphere through a transformation word: its covector
-    moves by the inverse transpose of the word's matrix.  Validated by
-    pushing six graph points through the point map."""
+    moves by the inverse transpose of the word's matrix."""
     cov = np.linalg.solve(tf.matrix().T, [s.d, s.b, s.c, -1.0, s.a])
     d, b, c, _, a = cov / -cov[3]
-    out = IMSphere(float(a), float(b), float(c), float(d))
-    for x0, y0 in _CHECK_XY:
-        q = imtransform_apply(tf, IsoPoint.finite(x0, y0, s.height(x0, y0)))
-        if q.is_ideal:
-            continue
-        expected = out.height(q.x, q.y)
-        scale = 1.0 + abs(expected)
-        if abs(expected - q.z) > 1e-9 * scale:
-            raise AssertionError(
-                f"sphere map disagrees with point map under {tf.word!r}: "
-                f"{q.z!r} vs {expected!r}"
-            )
-    return out
+    return IMSphere(float(a), float(b), float(c), float(d))

@@ -7,13 +7,14 @@ patches R(phi, lambda) = (A phi, B phi, C phi + D cos 2 phi) + lambda
 (sin phi, cos phi, 0).
 
 Each named block is one row of `_BLOCKS`: its closed-form builder (none
-for a tilde block, the reconstruction of its field), ring guard and its
-field as a formula in (cos theta, sin theta), flagged where it holds for
-theta != 0.  Every surface in Gauss coordinates carries its field as
-`.field`: the block's field (whose safe domain a block shares, less any
-ring band), the rotated block's rotated field, or the weighted sum of a
-convolution's.  The guard is set once, where a block is built
-(`building_block` guards its field); no surface changes it afterwards.
+for a tilde block, the reconstruction of its field) and its field as a
+formula in (cos theta, sin theta), flagged where it holds for theta != 0;
+r5's and r6's fields state their fold circle |p| = 1.  Every surface in
+Gauss coordinates carries its field as `.field`: the block's field (whose
+safe domain a block shares), the rotated block's rotated field, or the
+weighted sum of a convolution's.  The guard is set once, where a block
+is built (`building_block` guards its field); no surface changes it
+afterwards.
 
 Block derivatives come from the same exact-jet arithmetic the fields use,
 so frames are closed-form everywhere they are defined.
@@ -149,7 +150,6 @@ class _Block(NamedTuple):
     builder: object          # (u, v, order) -> X, Y, Z jets; None: tilde block
     field: object            # (cos theta, sin theta) -> the block's field
     rotates: bool = False    # the field formula holds for theta != 0
-    ring_guard: bool = False
 
 
 _K3T = 1.0 / (4.0 * SQRT2)
@@ -166,10 +166,10 @@ _BLOCKS = {
     "r4": _Block(_b_r4, lambda c, s: HyperbolicField(
         gamma1=-1.0, gamma2=-1.0, gamma3=-1.0, gamma4=1.0)),
     "r5": _Block(_b_r5, lambda c, s: HyperbolicField(
-        a2=1.0, c2=1.0, alpha1=-1.0), ring_guard=True),
+        a2=1.0, c2=1.0, alpha1=-1.0, folds=((0.0, 0.0, 1.0),))),
     "r6": _Block(_b_r6, lambda c, s: HyperbolicField(
-        b1=s, b2=c, c1=s, c2=c, alpha1=-2.0 * c, beta1=-2.0 * s
-    ), rotates=True, ring_guard=True),
+        b1=s, b2=c, c1=s, c2=c, alpha1=-2.0 * c, beta1=-2.0 * s,
+        folds=((0.0, 0.0, 1.0),)), rotates=True),
     "r7": _Block(_b_r7, lambda c, s: make_polynomial_field(
         {(2, 0): 0.5 * c * c, (1, 1): c * s, (0, 2): 0.5 * s * s}
     ), rotates=True),
@@ -229,14 +229,6 @@ class BlockSurface(FieldSurface):
         super().__init__(block_field(name).with_guard(guard))
         self.name = name
         self._block = _BLOCKS[name]
-
-    def is_safe(self, u, v):
-        ok = super().is_safe(u, v)
-        if self._block.ring_guard:
-            u = np.asarray(u)
-            v = np.asarray(v)
-            ok = ok & (np.abs(np.sqrt(u * u + v * v) - 1.0) >= self.field.guard)
-        return ok
 
     def frame(self, u, v, order=2) -> SurfaceJet:
         if self._block.builder is None:

@@ -23,7 +23,8 @@ from .errors import (
     UnknownName,
     ZeroGaussCurvature,
 )
-from .fields import make_bump_field, make_polynomial_field, sum_fields
+from .fields import (clear_of, make_bump_field, make_polynomial_field,
+                     sum_fields)
 from .isotropic import stereographic
 from .reconstruct import (
     IMMERSION_TOL,
@@ -377,7 +378,7 @@ def biharmonic_residual(F, *, seed=0, samples=1000,
     """|Laplacian^2 F| at seeded random safe points (exact jets) of the
     window [-2, 2]^2.
 
-    Samples stay a margin of 0.1 away from the field's singular centers: the
+    Samples stay a margin of 0.1 away from the field's singular points: the
     exact fourth derivatives cancel analytically but their individual
     terms grow like negative powers of the distance, so points right at
     the guard radius would measure rounding noise, not biharmonicity.
@@ -388,14 +389,10 @@ def biharmonic_residual(F, *, seed=0, samples=1000,
     """
     margin = 0.1
     window = (-2.0, 2.0, -2.0, 2.0)
-    centers = [(float(cx), float(cy)) for cx, cy in F.singular_centers()]
-    m2 = margin ** 2
+    points = [locus for locus in F.excluded() if locus[2] == 0.0]
 
     def safe(x, y):
-        ok = F.is_safe(x, y)
-        for cx, cy in centers:
-            ok &= (x - cx) ** 2 + (y - cy) ** 2 >= m2
-        return ok
+        return F.is_safe(x, y) & clear_of(points, x, y, margin)
 
     rng = np.random.default_rng(seed)
     x, y = _safe_samples(safe, rng, window, int(samples))

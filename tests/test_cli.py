@@ -993,6 +993,24 @@ def test_a_check_named_twice_is_a_usage_error(tmp_path, capsys):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("lines", [["guard=0.3", "guard=0.5"],
+                                   ["biharmonic=1e-9", "# looser", "",
+                                    "biharmonic=1"]])
+def test_a_config_key_set_twice_is_a_usage_error(tmp_path, capsys, lines):
+    # the last value used to win silently, even one that loosens a check
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    rep = tmp_path / "r.json"
+    key = lines[0].partition("=")[0]
+    code = main(["verify", "--surface", "r1", "--checks", "biharmonic",
+                 "--config", str(cfg), "--report", str(rep)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "usage error: config line %d: key %r is set more than once\n"
+        % (len(lines), key))
+    assert not rep.exists()
+
+
 def test_the_parser_is_built_on_the_first_main_call_only(tmp_path):
     script = (
         "import sys\n"

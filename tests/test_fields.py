@@ -21,6 +21,7 @@ from lagmin.fields import (
     sum_fields,
 )
 from lagmin.grammar import parse_surface
+from lagmin.surfaces import block_field
 
 BIHARMONIC_TOL = 1e-9
 VALUE_TOL = 1e-12
@@ -79,8 +80,7 @@ def test_singular_guard_raises_and_masks():
     assert F.is_safe(0.5, 0.5)
     with pytest.raises(SingularPoint):
         F.jet(0.0, 0.0, 2)
-    centers = list(F.singular_centers())
-    assert (0.0, 0.0) in [(cx, cy) for cx, cy in centers]
+    assert F.excluded() == ((0.0, 0.0, 0.0),)
 
 
 def test_branch_shifts_angular_multiple():
@@ -142,6 +142,45 @@ def test_a_convolution_field_names_its_terms_guard():
     # a term without a singular center has no say
     bump = make_bump_field((0.0, 0.0), 1.0, 1.0).with_guard(2.0)
     assert sum_fields([(1.0, F), (1.0, bump)]).guard == 0.5
+
+
+@pytest.mark.parametrize("g", [1e-6, 0.3])
+@pytest.mark.parametrize("name, theta", [("r5", 0.0), ("r6", 0.4)])
+def test_r5_and_r6_fields_exclude_their_fold_band(name, theta, g):
+    # the fold circle |p| = 1 is the field's datum, so the field itself
+    # masks the band and refuses a jet there
+    F = block_field(name, theta).with_guard(g)
+    assert F.excluded() == ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    ang = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
+    x, y = np.cos(ang), np.sin(ang)
+    for rad in (1.0 - 0.49 * g, 1.0, 1.0 + 0.49 * g):
+        assert not np.any(F.is_safe(rad * x, rad * y))
+        with pytest.raises(SingularPoint):
+            F.jet(rad * x, rad * y)
+        with pytest.raises(SingularPoint):
+            F.jet(rad * x[2], rad * y[2])
+    for rad in (1.0 - 2.0 * g, 1.0 + 2.0 * g):
+        assert np.all(F.is_safe(rad * x, rad * y))
+
+
+def test_fd_stencil_refuses_a_box_over_the_fold_band():
+    F = block_field("r5")
+    h = 1e-3
+    # no node is in the band, but the box reaches 2.83e-3 past it
+    with pytest.raises(SingularPoint,
+                       match="stencil box overlaps a singular locus"):
+        fd_bilaplacian(F, 1.0025, 0.0, h)
+    with pytest.raises(SingularPoint,
+                       match="stencil box overlaps a singular locus"):
+        fd_bilaplacian(F, 0.0, -0.9975, h)
+    assert abs(fd_bilaplacian(F, 1.004, 0.0, h)) < 1e-3
+
+
+def test_a_sum_excludes_the_union_of_its_terms_loci():
+    F = parse_surface("conv(1*r1,0.3*r5,0.2*r8)").field
+    assert F.excluded() == ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                            (0.0, 0.0, 1.0))
+    assert not F.is_safe(0.6, 0.8) and F.is_safe(0.6, 0.7)
 
 
 def test_fd_stencil_error_drops_by_four_per_halving():
@@ -335,8 +374,7 @@ def _stated_cases():
     cases = []
     for cls, n, singular in ((EllipticField, 12, _ELLIPTIC_SINGULAR),
                              (HyperbolicField, 19, _HYPERBOLIC_SINGULAR)):
-        names = [f.name for f in dataclasses.fields(cls)
-                 if f.name not in ("guard", "branch")]
+        names = [f.name for f in dataclasses.fields(cls) if not f.kw_only]
         assert len(names) == n
         coeffs = dict(zip(names, rng.normal(size=n).round(3)))
         regular = {k: (0.0 if k in singular else v) for k, v in coeffs.items()}
@@ -370,7 +408,7 @@ def test_stated_families_derive_centers_monomials_and_jet(F):
 
     rng = np.random.default_rng(3)
     mono = F.monomials()
-    assert (F.singular_centers() == ()) == (mono is not None)
+    assert (F.excluded() == ()) == (mono is not None)
     for shape in ((), (7,)):
         r = rng.uniform(0.3, 2.0, shape)
         t = rng.uniform(0.0, 2.0 * math.pi, shape)

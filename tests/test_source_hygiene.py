@@ -5,9 +5,11 @@ some other code of the package or named, with its reason, in
 UNREAD_PUBLIC.  The package `__init__` re-exports what it imports, so its
 imports count as used, but a re-export is not a read.  No public
 module-level name is a second name for a class or function of the
-package, only `fields.py` defines `with_guard`: surfaces are built with
-their guard and never change it, and no module calls `exec`, `eval` or
-`compile`: every line the package runs is in its source."""
+package.  Only `fields.py` defines `with_guard`, since surfaces are built
+with their guard and never change it, and outside `fields.py` a guard is
+read only to hand it to `with_guard`, since a field states its excluded
+set once.  No module calls `exec`, `eval` or `compile`: every line the
+package runs is in its source."""
 import ast
 import importlib
 import inspect
@@ -41,6 +43,9 @@ UNREAD_PUBLIC = {
                         "(ROADMAP item 5)",
     "imsphere_map": "planned: maps the spheres of a Laguerre image "
                     "(ROADMAP item 5)",
+    "imtransform_apply": "the point map that tests/test_isotropic.py "
+                         "checks imsphere_map against; planned: maps the "
+                         "points of a Laguerre image (ROADMAP item 5)",
     "parse_field": "the public field parser that bench/spans.py traces",
     "isotropic_image": "criterion 03 and bench/checks.py map tangent planes "
                        "with it; lagmin isotropic masks them instead",
@@ -196,6 +201,23 @@ def test_only_fields_define_with_guard():
             and node.name == "with_guard"]
     assert defs == [], "with_guard defined outside fields.py: %s" % (
         ", ".join(defs),)
+
+
+def test_a_guard_is_read_outside_fields_only_to_pass_it_on():
+    # a module that compares a distance with a guard states a second
+    # excluded set beside the one `fields.ScalarField.excluded` gives
+    passed = {id(arg) for tree in MODULES.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "with_guard"
+              for arg in node.args}
+    reads = ["%s:%d" % (module, node.lineno)
+             for module, tree in MODULES.items() if module != "fields.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "guard"
+             and id(node) not in passed]
+    assert reads == [], "guards read outside fields.py: %s" % (
+        ", ".join(reads),)
 
 
 def test_no_code_is_generated_at_run_time():

@@ -425,6 +425,16 @@ def test_block_masks_are_the_field_guard_plus_the_ring_band(g):
     assert np.array_equal(conv.is_safe(u, v), want)
 
 
+@pytest.mark.parametrize("g", [1e-6, 0.5])
+def test_a_block_masks_exactly_where_its_field_does(g):
+    # the ring band is the field's fold, so the block adds no mask of its own
+    u, v = _mask_grid(g)
+    for name in BLOCK_NAMES:
+        got = building_block(name, guard=g).is_safe(u, v)
+        want = block_field(name).with_guard(g).is_safe(u, v)
+        assert np.array_equal(got, want), name
+
+
 def test_block_guard_lives_on_the_block_field():
     assert building_block("r5").field == block_field("r5")
     assert block_field("r5").guard == 1e-6
