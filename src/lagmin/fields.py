@@ -9,12 +9,12 @@ order-4 jet in closed form, with a 13-point finite-difference stencil as an
 independent cross-check.  Fields are frozen dataclasses: evaluation is pure
 and safe to run over whole grids at once.
 
-The elliptic, hyperbolic, parabolic and polynomial families are
-`StatedField`s: each states its terms once, as a polynomial P0 plus one
-(Pk, gk) pair per singular part with gk one of Arctan(y/x), ln(x²+y²) and
-1/(x²+y²).  The origin is singular exactly when some Pk has a nonzero
-coefficient; the field is the polynomial P0 otherwise; the jet sums P0
-and each nonzero Pk·gk in the stated order.
+The elliptic, hyperbolic, parabolic, exceptional and polynomial families
+are `StatedField`s: each states its terms once, as a polynomial P0 plus
+one (Pk, gk) pair per singular part, gk singular at the family's centre.
+The centre is singular exactly when some Pk has a nonzero coefficient;
+the field is the polynomial P0 otherwise; the jet sums P0 and each
+nonzero Pk·gk in the stated order.
 
 Multi-valued terms: only the Arctan(y/x) of `EllipticField` carries a
 branch integer (value plus branch*pi); the logarithm of x^2 + y^2 is
@@ -144,10 +144,11 @@ def _jet_inv_rsq(x, y, order):
 
 @dataclass(frozen=True)
 class StatedField(ScalarField):
-    """A family P0 + Σ Pk·gk, stated once by `_terms`: each P is a
-    polynomial {(p, q): c} and each gk, singular at the origin, is
-    Arctan(y/x), ln(x²+y²) or 1/(x²+y²) as a jet builder (x, y, order).
-    The singular center, the monomials and the jet follow from the terms,
+    """A family P0(x, y) + Σ Pk(u, v)·gk(u, v), stated once by `_terms`:
+    each P is a polynomial {(p, q): c} and each gk, singular at the centre
+    (cx, cy) = `_center()`, is Arctan(v/u), ln(u²+v²) or 1/(u²+v²) of
+    (u, v) = (x − cx, y − cy), as a jet builder (u, v, order).
+    The singular centre, the monomials and the jet follow from the terms,
     and only the singular parts with a nonzero coefficient take part.
     The block table states the fold circles, which the terms cannot show."""
 
@@ -157,13 +158,16 @@ class StatedField(ScalarField):
         """(P0, ((P1, g1), (P2, g2), ...)), in evaluation order."""
         raise NotImplementedError
 
+    def _center(self):
+        return 0.0, 0.0
+
     def _parts(self):
         P0, parts = self._terms()
         return P0, [(P, g) for P, g in parts if _nonzero(*P.values())]
 
     def excluded(self):
-        origin = ((0.0, 0.0, 0.0),) if self._parts()[1] else ()
-        return origin + self.folds
+        centre = ((*self._center(), 0.0),) if self._parts()[1] else ()
+        return centre + self.folds
 
     def monomials(self):
         P0, parts = self._parts()
@@ -172,6 +176,10 @@ class StatedField(ScalarField):
     def _jet(self, x, y, order):
         P0, parts = self._parts()
         out = jet_polynomial(x, y, P0, order)
+        cx, cy = self._center()
+        if parts and _nonzero(cx, cy):
+            # only off the origin: a shifted copy of a grid costs memory
+            x, y = x - cx, y - cy
         for P, g in parts:
             out = out + jet_polynomial(x, y, P, order) * g(x, y, order)
         return out
@@ -301,7 +309,7 @@ class ParabolicField(StatedField):
 
 
 @dataclass(frozen=True)
-class ExceptionalField(ScalarField):
+class ExceptionalField(StatedField):
     """A((x−a)²+(y−b)²) + (B(x−c)²+C(x−c)(y−d)+D(y−d)²)/((x−c)²+(y−d)²).
 
     Linear on every circle through (c, d); the one biharmonic shape that is
@@ -319,33 +327,17 @@ class ExceptionalField(ScalarField):
 
     family = "exceptional"
 
-    def excluded(self):
-        if _nonzero(self.B, self.C, self.D):
-            return ((self.c, self.d, 0.0),)
-        return ()
+    def _center(self):
+        return self.c, self.d
 
-    def _jet(self, x, y, order):
-        out = jet_polynomial(
-            x,
-            y,
-            {
-                (2, 0): self.A,
-                (0, 2): self.A,
-                (1, 0): -2.0 * self.A * self.a,
-                (0, 1): -2.0 * self.A * self.b,
-                (0, 0): self.A * (self.a * self.a + self.b * self.b),
-            },
-            order,
+    def _terms(self):
+        return (
+            {(2, 0): self.A, (0, 2): self.A, (1, 0): -2.0 * self.A * self.a,
+             (0, 1): -2.0 * self.A * self.b,
+             (0, 0): self.A * (self.a * self.a + self.b * self.b)},
+            (({(2, 0): self.B, (1, 1): self.C, (0, 2): self.D},
+              _jet_inv_rsq),),
         )
-        if _nonzero(self.B, self.C, self.D):
-            jx, jy = jet_xy(x, y, order)
-            ju = jx - self.c
-            jv = jy - self.d
-            u2 = ju * ju
-            v2 = jv * jv
-            num = u2 * self.B + (ju * jv) * self.C + v2 * self.D
-            out = out + num * (u2 + v2).reciprocal()
-        return out
 
 
 @dataclass(frozen=True)

@@ -326,14 +326,6 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return Jet(self.d / other, self.order)
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
     def reciprocal(self):
         return self._solve("reciprocal")
 

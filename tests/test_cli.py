@@ -832,6 +832,26 @@ def test_overflowing_checks_fail_without_runtime_warnings(tmp_path, spec, check)
     assert record["pass"] is False and record["max_residual"] is None
 
 
+@pytest.mark.parametrize("spec", ["r6", "field:hyperbolic(b2=1,c2=1,alpha1=-2)",
+                                  "r6@theta=0.4"])
+def test_stationarity_refuses_a_bump_where_the_first_form_rounds_to_zero(
+        tmp_path, spec):
+    # a quadrature node 5.3e-5 from r6's fold has E·G − F² = 0 exactly, so
+    # H and K divide by zero there; that bump is refused, as a K = 0 one is
+    src = os.path.dirname(os.path.dirname(lagmin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    rep = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lagmin.cli", "verify", "--surface", spec,
+         "--checks", "stationarity", "--report", str(rep)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    [record] = _strict_json(rep.read_text())
+    assert record["samples"] == 5 and record["max_residual"] < 1e-3
+
+
 @pytest.mark.parametrize("command", [
     ["generate", "--grid", "10x10", "--range", "0,1,0,1", "-o", "x.obj"],
     ["verify", "--checks", "biharmonic"],

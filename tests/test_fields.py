@@ -424,3 +424,84 @@ def test_stated_families_derive_centers_monomials_and_jet(F):
                 poly = jet_polynomial(x, y, mono, order).d
                 assert np.array_equal(got, poly)
                 assert np.array_equal(np.signbit(got), np.signbit(poly))
+
+
+def test_every_grammar_family_is_a_stated_field():
+    from lagmin.fields import StatedField
+    from lagmin.grammar import _FIELD_CLASSES
+
+    for cls in _FIELD_CLASSES.values():
+        assert issubclass(cls, StatedField), cls.__name__
+
+
+# -- the exceptional family, stated about its centre (c, d) -------------
+
+
+def _hand_built_exceptional_jet(F, x, y, order):
+    """The exceptional jet as it was written before the family became a
+    `StatedField`: (u·u·B + (u·v)·C + v·v·D)·1/(u·u + v·v) built from the
+    shifted coordinate jets u = x − c and v = y − d."""
+    from lagmin.jets import jet_polynomial, jet_xy
+
+    out = jet_polynomial(x, y, {
+        (2, 0): F.A, (0, 2): F.A, (1, 0): -2.0 * F.A * F.a,
+        (0, 1): -2.0 * F.A * F.b,
+        (0, 0): F.A * (F.a * F.a + F.b * F.b)}, order)
+    if any(v != 0.0 for v in (F.B, F.C, F.D)):
+        jx, jy = jet_xy(x, y, order)
+        ju = jx - F.c
+        jv = jy - F.d
+        u2 = ju * ju
+        v2 = jv * jv
+        num = u2 * F.B + (ju * jv) * F.C + v2 * F.D
+        out = out + num * (u2 + v2).reciprocal()
+    return out
+
+
+def _exceptional_cases():
+    rng = np.random.default_rng(20261020)
+    coeffs = [rng.normal(size=8).round(3) for _ in range(4)]
+    with_c = [ExceptionalField(*k) for k in coeffs]
+    without_c = [dataclasses.replace(F, C=0.0) for F in with_c]
+    without_c += [ExceptionalField(c=0.5, d=-0.3, B=1.0, C=-0.0, D=2.0),
+                  ExceptionalField(a=0.3, b=-0.2, c=0.5, d=0.1, A=0.7)]
+    return with_c, without_c
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_exceptional_jet_matches_the_hand_built_one(dtype):
+    # (C·u)·v rounds where (u·v)·C did, so C ≠ 0 moves entries by a few
+    # eps of the entry's largest value over the points: at most 4.6 eps in
+    # float64 and 6.4 eps in 80-bit long double over 20 random fields at
+    # orders 0–4; with C = 0 only the signs of zeros may differ
+    with_c, without_c = _exceptional_cases()
+    eps = np.finfo(dtype).eps
+    rng = np.random.default_rng(11)
+    for F in with_c + without_c:
+        r = rng.uniform(0.3, 2.0, 9)
+        t = rng.uniform(0.0, 2.0 * math.pi, 9)
+        x = (F.c + r * np.cos(t)).astype(dtype)
+        y = (F.d + r * np.sin(t)).astype(dtype)
+        for order in range(5):
+            got = F.jet(x, y, order).d
+            want = _hand_built_exceptional_jet(F, x, y, order).d
+            assert got.dtype == want.dtype == dtype
+            if F in without_c:
+                assert np.array_equal(got, want)
+            else:
+                scale = np.max(np.abs(want), axis=-1, keepdims=True)
+                assert np.all(np.abs(got - want) <= 16 * eps * scale)
+
+
+def test_an_exceptional_paraboloid_is_its_polynomial():
+    # B = C = D = 0 leaves A((x−a)² + (y−b)²): no centre to exclude, and
+    # the stencil forms its node increments monomial by monomial
+    F = ExceptionalField(a=0.3, b=-0.2, c=0.5, d=0.1, A=0.7)
+    assert F.excluded() == ()
+    assert F.monomials() == {(2, 0): 0.7, (0, 2): 0.7, (1, 0): -2.0 * 0.7 * 0.3,
+                             (0, 1): -2.0 * 0.7 * -0.2,
+                             (0, 0): 0.7 * (0.3 * 0.3 + 0.2 * 0.2)}
+    # differencing the node values instead gives 4.4e-8 here
+    assert abs(fd_bilaplacian(F, 1.9, -1.7, 2.5e-3)) < 1e-9
+    G = dataclasses.replace(F, C=0.4)
+    assert G.excluded() == ((0.5, 0.1, 0.0),) and G.monomials() is None
