@@ -9,10 +9,12 @@ outputs are deterministic for fixed argv and seed.
 Each command parses its spec string once, by `grammar.parse_surface`,
 and every check of `verify` reads that one surface.  Field checks read
 its `.field` (every surface in Gauss coordinates carries one), and the
-tangency check reads the block name from it.  Numbers on the command
-line and in config files are read by `grammar.parse_number`, in the
-syntax of spec numbers.  Only `generate`, `verify` and `isotropic` take
-a `--config` file and a `--branch`, which shifts elliptic(...) fields.
+tangency check reads the block name from it.  `isotropic` maps its grid
+by `reconstruct.isotropic_image` and drops the NaN rows of tangent
+planes with no finite image.  Numbers on the command line and in config
+files are read by `grammar.parse_number`, in the syntax of spec
+numbers.  Only `generate`, `verify` and `isotropic` take a `--config`
+file and a `--branch`, which shifts elliptic(...) fields.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import grammar, meshing, pencils, verify
 from .errors import GrammarError, LagminError
-from .reconstruct import GaussMappedSurface, _isotropic_rows
+from .reconstruct import GaussMappedSurface, isotropic_image
 from .surfaces import RuledPatch, building_block, kinematic_rulings
 
 CHECK_NAMES = ("biharmonic", "gaussmap", "ruling", "curvature",
@@ -285,12 +287,9 @@ def _cmd_classify_pencil(args, cfg):
 
 def _cmd_isotropic(args, cfg):
     S = _surface(args, cfg)
-
-    def image(u, v):
-        # undefined and ideal tangent planes come back NaN and are dropped
-        return _isotropic_rows(S, u, v, None)
-
-    mesh = meshing.grid_mesh(S.default_window, (100, 100), S.is_safe, image)
+    # undefined and ideal tangent planes come back NaN and are dropped
+    mesh = meshing.grid_mesh(S.default_window, (100, 100), S.is_safe,
+                             functools.partial(isotropic_image, S))
     _write_mesh(mesh, args.output,
                 comment="isotropic image of %s" % (args.surface,))
     return 0

@@ -298,17 +298,16 @@ def _parse_block_ref(spec: str):
 
 def parse_surface(spec: str, *, branch: int = 0, guard: float = None):
     """Surface object from a surface spec string, each of its fields built
-    with `guard` (None: `GUARD_EPS`)."""
+    with `guard` (None: `GUARD_EPS`); a `field:` spec hands the rest of
+    its string, the branch and the guard to `parse_field`."""
     spec = _strip(spec)
     if spec == "":
         raise GrammarError("empty surface spec")
+    if spec.startswith("field:"):
+        return FieldSurface(parse_field(spec[len("field:"):], branch=branch,
+                                        guard=guard))
+    _check_branch(spec, branch, None)
     groups = _paren_groups(spec)
-    field = (_parse_field(spec, len("field:"), len(spec), groups, branch)
-             if spec.startswith("field:") else None)
-    _check_branch(spec, branch, field)
-    if field is not None:
-        return FieldSurface(field if guard is None
-                            else field.with_guard(float(guard)))
     if spec.startswith("ruled("):
         items = _items(spec, *_call_body(spec, 0, len(spec), "ruled"), groups)
         if len(items) != 4:

@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 
-def _asfloat(x):
+def asfloat(x):
     """Coerce to a float ndarray without demoting extended precision."""
     x = np.asarray(x)
     if x.dtype.kind != "f":
@@ -222,7 +222,7 @@ class Jet:
 
     @classmethod
     def constant(cls, value, order, shape=()):
-        value = _asfloat(value)
+        value = asfloat(value)
         shape = tuple(shape)
         if value.shape and value.shape != shape:
             shape = np.broadcast_shapes(shape, value.shape)
@@ -233,7 +233,7 @@ class Jet:
     @classmethod
     def coordinate(cls, value, axis, order):
         """Jet of the coordinate function x (axis=0) or y (axis=1)."""
-        value = _asfloat(value)
+        value = asfloat(value)
         d = np.zeros((order + 1, order + 1) + value.shape, dtype=value.dtype)
         d[0, 0] = value
         if order >= 1:
@@ -245,7 +245,7 @@ class Jet:
         """Assemble a jet from its value and the jets of its two first
         derivatives (each of one lower order)."""
         order = jx.order + 1
-        value = _asfloat(value)
+        value = asfloat(value)
         shape = np.broadcast(value, jx.d[0, 0], jy.d[0, 0]).shape
         d = np.zeros(
             (order + 1, order + 1) + shape,
@@ -440,8 +440,8 @@ def _gradient_jet(val, x, y, order, gradient):
 def jet_arctan_ratio(x, y, order, branch=0):
     """Jet of Arctan(y/x) + branch*pi.  Defined away from the origin; the
     value (not the derivatives) jumps across x = 0."""
-    x = _asfloat(x)
-    y = _asfloat(y)
+    x = asfloat(x)
+    y = asfloat(y)
     val = principal_angle(x, y) + branch * np.pi
     return _gradient_jet(val, x, y, order,
                          lambda jx, jy, inv_r2: (-jy * inv_r2, jx * inv_r2))
@@ -449,8 +449,8 @@ def jet_arctan_ratio(x, y, order, branch=0):
 
 def jet_log_rsq(x, y, order):
     """Jet of ln(x^2 + y^2) away from the origin."""
-    x = _asfloat(x)
-    y = _asfloat(y)
+    x = asfloat(x)
+    y = asfloat(y)
     val = np.log(x * x + y * y)
     return _gradient_jet(val, x, y, order, lambda jx, jy, inv_r2: (
         2.0 * jx * inv_r2, 2.0 * jy * inv_r2))
@@ -458,8 +458,8 @@ def jet_log_rsq(x, y, order):
 
 def jet_polynomial(x, y, coeffs, order):
     """Jet of sum coeffs[(i, j)] * x^i * y^j with exact derivatives."""
-    x = _asfloat(x)
-    y = _asfloat(y)
+    x = asfloat(x)
+    y = asfloat(y)
     shape = np.broadcast(x, y).shape
     d = np.zeros((order + 1, order + 1) + shape, dtype=np.result_type(x, y))
     terms = [(p, q, c, i, j) for (p, q), c in coeffs.items() if c != 0

@@ -327,11 +327,12 @@ def gauss_circle_of_cone(line) -> Cycle:
     )
 
 
-def gauss_pencil_of_cones(family, samples=9, phi_range=(-1.0, 1.0)) -> PencilClass:
-    """Classify the Gauss image of a 1-parameter cone family."""
+def gauss_pencil_of_cones(family, samples=9) -> PencilClass:
+    """Classify the Gauss image of a 1-parameter cone family, sampled at
+    `samples` cones evenly over -1 <= phi <= 1."""
     if samples < 3:
         raise TooFew("need at least 3 sampled cones")
-    phis = np.linspace(phi_range[0], phi_range[1], samples)
+    phis = np.linspace(-1.0, 1.0, samples)
     return classify_family([gauss_circle_of_cone(family.line(p))
                             for p in phis])
 

@@ -9,7 +9,9 @@ field coordinates: the surface point over (x, y) is
          2x F_x + 2y F_y − 2F) / (x²+y²+1).
 
 `isotropic_image` goes the other way: take the oriented tangent plane of a
-parametrized surface and project it to the point model.  The round trip
+parametrized surface and project it to the point model.  It is the one
+implementation of that map: a grid gets NaN rows where a plane has no
+finite image, and a single point raises there.  The round trip
 over a field graph is the identity (x, y, F(x, y)), which is what fixes the
 orientation convention used here.  `unit_normal` is the one place where
 that orientation is applied and where a vanishing r_u × r_v is detected;
@@ -69,7 +71,7 @@ def unit_normal(S, ru, rv, u, v, what):
     NonImmersed("<what> undefined at N point(s)") is raised, or, when
     `what` is None, those rows of the normal come back as NaN.
     """
-    cr, ln = _cross(ru, rv)
+    cr, ln = cross_and_norm(ru, rv)
     bad = ln <= IMMERSION_TOL
     nbad = 0 if what is None else np.count_nonzero(bad)
     if nbad:
@@ -77,7 +79,7 @@ def unit_normal(S, ru, rv, u, v, what):
     return S._orient(cr / np.where(bad, np.nan, ln)[..., None], u, v), ln
 
 
-def _cross(ru, rv):
+def cross_and_norm(ru, rv):
     """r_u × r_v by components, the same bits as numpy's cross product at
     under half its per-call cost, and its length as np.linalg.norm sums
     it: (x² + y²) + z²."""
@@ -151,29 +153,22 @@ class FieldSurface(GaussMappedSurface):
 def isotropic_image(S: ParamSurface, u, v):
     """Point-model image of the oriented tangent plane of S at (u, v).
 
-    Scalar (u, v) gives an IsoPoint; array input gives an (..., 3) array of
-    image coordinates.  NonImmersed where the cross product vanishes,
-    IdealImage when the unit normal points straight down (n₃ = −1).
+    Array input gives an (..., 3) array of image coordinates, NaN in each
+    row where the tangent plane is undefined (r_u × r_v vanishes) or maps
+    to the ideal line (the unit normal points straight down, n₃ = −1).
+    Scalar (u, v) gives an IsoPoint, and raises NonImmersed or IdealImage
+    there instead.
     """
-    ua = np.asarray(u, dtype=float)
-    va = np.asarray(v, dtype=float)
-    img = _isotropic_rows(S, ua, va, "tangent plane")
-    if ua.ndim == 0 and va.ndim == 0:
-        return IsoPoint.finite(float(img[0]), float(img[1]), float(img[2]))
-    return img
-
-
-def _isotropic_rows(S, u, v, what):
-    """The (..., 3) model images of the tangent planes of S at the float
-    arrays u, v.  Where a plane is undefined or maps to the ideal line,
-    NonImmersed("<what> undefined at N point(s)") or IdealImage is raised,
-    or, when `what` is None, that row comes back NaN."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    scalar = u.ndim == 0 and v.ndim == 0
     fr = S.frame(u, v, order=1)
-    n, _ = unit_normal(S, fr.ru, fr.rv, u, v, what)
+    n, _ = unit_normal(S, fr.ru, fr.rv, u, v,
+                       "tangent plane" if scalar else None)
     ideal = np.abs(1.0 + n[..., 2]) <= IDEAL_TOL
-    if what is None:
-        # a NaN normal projects to a NaN row without a division by zero
-        n = np.where(ideal[..., None], np.nan, n)
-    elif np.any(ideal):
+    if scalar and ideal:
         raise IdealImage("tangent plane maps to an ideal point (n3 = -1)")
-    return isotropic(n, -np.sum(n * fr.r, axis=-1))
+    # a NaN normal projects to a NaN row without a division by zero
+    n = np.where(ideal[..., None], np.nan, n)
+    img = isotropic(n, -np.sum(n * fr.r, axis=-1))
+    return IsoPoint.finite(*img) if scalar else img

@@ -52,7 +52,8 @@ from .fields import (
     make_polynomial_field,
     sum_fields,
 )
-from .jets import _asfloat, jet_arctan_ratio, jet_log_rsq, jet_polynomial, jet_xy
+from .jets import (asfloat, jet_arctan_ratio, jet_log_rsq, jet_polynomial,
+                   jet_xy)
 from .geom_core import OrientedSphere
 from .isotropic import SQRT2
 from .reconstruct import (
@@ -233,8 +234,8 @@ class BlockSurface(FieldSurface):
     def frame(self, u, v, order=2) -> SurfaceJet:
         if self._block.builder is None:
             return super().frame(u, v, order)
-        u = _asfloat(u)
-        v = _asfloat(v)
+        u = asfloat(u)
+        v = asfloat(v)
         return SurfaceJet.from_components(*self._block.builder(u, v, order),
                                           order)
 
@@ -249,8 +250,8 @@ class RotatedSurface(GaussMappedSurface):
 
     def _params(self, u, v):
         c, s = math.cos(self.theta), math.sin(self.theta)
-        u = _asfloat(u)
-        v = _asfloat(v)
+        u = asfloat(u)
+        v = asfloat(v)
         return c * u + s * v, -s * u + c * v, c, s
 
     @property

@@ -133,6 +133,8 @@ def test_criterion_03_reconstruction_round_trip():
         x = np.where(np.abs(x) < 0.05, x + 0.1, x)
         img = isotropic_image(S, x, y)
         gap = np.stack([img[..., 0] - x, img[..., 1] - y, img[..., 2] - F.value(x, y)])
+        if np.isnan(gap).any():
+            worst = math.inf  # a NaN row: a plane with no finite image
         worst = max(worst, float(np.max(np.abs(gap))))
         count += 1
     ok = worst < 1e-8
@@ -363,7 +365,7 @@ def test_criterion_10_curvature_sanity():
 
 def test_criterion_11_stationarity_separation():
     t0 = time.perf_counter()
-    rep = stationarity_check(block_field("r3"), seed=0, bumps=5)
+    rep = stationarity_check(block_field("r3"), seed=0)
     dt = time.perf_counter() - t0
     ok = rep.passed and rep.samples == 5 and dt < 30.0
     certify(

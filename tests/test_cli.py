@@ -223,12 +223,13 @@ def test_isotropic_graph_heights(tmp_path):
 
 
 def _per_point_images(S, u, v):
-    """Reference images: each grid point mapped alone, NaN where its
-    tangent plane is undefined or maps to the ideal line."""
+    """Reference images: each grid point mapped alone as a scalar, NaN
+    where that raises because its tangent plane is undefined or maps to
+    the ideal line."""
     vals = np.full((u.size, 3), np.nan)
     for i in range(u.size):
         try:
-            vals[i] = isotropic_image(S, u[i : i + 1], v[i : i + 1])
+            vals[i] = isotropic_image(S, float(u[i]), float(v[i])).coords()
         except (NonImmersed, IdealImage):
             pass
     return vals
@@ -1011,6 +1012,36 @@ def test_a_check_named_twice_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "usage error: check 'biharmonic' is named more than once\n")
     assert not rep.exists()
+
+
+def test_an_empty_check_list_is_a_usage_error(tmp_path, capsys):
+    # a verify that checks nothing would pass with an empty report
+    rep = tmp_path / "r.json"
+    code = main(["verify", "--surface", "r1", "--checks", ",",
+                 "--report", str(rep)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "usage error: --checks wants a comma list from: ")
+    assert not rep.exists()
+
+
+def test_rulings_refuse_conoid_terms_of_two_rotations(capsys):
+    # a1*r1 + a2*r2 + a3*r3@theta has one theta; two conoid terms turned
+    # by different angles have no common ruling family
+    code = main(["verify", "--surface", "conv(1*r3@theta=0.1,1*r3@theta=0.2)",
+                 "--checks", "ruling"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: ProvenanceMismatch: mixed conoid rotations\n"
+
+
+def test_three_equal_circles_are_a_degenerate_family(tmp_path, capsys):
+    # rank 1: three copies of one cycle span less than a pencil, and they
+    # are not a rank-3 family (not-a-pencil) either
+    src = tmp_path / "circles.json"
+    src.write_text('{"center":[0,0],"radius":1}\n' * 3)
+    assert main(["classify-pencil", "--input", str(src)]) == 0
+    assert capsys.readouterr().out == "tag: degenerate\n"
 
 
 @pytest.mark.parametrize("lines", [["guard=0.3", "guard=0.5"],

@@ -15,7 +15,6 @@ from lagmin.reconstruct import (
     FieldSurface,
     ParamSurface,
     SurfaceJet,
-    _isotropic_rows,
     isotropic_image,
 )
 from lagmin.surfaces import block_field, building_block
@@ -138,7 +137,7 @@ def test_ideal_tangent_planes_are_masked_without_a_warning(s):
     with pytest.raises(IdealImage):
         isotropic_image(S, 0.1, 0.2)
     mesh = grid_mesh((-1.0, 1.0, -1.0, 1.0), (4, 4), S.is_safe,
-                     lambda u, v: _isotropic_rows(S, u, v, None))
+                     lambda u, v: isotropic_image(S, u, v))
     assert mesh.nonfinite == 16 and len(mesh.vertices) == 0
 
 

@@ -1,15 +1,16 @@
 """Source hygiene of the package, read with `ast`: every import a module
-makes is used in it, every private module-level name is used somewhere
-in the package, and every public top-level function or class is read by
-some other code of the package or named, with its reason, in
-UNREAD_PUBLIC.  The package `__init__` re-exports what it imports, so its
-imports count as used, but a re-export is not a read.  No public
-module-level name is a second name for a class or function of the
-package.  Only `fields.py` defines `with_guard`, since surfaces are built
-with their guard and never change it, and outside `fields.py` a guard is
-read only to hand it to `with_guard`, since a field states its excluded
-set once.  No module calls `exec`, `eval` or `compile`: every line the
-package runs is in its source."""
+makes is used in it, no module imports a private name of another, every
+private module-level name is used in its own module, and every public
+top-level function or class is read by some other code of the package or
+named, with its reason, in UNREAD_PUBLIC.  The package `__init__`
+re-exports what it imports, so its imports count as used, but a
+re-export is not a read.  No public module-level name is a second name
+for a class or function of the package.  Only `fields.py` defines
+`with_guard`, since surfaces are built with their guard and never change
+it, and outside `fields.py` a guard is read only to hand it to
+`with_guard`, since a field states its excluded set once.  No module
+calls `exec`, `eval` or `compile`: every line the package runs is in its
+source."""
 import ast
 import importlib
 import inspect
@@ -46,9 +47,6 @@ UNREAD_PUBLIC = {
     "imtransform_apply": "the point map that tests/test_isotropic.py "
                          "checks imsphere_map against; planned: maps the "
                          "points of a Laguerre image (ROADMAP item 5)",
-    "parse_field": "the public field parser that bench/spans.py traces",
-    "isotropic_image": "criterion 03 and bench/checks.py map tangent planes "
-                       "with it; lagmin isotropic masks them instead",
 }
 
 
@@ -106,19 +104,24 @@ def test_every_import_is_used(module):
 
 
 def test_every_private_module_level_name_is_referenced():
-    # a name imported by another module counts as referenced there
-    everywhere = set()
-    for tree in MODULES.values():
-        everywhere |= _reads(tree)
-        everywhere |= {alias.name for node in ast.walk(tree)
-                       if isinstance(node, ast.ImportFrom)
-                       for alias in node.names}
+    # no other module imports it, so its own module reads it or nothing does
     unreferenced = ["%s:%d %s" % (module, line, name)
                     for module, tree in MODULES.items()
                     for name, line in _private_definitions(tree)
-                    if name not in everywhere]
+                    if name not in _reads(tree)]
     assert unreferenced == [], "unreferenced private names: %s" % (
         ", ".join(unreferenced),)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private name is the defining module's own; a name another module
+    # needs is public, and the hygiene rules on public names apply to it
+    imports = ["%s:%d %s" % (module, node.lineno, alias.name)
+               for module, tree in MODULES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names
+               if alias.name.startswith("_") and node.module != "__future__"]
+    assert imports == [], "private names imported: %s" % (", ".join(imports),)
 
 
 def _public_definitions():

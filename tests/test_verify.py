@@ -78,7 +78,7 @@ def test_first_variation_scales_with_amplitude():
 
 
 def test_stationarity_separates_conoid_from_quartic():
-    rep = stationarity_check(block_field("r3"), seed=0, bumps=2)
+    rep = stationarity_check(block_field("r3"), seed=0)
     assert rep.passed
     assert rep.max_residual < 0.1
 
@@ -221,6 +221,16 @@ def test_tangency_fails_a_sphere_that_crosses_the_block():
     spheres[7] = OrientedSphere(sp.m, sp.r * (1 + 1e-3))
     rep = tangency_residual(building_block("r5"), spheres, window=window)
     assert not rep.passed
+
+
+@pytest.mark.xfail(strict=True, reason="finite-difference truncation: the "
+                   "worst sample, 0.785 from the exceptional centre, has "
+                   "H = 14.5 and reads 1.05e-4 at h = 1e-4; a Richardson step "
+                   "reads 1.05e-6 there")
+def test_curvature_check_passes_an_exceptional_sum():
+    S = parse_surface("field:sum(1*exceptional(c=0.5,d=-0.3,B=1,C=0.8,D=2),"
+                      "0.5*elliptic(a1=1,a3=-1))")
+    assert fd_curvature_check(S, seed=0).passed
 
 
 def test_report_json_is_valid_and_stable():
