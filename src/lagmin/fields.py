@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import EmptyIntersection, SingularPoint
+from .errors import SingularPoint
 from .jets import (
     Jet,
     compose,
@@ -46,10 +46,6 @@ from .jets import (
 # 1/(x^2+y^2) terms grow like r^-6, so anything much smaller than this
 # produces garbage jets long before it produces infinities.
 GUARD_EPS = 1e-6
-
-# Circle/line restriction fits: deterministic equi-angular sampling.
-FIT_SAMPLES = 50
-LINE_SPAN = 3.0
 
 # 13-point biharmonic stencil: (offset_x, offset_y, weight), center first.
 _STENCIL = (
@@ -572,57 +568,6 @@ def fd_bilaplacian(F: ScalarField, x, y, h):
         diff = _polynomial_increments(monomials, x, y, ax, ay)
     est = np.sum(w * diff, axis=0) / h**4
     return np.asarray(est, dtype=float)[()]
-
-
-def restrict_to_circle(F: ScalarField, S, degree: int = 1):
-    """RMS residual of fitting F on the cycle S by low-degree models.
-
-    On a genuine circle: degree 1 fits {1, x, y} (what "linear on the
-    circle" means, since x²+y² is affine there), degree 2 adds the
-    second circle harmonics.  On a line cycle: polynomial of the given
-    degree in the arclength parameter.  Deterministic sampling, 50 points,
-    guarded points skipped; EmptyIntersection when nothing survives.
-    """
-    if degree not in (1, 2):
-        raise ValueError("degree must be 1 or 2")
-    a = float(S.a)
-    b = float(S.b)
-    c = float(S.c)
-    d = float(S.d)
-    scale = max(abs(b), abs(c), 1.0)
-    if abs(a) <= 1e-12 * scale:
-        nrm = math.hypot(b, c)
-        if nrm <= 1e-12:
-            raise EmptyIntersection("cycle has no locus")
-        px = -d * b / (nrm * nrm)
-        py = -d * c / (nrm * nrm)
-        s = np.linspace(-LINE_SPAN, LINE_SPAN, FIT_SAMPLES)
-        xs = px + s * (c / nrm)
-        ys = py - s * (b / nrm)
-        cols = [np.ones_like(s), s]
-        if degree == 2:
-            cols.append(s * s)
-    else:
-        disc = b * b + c * c - 4.0 * a * d
-        if disc <= 0.0:
-            raise EmptyIntersection("cycle has empty or point locus")
-        cx = -b / (2.0 * a)
-        cy = -c / (2.0 * a)
-        rad = math.sqrt(disc) / (2.0 * abs(a))
-        t = np.arange(FIT_SAMPLES) * (2.0 * math.pi / FIT_SAMPLES)
-        xs = cx + rad * np.cos(t)
-        ys = cy + rad * np.sin(t)
-        cols = [np.ones_like(t), xs, ys]
-        if degree == 2:
-            cols.extend([np.cos(2.0 * t), np.sin(2.0 * t)])
-    keep = F.is_safe(xs, ys)
-    if not np.any(keep):
-        raise EmptyIntersection("all cycle samples fall inside the singular guard")
-    design = np.column_stack([col[keep] for col in cols])
-    vals = np.asarray(F.value(xs[keep], ys[keep]), dtype=float)
-    coef, _, _, _ = np.linalg.lstsq(design, vals, rcond=None)
-    resid = vals - design @ coef
-    return float(np.sqrt(np.mean(resid * resid)))
 
 
 def reduce_elliptic_field(F: EllipticField):

@@ -1,5 +1,6 @@
-"""Circles as cycles, pencil classification, and the lemma fits that
-rebuild a field from its restrictions to circles.
+"""Circles as cycles, pencil classification, the exact test that a field
+carries an isotropic circle over a cycle, and the lemma fits that rebuild
+a field from its restrictions to circles.
 
 A cycle is the coefficient vector (a, b, c, d) of
 a(x^2+y^2) + bx + cy + d = 0, so lines (a = 0) live in the same
@@ -21,6 +22,7 @@ from .errors import (
     BadFit,
     DegenerateCone,
     DependentCircles,
+    EmptyIntersection,
     NotLinearOnCircle,
     TooFew,
 )
@@ -29,6 +31,7 @@ RANK_TOL = 1e-9          # singular value ratio declaring rank deficiency
 DISC_TOL = 1e-9          # relative discriminant size treated as a double root
 LINEAR_TOL = 1e-8        # max residual for "restriction is linear"
 NESTED_SAMPLES = 50      # points on each circle fit_nested samples
+CYCLE_SAMPLES = 50       # points isotropic_circle_residual takes on a cycle
 TINY = 1e-12
 
 
@@ -75,6 +78,56 @@ class Cycle:
         cx, cy = float(center[0]), float(center[1])
         r = float(radius)
         return cls(1.0, -2.0 * cx, -2.0 * cy, cx * cx + cy * cy - r * r)
+
+
+def isotropic_circle_residual(F, cycle) -> float:
+    """Largest cancellation ratio, over 50 points of `cycle`, of the exact
+    identity that holds where the field F carries an isotropic circle
+    over it.
+
+    Let g be F along the cycle.  Over a line, in arclength along its unit
+    direction t, an isotropic circle is a parabola: g‴ = D³F[t, t, t] = 0,
+    scaled by Σₖ C(3, k)·|∂x³⁻ᵏ∂yᵏF| so that an axis-parallel line is not
+    a ratio of one term.  Over a circle p(θ), it is a plane section of
+    the cylinder: g‴ + g′ = D³F[p′, p′, p′] + 3·D²F[p′, p″] = 0 with
+    p″ = −(p − centre), scaled by the sum of its seven terms' magnitudes.
+    A point where every term vanishes reads 0.  A line's points lie
+    within 3 of its foot.  Guarded points are skipped; EmptyIntersection
+    when the cycle has no real locus or no point of it survives.
+    """
+    a, b, c, d = cycle.vec()
+    if a == 0.0:
+        nrm = float(np.hypot(b, c))
+        if nrm == 0.0:
+            raise EmptyIntersection("cycle has no locus")
+        u, v = c / nrm, -b / nrm
+        foot = -d / nrm**2 * np.array([b, c])
+        pts = foot + np.outer(np.linspace(-3.0, 3.0, CYCLE_SAMPLES), (u, v))
+    elif cycle.q() <= 0.0:
+        raise EmptyIntersection("cycle has empty or point locus")
+    else:
+        cx, cy = cycle.center()
+        pts = _circle_points((cx, cy), cycle.radius(), CYCLE_SAMPLES)
+    keep = F.is_safe(pts[:, 0], pts[:, 1])
+    if not np.any(keep):
+        raise EmptyIntersection("all cycle samples fall inside the singular guard")
+    x, y = pts[keep].T
+    jet = F.jet(x, y, 3)
+    if a == 0.0:
+        px = py = 0.0                  # p′ = (u, v) and p″ = 0 on a line
+    else:
+        px, py = cx - x, cy - y        # p″ = −(p − centre)
+        u, v = py, -px                 # p′
+    cubic = [bk * jet.entry(3 - k, k) for k, bk in enumerate((1, 3, 3, 1))]
+    terms = [ck * u ** (3 - k) * v**k for k, ck in enumerate(cubic)]
+    terms += [3.0 * jet.entry(2, 0) * u * px,
+              3.0 * jet.entry(1, 1) * (u * py + v * px),
+              3.0 * jet.entry(0, 2) * v * py]
+    scale = sum(np.abs(t) for t in (terms if a else cubic))
+    total = np.abs(sum(terms))
+    # 0 where every term vanishes; a NaN stays NaN
+    ratio = np.divide(total, scale, out=np.zeros_like(total), where=scale != 0)
+    return float(np.max(ratio))
 
 
 def q_bilinear(u, w) -> float:

@@ -317,15 +317,13 @@ def ruling_residual(S, *, tolerance=RULING_TOL) -> CheckReport:
     )
 
 
-def tangency_residual(S, spheres, *, window=None, shape=(400, 400),
+def tangency_residual(S, spheres, window, *,
                       tolerance=TANGENCY_TOL) -> CheckReport:
     """Max over spheres of the min contact gap | |r - m| - |R| | over the
-    valid grid points (guarded and finite, the vertices `surface_mesh`
-    would keep): small means every sphere of the family touches S.  No
-    valid grid point, no gap: 0 samples."""
-    if shape[0] < 400 or shape[1] < 400:
-        raise ValueError("mesh resolution must be at least 400x400")
-    window = window or S.default_window
+    valid points of the 400 x 400 grid on `window` (guarded and finite, the
+    vertices `surface_mesh` would keep): small means every sphere of the
+    family touches S.  No valid grid point, no gap: 0 samples."""
+    shape = (400, 400)
     pts, ok = meshing.grid_points(window, shape, S.is_safe, S.point)
     X, Y, Z = pts[ok & np.all(np.isfinite(pts), axis=-1)].T.copy()
     d = np.empty_like(X)
@@ -478,7 +476,8 @@ def stationarity_check(F, *, seed=0,
     """|dOmega| of F against the (non-stationary) x^4 control on 5
     seeded random bumps; each residual is the ratio of the two.
     Bump centers have 0.5 <= |x|, |y| <= 1.4 and radii lie in
-    [0.25, 0.45]."""
+    [0.25, 0.45].  When 300 tries measure fewer than 5 bumps, the check
+    fails on those it has."""
     bumps = 5
     control = make_polynomial_field({(4, 0): 1.0})
     rng = np.random.default_rng(seed)
@@ -500,6 +499,7 @@ def stationarity_check(F, *, seed=0,
     return CheckReport.from_residuals(
         "stationarity", ratios, tolerance,
         {"seed": int(seed), "bumps": bumps, "tried": tried},
+        needed=bumps,
     )
 
 
@@ -585,15 +585,14 @@ def tangency_plan(block_name):
     return plans[block_name]
 
 
-def tangency_check(S, *, shape=(400, 400), tolerance=TANGENCY_TOL):
+def tangency_check(S, *, tolerance=TANGENCY_TOL):
     """All frozen sphere-tangency reports for a named block surface S
     (with its guard, if any); the plan is looked up by `S.name`."""
     reports = []
     for fam_name, pairs, window in tangency_plan(S.name):
         fam = cyclographic_preimage(fam_name)
         spheres = [fam.line(p).sphere(l) for p, l in pairs]
-        rep = tangency_residual(S, spheres, window=window, shape=shape,
-                                tolerance=tolerance)
+        rep = tangency_residual(S, spheres, window, tolerance=tolerance)
         rep.meta["family"] = fam_name
         reports.append(rep)
     return reports

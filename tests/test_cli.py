@@ -669,6 +669,18 @@ def test_config_tolerance_reaches_stationarity(tmp_path):
     assert json.loads(rep.read_text())[0]["tolerance"] == 1e-12
 
 
+def test_stationarity_fails_on_fewer_bumps_than_it_sets_out_to_measure(
+        tmp_path, capsys):
+    # at seed 1, 300 tries on r6~ leave 4 of the 5 bumps, each of them small
+    rep = tmp_path / "r.json"
+    assert main(["verify", "--surface", "r6~", "--checks", "stationarity",
+                 "--seed", "1", "--report", str(rep)]) == 1
+    assert "stationarity: FAIL" in capsys.readouterr().out
+    [record] = json.loads(rep.read_text())
+    assert record["samples"] == 4 and record["max_residual"] < 0.1
+    assert record["meta"]["tried"] == 300
+
+
 def test_ruling_overflow_is_reported_without_warnings(tmp_path, capfd):
     out = tmp_path / "r.obj"
     with warnings.catch_warnings(record=True) as caught:

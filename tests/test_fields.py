@@ -1,11 +1,10 @@
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lagmin.errors import EmptyIntersection, SingularPoint
+from lagmin.errors import SingularPoint
 from lagmin.fields import (
     EllipticField,
     ExceptionalField,
@@ -17,7 +16,6 @@ from lagmin.fields import (
     make_polynomial_field,
     pushforward_inversion,
     reduce_elliptic_field,
-    restrict_to_circle,
     sum_fields,
 )
 from lagmin.grammar import parse_surface
@@ -211,31 +209,6 @@ def test_kelvin_preserves_biharmonicity():
     rng = np.random.default_rng(13)
     x, y = annulus_points(rng, 100)
     assert np.max(np.abs(G.bilaplacian(x, y))) < 1e-7
-
-
-def test_restrictions_are_low_degree_on_cycles():
-    Cyc = SimpleNamespace
-    # gamma-only field restricted to the circle r = 2 is linear there
-    F = HyperbolicField(gamma1=-1.0, gamma2=-1.0, gamma3=-1.0, gamma4=1.0)
-    assert restrict_to_circle(F, Cyc(a=1, b=0, c=0, d=-4), 1) < 1e-9
-    # elliptic field on a line through the origin is quadratic in arclength
-    assert restrict_to_circle(ELLIPTIC, Cyc(a=0, b=2, c=-1, d=0), 2) < 1e-8
-    # the quartic counterexample is linear on its own nested circles
-    t = 2.0
-    F = RootQuarticField()
-    assert restrict_to_circle(F, Cyc(a=1, b=-t, c=0, d=-math.sqrt(t * t - 1)), 1) < 1e-9
-
-
-def test_restriction_flags_non_linear_field():
-    Cyc = SimpleNamespace
-    Fq = make_polynomial_field({(4, 0): 1.0})
-    assert restrict_to_circle(Fq, Cyc(a=1, b=0, c=0, d=-1), 1) > 1e-3
-
-
-def test_restriction_rejects_empty_locus():
-    Cyc = SimpleNamespace
-    with pytest.raises(EmptyIntersection):
-        restrict_to_circle(ELLIPTIC, Cyc(a=1, b=0, c=0, d=1), 1)
 
 
 def test_reduction_kills_redundant_coefficients():

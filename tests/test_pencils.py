@@ -9,13 +9,17 @@ from lagmin.errors import (
     BadFit,
     DegenerateCone,
     DependentCircles,
+    EmptyIntersection,
     NotLinearOnCircle,
     TooFew,
 )
 from lagmin.fields import (
+    EllipticField,
     HyperbolicField,
+    RootQuarticField,
     make_polynomial_field,
 )
+from lagmin.grammar import parse_field
 from lagmin.pencils import (
     Cycle,
     _circle_points,
@@ -25,12 +29,14 @@ from lagmin.pencils import (
     fit_nested,
     gauss_circle_of_cone,
     gauss_pencil_of_cones,
+    isotropic_circle_residual,
     parse_cycle_lines,
     recover_crossing,
 )
 from lagmin.surfaces import CycloLine, cyclographic_preimage
 
 RECOVER_TOL = 1e-9
+CARRIED_TOL = 1e-13      # a field on a cycle it carries reads rounding only
 CENTER_TOL = 1e-9        # linearity residual in center_constraint_check
 CENTER_SAMPLES = 60      # points on the circle center_constraint_check samples
 
@@ -142,6 +148,58 @@ def test_classification_invariant_under_scaling_and_relabeling():
         perm = rng.permutation(4)
         cycles = [Cycle(*(scales[i] * (c1 + lams[perm[i]] * c2))) for i in range(4)]
         assert classify_family(cycles).tag == tag0
+
+
+# fields and the cycles of their pencils, or of another pencil; ELLIPTIC is
+# the seeded elliptic field of tests/test_fields.py
+ELLIPTIC = EllipticField(*np.random.default_rng(20260823).normal(size=12).round(3))
+RADIAL = HyperbolicField(gamma1=-1.0, gamma2=-1.0, gamma3=-1.0, gamma4=1.0)
+PARABOLIC = parse_field("parabolic(alpha0=1,alpha2=0.4,beta1=0.6,gamma0=0.3,"
+                        "gamma3=0.1)")
+CARRIED = {
+    "radial-circle": (RADIAL, Cycle(1, 0, 0, -4)),
+    "elliptic-line-through-0": (ELLIPTIC, Cycle(0, 2, -1, 0)),
+    # the quartic counterexample is linear on its own nested circles
+    "root-quartic-circle": (RootQuarticField(),
+                            Cycle(1, -2, 0, -math.sqrt(3.0))),
+    "hyperbolic-circle-about-0": (
+        HyperbolicField(a2=0.3, c1=0.4, alpha1=1, beta2=0.5, gamma1=0.2),
+        Cycle.from_circle((0.0, 0.0), 1.5)),
+    "parabolic-vertical-line": (PARABOLIC, Cycle(0, 1, 0, -0.7)),
+}
+CONTROLS = {
+    "x4-unit-circle": (make_polynomial_field({(4, 0): 1.0}),
+                       Cycle(1, 0, 0, -1)),
+    "radial-off-centre": (RADIAL, Cycle(1, -1, 0, -3)),
+    "elliptic-line-missing-0": (ELLIPTIC, Cycle(0, 2, -1, 1)),
+    # an axis-parallel line, where D3F[t, t, t] is a single term
+    "x3-x-axis": (make_polynomial_field({(3, 0): 1.0}), Cycle(0, 0, 1, 0)),
+    "parabolic-horizontal-line": (PARABOLIC, Cycle(0, 0, 1, -0.7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CARRIED))
+def test_a_field_carries_the_isotropic_circles_of_its_pencil(case):
+    F, cycle = CARRIED[case]
+    assert isotropic_circle_residual(F, cycle) <= CARRIED_TOL
+
+
+@pytest.mark.parametrize("case", sorted(CONTROLS))
+def test_a_cycle_off_the_pencil_leaves_the_identity(case):
+    F, cycle = CONTROLS[case]
+    assert isotropic_circle_residual(F, cycle) > 1e-2
+
+
+@pytest.mark.parametrize("F, cycle", [
+    (ELLIPTIC, Cycle(1, 0, 0, 1)),              # imaginary circle
+    (ELLIPTIC, Cycle(0, 0, 0, 1)),              # no locus at all
+    # every point of the radius-0.5 circle lies inside the 0.6 guard
+    (EllipticField(a1=1, a3=-1).with_guard(0.6),
+     Cycle.from_circle((0.0, 0.0), 0.5)),
+], ids=["empty", "no-locus", "guarded"])
+def test_the_circle_residual_needs_a_point_of_the_cycle(F, cycle):
+    with pytest.raises(EmptyIntersection):
+        isotropic_circle_residual(F, cycle)
 
 
 def test_recover_crossing_round_trip():

@@ -38,8 +38,8 @@ UNREAD_PUBLIC = {
     "reduce_elliptic_field": "planned: ruling_residual reads (A, B, C, D) "
                              "off its normal form (ROADMAP item 2)",
     "gauss_pencil_of_cones": "planned: the pencil check (ROADMAP item 2)",
-    "restrict_to_circle": "planned: the exact circles check replaces it "
-                          "(ROADMAP item 3)",
+    "isotropic_circle_residual": "planned: the circles check reads it "
+                                 "(ROADMAP item 3)",
     "line_to_imcircle": "planned: maps cone families line by line "
                         "(ROADMAP item 5)",
     "imsphere_map": "planned: maps the spheres of a Laguerre image "

@@ -115,6 +115,16 @@ def test_biharmonic_residual_passes_r6_at_seeds_with_float64_noise(seed):
     assert rep.passed and rep.max_residual <= 1e-9
 
 
+@pytest.mark.xfail(strict=True, reason="where long double is float64, as on "
+                   "Windows and arm64 macOS, the re-measure cannot decide "
+                   "r6's noisy samples: seed 1 reads 1.86e-9 against 1e-9 "
+                   "(ROADMAP item 14)")
+def test_biharmonic_residual_passes_r6_where_long_double_is_float64(
+        monkeypatch):
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    assert biharmonic_residual(block_field("r6"), seed=1).passed
+
+
 def _r6_plus_quartic(bilap):
     # bilaplacian of c*x^4 is 24c, so the sum misses biharmonicity by bilap
     quartic = make_polynomial_field({(4, 0): bilap / 24.0})
@@ -155,11 +165,6 @@ def test_tangency_plan_frozen_and_guarded():
     assert len(window) == 4
     with pytest.raises(UnknownName):
         tangency_plan("r2")
-
-
-def test_tangency_residual_rejects_coarse_mesh():
-    with pytest.raises(ValueError):
-        tangency_residual(building_block("r1"), [], shape=(100, 100))
 
 
 def _plan_spheres(block_name):
