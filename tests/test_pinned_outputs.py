@@ -1,11 +1,12 @@
-"""The benchmark's pinned outputs that depend only on block names,
-regenerated in-process and compared with the sha256 digests recorded in
-bench/digests.json (read, never written), and the outputs that the
-benchmark does not pin (the gallery, a ruled patch with its ruling
-polylines, and outputs under a `--config` guard), compared with digests
-kept here.  The digests hold for the numpy version
+"""Every output that the benchmark pins, regenerated in-process from the
+seed-0 job lists of bench/workloads.py and compared with the sha256
+digests recorded in bench/digests.json (both read, never written), and
+the outputs that the benchmark does not pin (the gallery, a ruled patch
+with its ruling polylines, and outputs under a `--config` guard),
+compared with digests kept here.  The digests hold for the numpy version
 they were recorded under; under any other the comparison is skipped."""
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -13,53 +14,41 @@ import numpy as np
 import pytest
 
 from lagmin.cli import main
-from lagmin.surfaces import BLOCK_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
 PINS = json.loads((ROOT / "bench" / "digests.json").read_text())
 
-# blocks with a frozen cone-family tangency plan
-TANGENCY_BLOCKS = ("r1", "r4", "r5", "r6", "r7", "r8", "r9", "r10", "r11",
-                   "r1~", "r3~")
-ALL_CHECKS = "biharmonic,gaussmap,ruling,curvature,stationarity"
+_spec = importlib.util.spec_from_file_location(
+    "bench_workloads", ROOT / "bench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+# (workload, job, the workload's input files) of every seed-0 job
+JOBS = [(w, job, files) for w in workloads.WORKLOADS
+        for jobs, files in [workloads.make_jobs(w, 0)] for job in jobs]
 
 
-def _verify(block, checks):
-    return ["verify", "--surface", block, "--checks", checks, "--report"]
-
-
-def _jobs():
-    """(workload, output file, argv without the output path)."""
-    jobs = [("certify", "verify-r1.json", _verify("r1", ALL_CHECKS))]
-    for b in BLOCK_NAMES:
-        tag = b.replace("~", "t")
-        jobs.append(("isotropic", "isotropic-%s.obj" % tag,
-                     ["isotropic", "--surface", b, "-o"]))
-        jobs.append(("certify", "biharmonic-%s.json" % tag,
-                     _verify(b, "biharmonic")))
-    for b in TANGENCY_BLOCKS:
-        jobs.append(("certify", "tangency-%s.json" % b.replace("~", "t"),
-                     _verify(b, "tangency")))
-    return jobs
-
-
-JOBS = _jobs()
-
-
-def test_the_pinned_block_outputs_are_all_covered():
-    assert len(JOBS) == 42
-    assert len({name for _, name, _ in JOBS}) == 42
+def test_the_compared_outputs_are_exactly_the_pinned_ones():
+    compared = [(w, name) for w, job, _ in JOBS for name in job["outputs"]]
+    pinned = {(w, name) for w, names in PINS["workloads"].items()
+              for name in names}
+    assert len(set(compared)) == len(compared)
+    assert set(compared) == pinned
 
 
 @pytest.mark.skipif(np.__version__ != PINS["numpy"],
                     reason="digests recorded under numpy %s" % PINS["numpy"])
-@pytest.mark.parametrize("workload, name, argv", JOBS, ids=[j[1] for j in JOBS])
-def test_block_output_matches_its_benchmark_pin(tmp_path, workload, name,
-                                               argv):
-    out = tmp_path / name
-    assert main(argv + [str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == PINS["workloads"][workload][name]
+@pytest.mark.parametrize("workload, job, files", JOBS,
+                         ids=[",".join(j["outputs"]) for _, j, _ in JOBS])
+def test_block_output_matches_its_benchmark_pin(tmp_path, monkeypatch,
+                                               workload, job, files):
+    monkeypatch.chdir(tmp_path)
+    for fname, text in files.items():
+        (tmp_path / fname).write_text(text)
+    assert main(job["argv"]) == 0
+    for name in job["outputs"]:
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == PINS["workloads"][workload][name]
 
 
 # sha256 of the OBJs outside the benchmark, recorded under numpy 2.4.6
@@ -127,7 +116,8 @@ GUARDED_PINS = [
      "482682c1742c0adb7d2c14fd542f2b2db36a6971bba6b7a242dc244408d76880"),
     (["isotropic", "--surface", "r6", "-o"],
      "2d539be57ae044098f72e21ec554376051df638d267b7f9af787811250db8ccf"),
-    (_verify("conv(1*r1,0.5*r2,0.4*r3@theta=0.3)", ALL_CHECKS),
+    (["verify", "--surface", "conv(1*r1,0.5*r2,0.4*r3@theta=0.3)",
+      "--checks", workloads.ALL_CHECKS, "--report"],
      "00b3833dc1e0dd2ceeaedff7f9f278898fa957b8de752c4f991b733fd98232a0"),
 ]
 

@@ -99,6 +99,14 @@ def test_ruling_residual_passes_for_matching_family():
     assert rep.max_residual < 1e-8
 
 
+def test_ruling_residual_skips_the_angles_where_the_rulings_c_vanishes():
+    # c = a1 + a3 sin(phi + theta) cos(phi + theta) is 0 at phi = 0 when
+    # a1 = 0 and theta = 0: that angle's four lambdas are skipped
+    rep = ruling_residual(parse_surface("conv(1*r2,1*r3)"))
+    assert rep.passed and rep.max_residual < 1e-8
+    assert rep.samples == 48 and rep.meta["skipped"] == 4
+
+
 def test_biharmonic_residual_detects_failure():
     rep = biharmonic_residual(block_field("r1"))
     assert rep.passed and rep.max_residual < 1e-9
