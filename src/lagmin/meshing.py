@@ -1,16 +1,14 @@
 """Grid meshing of parametrized surfaces and ASCII OBJ output.
 
-The masked grid walk (`grid_points`) evaluates a surface on a regular
-parameter grid with its guard mask applied and returns the grid-shaped
-points with that mask; overflow and invalid values there are not
-warned about, they come back as non-finite points.  `mesh_from_grid`
-turns that result into vertices and quads: any grid cell touching a
-guarded or non-finite point is dropped rather than emitted as NaN, and
-`Mesh.nonfinite` counts the safe points dropped for non-finite
-coordinates.  Checks that need only the points (cone tangency) use the
-walk alone.  OBJ output is plain `v`/`f` with optional `l` polylines
-and is written atomically (temp file + rename) so a crashed run never
-leaves a half-written mesh behind.
+The masked grid walk (`grid_points`) evaluates a surface at the safe
+points of a regular parameter grid and returns them as (n, 3) rows in
+row-major order, with the grid's guard mask; overflow and invalid values
+come back as non-finite rows, unwarned.  `mesh_from_grid` turns them into
+vertices and quads: a cell touching a guarded or non-finite point is
+dropped, and `Mesh.nonfinite` counts the safe points dropped as
+non-finite.  Cone tangency uses the walk alone.  OBJ output is plain
+`v`/`f` with optional `l` polylines, written atomically (temp file +
+rename) so a crashed run never leaves a half-written mesh behind.
 
 OBJ text is formatted a few thousand records at a time in numpy, and
 every byte is the byte that `"%.17g" % x` (coordinates) or `"%d" % i`
@@ -64,41 +62,50 @@ def grid_axes(window, shape):
     return np.linspace(u0, u1, nu), np.linspace(v0, v1, nv)
 
 
-def mesh_from_grid(pts, ok) -> Mesh:
-    """Assemble a Mesh from grid-shaped points and a validity mask.
+def finite_rows(pts):
+    """Mask of the rows of the (n, 3) array `pts` that are all finite."""
+    x, y, z = pts.T
+    return np.isfinite(x) & np.isfinite(y) & np.isfinite(z)
 
-    A quad is emitted only when all four corners are valid and finite.
+
+def mesh_from_grid(pts, ok) -> Mesh:
+    """Assemble a Mesh from the grid walk's rows and the grid's mask.
+
+    `pts` holds one (x, y, z) row per point where the (rows, cols) mask
+    `ok` holds, in row-major order.  The vertices are the finite rows; a
+    quad is emitted only when all four corners are safe and finite.
     """
-    safe = ok
-    ok = ok & np.all(np.isfinite(pts), axis=-1)
+    finite = finite_rows(pts)
+    kept = int(np.count_nonzero(finite))
+    valid = np.zeros(ok.shape, dtype=bool)
+    valid[ok] = finite
     index = np.full(ok.shape, -1, dtype=np.int64)
-    index[ok] = np.arange(int(ok.sum()))
-    cell = ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1]
+    index[valid] = np.arange(kept)
+    cell = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, 1:] & valid[1:, :-1]
     i, j = np.nonzero(cell)
     faces = np.stack(
         [index[i, j], index[i, j + 1], index[i + 1, j + 1], index[i + 1, j]],
         axis=-1,
     )
-    nonfinite = int(np.count_nonzero(safe)) - int(np.count_nonzero(ok))
-    return Mesh(pts[ok], faces, nonfinite)
+    return Mesh(pts[finite], faces, len(pts) - kept)
 
 
 def grid_points(window, shape, is_safe, points):
     """The masked grid walk: `(pts, ok)` over the N x M grid of `window`.
 
-    `ok` is is_safe on the (rows, cols) grid and `pts` the (rows, cols, 3)
-    values of points(u, v), which maps flat parameter arrays to (n, 3)
-    points, at the rows where `ok` holds (NaN elsewhere).  Overflow and
-    invalid operations are left to show as non-finite points.
+    `ok` is is_safe on the (rows, cols) grid, and `pts` the (n, 3) array
+    points(u, v) at its n safe points, in row-major order; `points` maps
+    flat parameter arrays to (n, 3) points and is not called when no
+    point is safe.  Overflow and invalid operations are left to show as
+    non-finite rows.
     """
     u, v = grid_axes(window, shape)
     uu, vv = np.meshgrid(u, v)
     with np.errstate(over="ignore", invalid="ignore"):
         ok = is_safe(uu, vv)
-        pts = np.full(ok.shape + (3,), np.nan)
-        if ok.any():
-            pts[ok] = points(uu[ok], vv[ok])
-    return pts, ok
+        if not ok.any():
+            return np.empty((0, 3)), ok
+        return points(uu[ok], vv[ok]), ok
 
 
 def grid_mesh(window, shape, is_safe, points) -> Mesh:

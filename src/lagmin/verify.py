@@ -317,35 +317,40 @@ def ruling_residual(S, *, tolerance=RULING_TOL) -> CheckReport:
     )
 
 
+TANGENCY_CHUNK = 32768      # grid points per gap pass: it stays in cache
+
+
 def tangency_residual(S, spheres, window, *,
                       tolerance=TANGENCY_TOL) -> CheckReport:
-    """Max over spheres of the min contact gap | |r - m| - |R| | over the
-    valid points of the 400 x 400 grid on `window` (guarded and finite, the
-    vertices `surface_mesh` would keep): small means every sphere of the
-    family touches S.  No valid grid point, no gap: 0 samples."""
+    """Max over spheres of the min contact gap | |r - m| - |R| | (NaN if a
+    gap is) over the valid points of the 400 x 400 grid on `window`
+    (guarded and finite, the vertices `surface_mesh` would keep): small
+    means every sphere touches S.  No valid grid point: 0 samples."""
     shape = (400, 400)
-    pts, ok = meshing.grid_points(window, shape, S.is_safe, S.point)
-    X, Y, Z = pts[ok & np.all(np.isfinite(pts), axis=-1)].T.copy()
-    d = np.empty_like(X)
-    gaps = np.empty_like(X)
-    minima = []
-    for sp in spheres if X.size else ():
-        # |r - m| summed left to right, as np.linalg.norm adds (x, y, z)
-        mx, my, mz = np.asarray(sp.m, dtype=float)
-        np.subtract(X, mx, out=d)
-        np.multiply(d, d, out=gaps)
-        np.subtract(Y, my, out=d)
-        d *= d
-        gaps += d
-        np.subtract(Z, mz, out=d)
-        d *= d
-        gaps += d
-        np.sqrt(gaps, out=gaps)
-        gaps -= abs(float(sp.r))
-        np.abs(gaps, out=gaps)
-        minima.append(float(np.min(gaps)))
+    pts, _ = meshing.grid_points(window, shape, S.is_safe, S.point)
+    finite = meshing.finite_rows(pts)
+    X, Y, Z = (c[finite] for c in pts.T)
+    minima = np.full(len(spheres) if X.size else 0, np.inf)
+    for start in range(0, X.size, TANGENCY_CHUNK):
+        x, y, z = (c[start:start + TANGENCY_CHUNK] for c in (X, Y, Z))
+        d, gaps = np.empty_like(x), np.empty_like(x)
+        for k, sp in enumerate(spheres):
+            # |r - m| summed left to right, as np.linalg.norm adds (x, y, z)
+            mx, my, mz = np.asarray(sp.m, dtype=float)
+            np.subtract(x, mx, out=d)
+            np.multiply(d, d, out=gaps)
+            np.subtract(y, my, out=d)
+            d *= d
+            gaps += d
+            np.subtract(z, mz, out=d)
+            d *= d
+            gaps += d
+            np.sqrt(gaps, out=gaps)
+            gaps -= abs(float(sp.r))
+            np.abs(gaps, out=gaps)
+            minima[k] = np.minimum(minima[k], np.min(gaps))
     return CheckReport.from_residuals(
-        "cone-tangency", minima, tolerance,
+        "cone-tangency", minima.tolist(), tolerance,
         {"grid": [int(shape[0]), int(shape[1])],
          "window": [float(t) for t in window],
          "vertices": int(len(X))},

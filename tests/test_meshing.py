@@ -14,6 +14,7 @@ from lagmin.meshing import (
     _scaled,
     atomic_write_text,
     grid_axes,
+    grid_points,
     mesh_from_grid,
     obj_text,
     surface_mesh,
@@ -37,12 +38,12 @@ def test_mesh_from_grid_drops_cells_touching_invalid_points():
     pts[..., 0], pts[..., 1] = np.meshgrid(np.arange(3.0), np.arange(3.0))
     ok = np.ones((3, 3), dtype=bool)
     ok[1, 1] = False  # center point kills all four cells
-    mesh = mesh_from_grid(pts, ok)
+    mesh = mesh_from_grid(pts[ok], ok)
     assert len(mesh.vertices) == 8
     assert len(mesh.faces) == 0
     ok[1, 1] = True
     pts[1, 1, 2] = np.nan  # non-finite points are dropped too
-    mesh = mesh_from_grid(pts, ok)
+    mesh = mesh_from_grid(pts[ok], ok)
     assert len(mesh.faces) == 0
 
 
@@ -59,6 +60,49 @@ def test_guarded_field_mesh_drops_center_cells():
     mesh = surface_mesh(S, (-1, 1, -1, 1), (30, 30))
     assert 0 < len(mesh.faces) < 29 * 29
     assert np.isfinite(mesh.vertices).all()
+
+
+def test_grid_points_are_the_surface_points_at_the_safe_grid_points():
+    S = FieldSurface(EllipticField(a1=1.0, a3=-1.0).with_guard(0.3))
+    window, shape = (-1, 1, -1, 1), (23, 17)
+    pts, ok = grid_points(window, shape, S.is_safe, S.point)
+    uu, vv = np.meshgrid(*grid_axes(window, shape))
+    assert np.array_equal(ok, S.is_safe(uu, vv))
+    assert 0 < np.count_nonzero(ok) < ok.size
+    # one row per safe point, in row-major grid order
+    rows = [(uu[i, j], vv[i, j]) for i in range(ok.shape[0])
+            for j in range(ok.shape[1]) if ok[i, j]]
+    assert np.array_equal(pts, S.point(*np.array(rows).T))
+
+
+def test_non_finite_rows_are_counted_and_dropped():
+    S = FieldSurface(EllipticField(a1=1.0, a3=-1.0).with_guard(0.3))
+
+    def points(u, v):
+        p = S.point(u, v).copy()
+        p[::37, 0] = np.inf
+        p[5::41, 2] = np.nan
+        p[9::43, 1] = -np.inf
+        return p
+
+    pts, ok = grid_points((-1, 1, -1, 1), (23, 17), S.is_safe, points)
+    finite = np.isfinite(pts).all(axis=1)
+    mesh = mesh_from_grid(pts, ok)
+    assert mesh.nonfinite == len(pts) - np.count_nonzero(finite) > 3
+    assert np.array_equal(mesh.vertices, pts[finite])
+
+
+def test_a_window_guarded_everywhere_walks_to_an_empty_mesh():
+    S = FieldSurface(EllipticField(a1=1.0, a3=-1.0).with_guard(0.3))
+
+    def points(u, v):
+        raise AssertionError("no safe point to evaluate")
+
+    pts, ok = grid_points((-0.1, 0.1, -0.1, 0.1), (5, 4), S.is_safe, points)
+    assert pts.shape == (0, 3) and ok.shape == (4, 5) and not ok.any()
+    mesh = mesh_from_grid(pts, ok)
+    assert mesh.vertices.shape == (0, 3) and mesh.faces.shape == (0, 4)
+    assert mesh.nonfinite == 0
 
 
 def test_obj_text_layout():
@@ -160,7 +204,8 @@ def _guarded_grid_with_nans():
 
 
 def _guarded_mesh_with_nans():
-    return mesh_from_grid(*_guarded_grid_with_nans())
+    pts, ok = _guarded_grid_with_nans()
+    return mesh_from_grid(pts[ok], ok)
 
 
 def _empty_mesh(n_vertices):
@@ -170,7 +215,7 @@ def _empty_mesh(n_vertices):
 
 def test_mesh_from_grid_faces_match_cell_loop():
     pts, ok = _guarded_grid_with_nans()
-    mesh = mesh_from_grid(pts, ok)
+    mesh = mesh_from_grid(pts[ok], ok)
     assert np.issubdtype(mesh.faces.dtype, np.integer)
     assert mesh.faces.shape == (len(mesh.faces), 4)
     # vertices are the safe, finite points in row-major order

@@ -15,10 +15,12 @@ from lagmin.fields import (
 )
 from lagmin.geom_core import OrientedSphere
 from lagmin.grammar import parse_surface
-from lagmin.meshing import surface_mesh
+from lagmin.meshing import grid_axes, grid_points, surface_mesh
 from lagmin.reconstruct import FieldSurface, GaussMappedSurface
 from lagmin.surfaces import block_field, building_block, cyclographic_preimage
 from lagmin.verify import (
+    TANGENCY_CHUNK,
+    TANGENCY_TOL,
     CheckReport,
     biharmonic_residual,
     curvatures,
@@ -212,6 +214,117 @@ def test_tangency_gaps_are_the_mesh_vertex_gaps(case):
     assert got == want
     assert rep.meta["vertices"] == len(verts)
     assert rep.max_residual == max(want)
+
+
+def _reference_tangency(S, spheres, window):
+    """(minima, report) of the cone tangency check as a whole-array loop
+    over a NaN-filled grid walk: the form the chunked gap search replaced."""
+    uu, vv = np.meshgrid(*grid_axes(window, (400, 400)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = S.is_safe(uu, vv)
+        pts = np.full(ok.shape + (3,), np.nan)
+        if ok.any():
+            pts[ok] = S.point(uu[ok], vv[ok])
+    X, Y, Z = pts[ok & np.all(np.isfinite(pts), axis=-1)].T.copy()
+    d = np.empty_like(X)
+    gaps = np.empty_like(X)
+    minima = []
+    for sp in spheres if X.size else ():
+        mx, my, mz = np.asarray(sp.m, dtype=float)
+        np.subtract(X, mx, out=d)
+        np.multiply(d, d, out=gaps)
+        np.subtract(Y, my, out=d)
+        d *= d
+        gaps += d
+        np.subtract(Z, mz, out=d)
+        d *= d
+        gaps += d
+        np.sqrt(gaps, out=gaps)
+        gaps -= abs(float(sp.r))
+        np.abs(gaps, out=gaps)
+        minima.append(float(np.min(gaps)))
+    return minima, CheckReport.from_residuals(
+        "cone-tangency", minima, TANGENCY_TOL,
+        {"grid": [400, 400], "window": [float(t) for t in window],
+         "vertices": int(len(X))})
+
+
+class _HolesSurface:
+    """A surface whose points are non-finite at some safe grid points."""
+
+    def __init__(self, base):
+        self.base = base
+        self.is_safe = base.is_safe
+
+    def point(self, u, v):
+        p = self.base.point(u, v).copy()
+        p[::997, 0] = np.inf
+        p[3::1009, 2] = np.nan
+        p[7::1013, 1] = -np.inf
+        return p
+
+
+def _chunk_cases():
+    r5_spheres, r5_window = _plan_spheres("r5")
+    guarded = FieldSurface(EllipticField(a1=1.0, a3=-1.0).with_guard(0.3))
+    S = building_block("r5")
+    pts, _ = grid_points(r5_window, (400, 400), S.is_safe, S.point)
+    # point spheres on the first and last vertex of each chunk: gap 0 there
+    edges = [OrientedSphere(pts[k], 0.0) for k in
+             (0, TANGENCY_CHUNK - 1, TANGENCY_CHUNK, 4 * TANGENCY_CHUNK, -1)]
+    return {
+        "r5-plan": (S, r5_window, r5_spheres),
+        "chunk-edges": (S, r5_window, edges),
+        "guarded": (guarded, (-1.0, 1.0, -1.0, 1.0), r5_spheres[::3]),
+        "holes": (_HolesSurface(building_block("r5")), r5_window, r5_spheres),
+        # a squared distance that overflows to inf, and a NaN centre
+        "far-and-nan": (building_block("r5"), r5_window,
+                        [OrientedSphere(np.array([1e200, 0.0, 0.0]), 1.0),
+                         OrientedSphere(np.array([np.nan, 0.0, 0.0]), 1.0),
+                         r5_spheres[0]]),
+        "all-guarded": (guarded, (-0.1, 0.1, -0.1, 0.1), r5_spheres),
+    }
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("case", ["r5-plan", "chunk-edges", "guarded",
+                                  "holes", "far-and-nan", "all-guarded"])
+def test_chunked_tangency_is_the_whole_array_loop_bit_for_bit(case,
+                                                              monkeypatch):
+    S, window, spheres = _chunk_cases()[case]
+    seen = []
+    report = CheckReport.from_residuals
+
+    def recording(check, residuals, *args, **kwargs):
+        seen.append(residuals)
+        return report(check, residuals, *args, **kwargs)
+
+    monkeypatch.setattr(CheckReport, "from_residuals",
+                        staticmethod(recording))
+    with np.errstate(over="ignore"):    # squares of the far sphere's gaps
+        rep = tangency_residual(S, spheres, window)
+    monkeypatch.undo()
+    with np.errstate(over="ignore"):
+        want_minima, want = _reference_tangency(S, spheres, window)
+    assert _bits(seen[0]) == _bits(want_minima)
+    assert _bits([rep.max_residual, rep.rms_residual]) == _bits(
+        [want.max_residual, want.rms_residual])
+    assert rep.meta == want.meta
+    assert (rep.samples, rep.passed) == (want.samples, want.passed)
+    n = rep.meta["vertices"]
+    if case == "guarded":
+        assert n > TANGENCY_CHUNK and n % TANGENCY_CHUNK
+    if case == "all-guarded":
+        assert n == rep.samples == 0 and not rep.passed
+    if case == "chunk-edges":
+        assert seen[0] == [0.0] * 5
+    if case == "holes":
+        assert n < tangency_residual(S.base, [], window).meta["vertices"]
+    if case == "far-and-nan":
+        assert _bits(seen[0][:2]) == ["inf", "nan"]
 
 
 @pytest.mark.parametrize("block_name", ["r5", "r1~"])
