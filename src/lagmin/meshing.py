@@ -1,14 +1,17 @@
 """Grid meshing of parametrized surfaces and ASCII OBJ output.
 
 The masked grid walk (`grid_points`) evaluates a surface at the safe
-points of a regular parameter grid and returns them as (n, 3) rows in
-row-major order, with the grid's guard mask; overflow and invalid values
-come back as non-finite rows, unwarned.  `mesh_from_grid` turns them into
-vertices and quads: a cell touching a guarded or non-finite point is
-dropped, and `Mesh.nonfinite` counts the safe points dropped as
-non-finite.  Cone tangency uses the walk alone.  OBJ output is plain
-`v`/`f` with optional `l` polylines, written atomically (temp file +
-rename) so a crashed run never leaves a half-written mesh behind.
+points of a regular parameter grid, CHUNK points per call so that its
+jets stay cache-sized, and returns them as (n, 3) rows in row-major
+order with the grid's guard mask; overflow and invalid values come back
+as non-finite rows, unwarned.  Every surface's `point` is pointwise, so
+the rows are the bits of one whole-array call.  `mesh_from_grid` turns
+them into vertices and quads: a cell touching a guarded or non-finite
+point is dropped, and `Mesh.nonfinite` counts the safe points dropped as
+non-finite.  Cone tangency uses the walk alone and searches its gaps in
+chunks of the same size.  OBJ output is plain `v`/`f` with optional `l`
+polylines, written atomically (temp file + rename) so a crashed run
+never leaves a half-written mesh behind.
 
 OBJ text is formatted a few thousand records at a time in numpy, and
 every byte is the byte that `"%.17g" % x` (coordinates) or `"%d" % i`
@@ -41,7 +44,6 @@ exponent does not settle in one move or whose M carries.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +62,9 @@ def grid_axes(window, shape):
     if nu < 2 or nv < 2:
         raise ValueError("grid must be at least 2x2")
     return np.linspace(u0, u1, nu), np.linspace(v0, v1, nv)
+
+
+CHUNK = 32768       # points per evaluation or gap pass: they stay in cache
 
 
 def finite_rows(pts):
@@ -94,18 +99,21 @@ def grid_points(window, shape, is_safe, points):
     """The masked grid walk: `(pts, ok)` over the N x M grid of `window`.
 
     `ok` is is_safe on the (rows, cols) grid, and `pts` the (n, 3) array
-    points(u, v) at its n safe points, in row-major order; `points` maps
-    flat parameter arrays to (n, 3) points and is not called when no
-    point is safe.  Overflow and invalid operations are left to show as
-    non-finite rows.
+    points(u, v) at its n safe points, in row-major order.  `points` maps
+    flat parameter arrays to (k, 3) points, one per (u, v) pair, and is
+    called on consecutive slices of at most CHUNK safe points (never when
+    none is safe); overflow and invalid values show as non-finite rows.
     """
     u, v = grid_axes(window, shape)
     uu, vv = np.meshgrid(u, v)
     with np.errstate(over="ignore", invalid="ignore"):
         ok = is_safe(uu, vv)
-        if not ok.any():
-            return np.empty((0, 3)), ok
-        return points(uu[ok], vv[ok]), ok
+        us, vs = uu[ok], vv[ok]
+        pts = np.empty((len(us), 3))
+        for start in range(0, len(us), CHUNK):
+            end = start + CHUNK
+            pts[start:end] = points(us[start:end], vs[start:end])
+    return pts, ok
 
 
 def grid_mesh(window, shape, is_safe, points) -> Mesh:
@@ -307,13 +315,11 @@ def obj_text(mesh: Mesh, polylines=(), comment: str = "") -> str:
 def atomic_write_text(path, text: str):
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    # open()'s mode for a new file; os.umask can only be read by setting it
-    umask = os.umask(0)
-    os.umask(umask)
+    tmp = os.path.join(directory, ".tmp-%s~" % os.urandom(8).hex())
+    # made as open() makes a new file: the kernel applies the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -9,6 +9,7 @@ Residual checks return CheckReport records with a stable JSON form.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -176,6 +177,12 @@ def _local_energy(fieldobj, uu, vv, wts):
     return float(np.sum(wts * (H * H - K) / K * ln))
 
 
+@functools.cache
+def _gauss_legendre_16():
+    """(nodes, weights), made on first use: not at lagmin's import."""
+    return np.polynomial.legendre.leggauss(16)
+
+
 def first_variation(F, center, radius, amplitude):
     """Central-difference d(Omega_local)/d(eps) of the bump perturbation.
 
@@ -185,7 +192,7 @@ def first_variation(F, center, radius, amplitude):
     """
     eps = 1e-4
     bump = make_bump_field(center, radius, amplitude)
-    x, w = np.polynomial.legendre.leggauss(16)
+    x, w = _gauss_legendre_16()
     r = float(radius)
     gu = center[0] + r * x
     gv = center[1] + r * x
@@ -317,22 +324,19 @@ def ruling_residual(S, *, tolerance=RULING_TOL) -> CheckReport:
     )
 
 
-TANGENCY_CHUNK = 32768      # grid points per gap pass: it stays in cache
-
-
 def tangency_residual(S, spheres, window, *,
                       tolerance=TANGENCY_TOL) -> CheckReport:
     """Max over spheres of the min contact gap | |r - m| - |R| | (NaN if a
-    gap is) over the valid points of the 400 x 400 grid on `window`
-    (guarded and finite, the vertices `surface_mesh` would keep): small
+    gap is) over the valid points (guarded, finite) of the 400 x 400 grid
+    on `window`, walked and searched meshing.CHUNK points at a time: small
     means every sphere touches S.  No valid grid point: 0 samples."""
     shape = (400, 400)
     pts, _ = meshing.grid_points(window, shape, S.is_safe, S.point)
     finite = meshing.finite_rows(pts)
     X, Y, Z = (c[finite] for c in pts.T)
     minima = np.full(len(spheres) if X.size else 0, np.inf)
-    for start in range(0, X.size, TANGENCY_CHUNK):
-        x, y, z = (c[start:start + TANGENCY_CHUNK] for c in (X, Y, Z))
+    for start in range(0, X.size, meshing.CHUNK):
+        x, y, z = (c[start:start + meshing.CHUNK] for c in (X, Y, Z))
         d, gaps = np.empty_like(x), np.empty_like(x)
         for k, sp in enumerate(spheres):
             # |r - m| summed left to right, as np.linalg.norm adds (x, y, z)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lagmin.cli import _merge_meshes
 from lagmin.fields import EllipticField
 from lagmin.meshing import (
+    CHUNK,
     Mesh,
     _scaled,
     atomic_write_text,
@@ -105,6 +106,49 @@ def test_a_window_guarded_everywhere_walks_to_an_empty_mesh():
     assert mesh.nonfinite == 0
 
 
+def test_chunked_walk_is_one_whole_array_call_bit_for_bit():
+    S = FieldSurface(EllipticField(a1=1.0, a3=-1.0).with_guard(0.3))
+    window, shape = (-1, 1, -1, 1), (400, 400)
+    calls = []
+
+    def holes(u, v):
+        # pointwise: a point's holes depend on its (u, v) alone
+        p = S.point(u, v).copy()
+        s = np.sin(300.0 * u) * np.sin(200.0 * v)
+        p[s > 0.999, 0] = np.inf
+        p[s < -0.999, 2] = np.nan
+        return p
+
+    def points(u, v):
+        calls.append((u, v))
+        return holes(u, v)
+
+    pts, ok = grid_points(window, shape, S.is_safe, points)
+    uu, vv = np.meshgrid(*grid_axes(window, shape))
+    n = np.count_nonzero(ok)
+    # the safe count is no multiple of CHUNK, and a chunk ends mid-row
+    assert n > 2 * CHUNK and n % CHUNK
+    rows = np.nonzero(ok)[0]
+    assert rows[CHUNK - 1] == rows[CHUNK]
+    assert [len(u) for u, _ in calls] == [CHUNK] * (n // CHUNK) + [n % CHUNK]
+    assert np.concatenate([u for u, _ in calls]).tobytes() == uu[ok].tobytes()
+    assert np.concatenate([v for _, v in calls]).tobytes() == vv[ok].tobytes()
+    want = holes(uu[ok], vv[ok])
+    assert pts.tobytes() == want.tobytes()
+    assert np.isinf(pts).any() and np.isnan(pts).any()
+
+
+def test_a_walk_that_overflows_warns_nothing():
+    S = building_block("r5")
+
+    def points(u, v):
+        p = S.point(u, v) * 1e308 * 1e308    # overflow, then inf - inf
+        return p - p[:, ::-1]
+
+    pts, ok = grid_points((-2, 2, -2, 2), (300, 300), S.is_safe, points)
+    assert len(pts) > CHUNK and not np.isfinite(pts).any()
+
+
 def test_obj_text_layout():
     mesh = Mesh(
         vertices=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.5], [0.0, 1.0, 0.0]]),
@@ -140,6 +184,20 @@ def test_obj_output_is_deterministic(tmp_path):
     write_obj(mesh, str(p1), comment="same")
     write_obj(mesh, str(p2), comment="same")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_the_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    ref = tmp_path / "ref.txt"
+    with open(ref, "w"):
+        pass
+
+    def umask(mask):
+        raise AssertionError("os.umask sets the process umask")
+
+    monkeypatch.setattr(os, "umask", umask)
+    write_obj(Mesh(np.zeros((1, 3)), []), tmp_path / "out.obj")
+    mode = (tmp_path / "out.obj").stat().st_mode & 0o777
+    assert mode == ref.stat().st_mode & 0o777
 
 
 def test_atomic_write_replaces_file(tmp_path):

@@ -2,9 +2,12 @@
 package.  Renaming a traced function, or turning it into something that is
 not a function, must fail here, in the plain suite, and not only in a
 traced benchmark run."""
+import math
 import os
 import subprocess
 import sys
+
+from lagmin.meshing import CHUNK
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -50,6 +53,31 @@ for key in ("surfaces.frame.calls",
 """
 
 
+# cone tangency on r5's planned R5 family; the safe count is taken after
+# the traced call, so that its is_safe adds to no count
+_TANGENCY_CHILD = """
+import numpy as np
+import spans
+tracer = spans.install()
+from lagmin import meshing
+from lagmin.surfaces import building_block, cyclographic_preimage
+from lagmin.verify import tangency_plan, tangency_residual
+S = building_block("r5")
+fam_name, pairs, window = tangency_plan("r5")[0]
+fam = cyclographic_preimage(fam_name)
+spheres = [fam.line(p).sphere(l) for p, l in pairs]
+rep = tangency_residual(S, spheres, window)
+stats = dict(tracer.stats)
+uu, vv = np.meshgrid(*meshing.grid_axes(window, (400, 400)))
+print("safe", np.count_nonzero(S.is_safe(uu, vv)))
+print("spheres", len(spheres))
+print("vertices", rep.meta["vertices"])
+for key in ("surfaces.frame.calls", "surfaces.frame.points",
+            "verify.tangency_residual.vertex_sphere_pairs"):
+    print(key, stats[key])
+"""
+
+
 def _run_traced(child, *argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]))
@@ -81,3 +109,14 @@ def test_isotropic_maps_a_grid_in_one_batch(tmp_path):
     assert dict(zip(counts[::2], map(int, counts[1::2]))) == {
         "surfaces.frame.calls": 1,
         "reconstruct.isotropic_image.single_point_calls": 0}
+
+
+def test_tangency_walks_r5_in_chunks_of_safe_points():
+    counts = _run_traced(_TANGENCY_CHILD)
+    got = dict(zip(counts[::2], map(int, counts[1::2])))
+    n = got["safe"]
+    assert n > CHUNK and got["spheres"] == 15
+    assert got["surfaces.frame.calls"] == math.ceil(n / CHUNK)
+    assert got["surfaces.frame.points"] == n
+    assert (got["verify.tangency_residual.vertex_sphere_pairs"]
+            == 15 * got["vertices"])

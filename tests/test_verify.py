@@ -15,11 +15,10 @@ from lagmin.fields import (
 )
 from lagmin.geom_core import OrientedSphere
 from lagmin.grammar import parse_surface
-from lagmin.meshing import grid_axes, grid_points, surface_mesh
+from lagmin.meshing import CHUNK, grid_axes, grid_points, surface_mesh
 from lagmin.reconstruct import FieldSurface, GaussMappedSurface
 from lagmin.surfaces import block_field, building_block, cyclographic_preimage
 from lagmin.verify import (
-    TANGENCY_CHUNK,
     TANGENCY_TOL,
     CheckReport,
     biharmonic_residual,
@@ -71,9 +70,11 @@ def test_omega_integrand_values():
     assert abs(val + 1.0) < 1e-9
 
 
-def test_first_variation_scales_with_amplitude():
+def test_first_variation_scales_with_amplitude(monkeypatch):
     F = make_polynomial_field({(4, 0): 1.0})
     d1 = first_variation(F, (0.9, 0.55), 0.35, 0.01)
+    # the Gauss-Legendre rule is made once, not on every call
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", None)
     d2 = first_variation(F, (0.9, 0.55), 0.35, 0.02)
     assert d1 != 0.0
     assert d2 / d1 == pytest.approx(2.0, rel=0.05)
@@ -250,7 +251,8 @@ def _reference_tangency(S, spheres, window):
 
 
 class _HolesSurface:
-    """A surface whose points are non-finite at some safe grid points."""
+    """A surface whose points are non-finite at some safe grid points; a
+    point's holes depend on its (u, v) alone, as every surface's do."""
 
     def __init__(self, base):
         self.base = base
@@ -258,9 +260,10 @@ class _HolesSurface:
 
     def point(self, u, v):
         p = self.base.point(u, v).copy()
-        p[::997, 0] = np.inf
-        p[3::1009, 2] = np.nan
-        p[7::1013, 1] = -np.inf
+        s = np.sin(4e4 * u) * np.sin(3e4 * v)
+        p[s > 0.999, 0] = np.inf
+        p[s < -0.999, 2] = np.nan
+        p[np.abs(s) < 1e-4, 1] = -np.inf
         return p
 
 
@@ -271,7 +274,7 @@ def _chunk_cases():
     pts, _ = grid_points(r5_window, (400, 400), S.is_safe, S.point)
     # point spheres on the first and last vertex of each chunk: gap 0 there
     edges = [OrientedSphere(pts[k], 0.0) for k in
-             (0, TANGENCY_CHUNK - 1, TANGENCY_CHUNK, 4 * TANGENCY_CHUNK, -1)]
+             (0, CHUNK - 1, CHUNK, 4 * CHUNK, -1)]
     return {
         "r5-plan": (S, r5_window, r5_spheres),
         "chunk-edges": (S, r5_window, edges),
@@ -316,7 +319,7 @@ def test_chunked_tangency_is_the_whole_array_loop_bit_for_bit(case,
     assert (rep.samples, rep.passed) == (want.samples, want.passed)
     n = rep.meta["vertices"]
     if case == "guarded":
-        assert n > TANGENCY_CHUNK and n % TANGENCY_CHUNK
+        assert n > CHUNK and n % CHUNK
     if case == "all-guarded":
         assert n == rep.samples == 0 and not rep.passed
     if case == "chunk-edges":
