@@ -14,12 +14,16 @@ by `reconstruct.isotropic_image` and drops the NaN rows of tangent
 planes with no finite image.  Numbers on the command line and in config
 files are read by `grammar.parse_number`, in the syntax of spec
 numbers.  Only `generate`, `verify` and `isotropic` take a `--config`
-file and a `--branch`, which shifts elliptic(...) fields.
+file and a `--branch`, which shifts elliptic(...) fields.  On glibc only,
+the first `main` call of a process sets the allocator (`mallopt`) to keep
+freed memory in the heap; importing the module sets nothing, and other
+platforms keep their default allocator.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import math
 import os
@@ -339,6 +343,29 @@ def _cmd_gallery(args, cfg):
 
 # -- argument wiring ---------------------------------------------------
 
+# glibc mallopt parameters and the values `main` sets: freed memory stays
+# in the heap, and arrays up to 32 MiB come from it, not from fresh mmaps
+_MALLOPT = ((-1, 256 << 20),    # M_TRIM_THRESHOLD
+            (-3, 32 << 20))     # M_MMAP_THRESHOLD, its 64-bit maximum
+
+
+@functools.cache
+def _keep_freed_memory():
+    """Set glibc's allocator once per process so that freed memory stays
+    in the heap: without it, glibc returns the chunk-sized jet tables, mesh
+    arrays and OBJ blocks to the kernel and page-faults them in again on
+    the next grid.  Elsewhere, or if glibc refuses, the default stays."""
+    try:
+        if os.confstr("CS_GNU_LIBC_VERSION") is None:
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _MALLOPT:
+        mallopt(param, value)   # 0 if refused: the default then stays
+
 
 @functools.lru_cache(maxsize=None)
 def _build_parser():
@@ -405,6 +432,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     try:
         args = _build_parser().parse_args(argv)
         if getattr(args, "func", None) is None:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import lagmin.cli
 from lagmin import BLOCK_NAMES
-from lagmin.cli import _merge_meshes, main
+from lagmin.cli import _keep_freed_memory, _merge_meshes, main
 from lagmin.errors import IdealImage, NonImmersed
 from lagmin.fields import EllipticField
 from lagmin.grammar import parse_surface
@@ -1046,6 +1047,97 @@ def test_the_parser_is_built_on_the_first_main_call_only(tmp_path):
         "for _ in range(3):\n"
         "    assert cli.main(sys.argv[1:]) == 0\n"
         "assert built().misses == 1 and built().hits == 2\n"
+    )
+    src = os.path.dirname(os.path.dirname(lagmin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "generate", "--surface", "r1",
+         "--grid", "4x4", "--range", "0.5,1,0.5,1",
+         "-o", str(tmp_path / "x.obj")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# glibc's mallopt parameters and the values the CLI sets: M_TRIM_THRESHOLD
+# 256 MiB and M_MMAP_THRESHOLD 32 MiB
+ALLOCATOR_SETTING = [(-1, 268435456), (-3, 33554432)]
+
+
+@pytest.fixture
+def libc(monkeypatch):
+    """A libc handle for the CLI that records each mallopt call as
+    (param, value) in `.calls` and returns `.returns`; the allocator
+    setting starts and ends unmade."""
+    libc = SimpleNamespace(calls=[], returns=1)
+
+    def mallopt(param, value):
+        libc.calls.append((param, value))
+        return libc.returns
+
+    monkeypatch.setattr(lagmin.cli.ctypes, "CDLL",
+                        lambda name: SimpleNamespace(mallopt=mallopt))
+    _keep_freed_memory.cache_clear()
+    yield libc
+    _keep_freed_memory.cache_clear()
+
+
+def _main_quietly(tmp_path, capsys):
+    """Exit code of a small `generate` run, checking that it warned and
+    printed nothing."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(["generate", "--surface", "r1", "--grid", "4x4",
+                     "--range", "0.5,1,0.5,1", "-o", str(tmp_path / "x.obj")])
+    assert seen == [] and capsys.readouterr() == ("", "")
+    return code
+
+
+def test_the_allocator_is_set_once_per_process(tmp_path, capsys, libc):
+    assert _main_quietly(tmp_path, capsys) == 0
+    assert _main_quietly(tmp_path, capsys) == 0
+    assert libc.calls == ALLOCATOR_SETTING
+
+
+def test_a_refused_allocator_setting_changes_nothing(tmp_path, capsys, libc):
+    libc.returns = 0
+    assert _main_quietly(tmp_path, capsys) == 0
+    assert libc.calls == ALLOCATOR_SETTING
+
+
+def _raising(error):
+    def confstr(name):
+        raise error(name)
+    return confstr
+
+
+# os.confstr raises ValueError for a name the C library lacks (macOS),
+# OSError where the C library refuses it (musl), and is missing on Windows
+@pytest.mark.parametrize("confstr", [_raising(ValueError), _raising(OSError),
+                                     lambda name: None, None],
+                         ids=["ValueError", "OSError", "undefined", "missing"])
+def test_without_glibc_the_allocator_is_left_alone(tmp_path, capsys,
+                                                   monkeypatch, libc, confstr):
+    if confstr is None:
+        monkeypatch.delattr(lagmin.cli.os, "confstr")
+    else:
+        monkeypatch.setattr(lagmin.cli.os, "confstr", confstr)
+    assert _main_quietly(tmp_path, capsys) == 0
+    assert libc.calls == []
+
+
+def test_importing_lagmin_leaves_the_allocator_alone(tmp_path):
+    script = (
+        "import ctypes, sys, types\n"
+        "import numpy\n"
+        "calls = []\n"
+        "libc = types.SimpleNamespace(mallopt=lambda *a: calls.append(a) or 1)\n"
+        "ctypes.CDLL = lambda name: libc\n"
+        "import lagmin, lagmin.cli\n"
+        "assert calls == [], calls\n"
+        "assert lagmin.cli._keep_freed_memory.cache_info().currsize == 0\n"
+        "assert lagmin.cli.main(sys.argv[1:]) == 0\n"
+        "assert len(calls) == 2, calls\n"
     )
     src = os.path.dirname(os.path.dirname(lagmin.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

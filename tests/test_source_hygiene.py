@@ -10,10 +10,12 @@ for a class or function of the package.  Only `fields.py` defines
 it, and outside `fields.py` a guard is read only to hand it to
 `with_guard`, since a field states its excluded set once.  No module
 calls `exec`, `eval` or `compile`: every line the package runs is in its
-source."""
+source.  Only `cli.py` names `ctypes` or `mallopt`, so the CLI's allocator
+setting is the only code that changes the process's allocator."""
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -232,3 +234,19 @@ def test_no_code_is_generated_at_run_time():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in ("exec", "eval", "compile")]
     assert calls == [], "run-time code generation: %s" % (", ".join(calls),)
+
+
+def test_only_the_cli_touches_the_allocator():
+    # `cli.main` sets glibc's allocator for its own process; a library
+    # module that did so would change every process that imports it
+    pattern = re.compile(r"\b(?:ctypes|mallopt)\b")
+    sources = {path.relative_to(PACKAGE).as_posix():
+               path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    assert pattern.search(sources.pop("cli.py"))
+    hits = ["%s:%d" % (name, line)
+            for name, text in sources.items()
+            for line, row in enumerate(text.splitlines(), 1)
+            if pattern.search(row)]
+    assert hits == [], "ctypes or mallopt outside cli.py: %s" % (
+        ", ".join(hits),)
