@@ -221,22 +221,18 @@ class EllipticField(StatedField):
 
 @dataclass(frozen=True)
 class HyperbolicField(StatedField):
-    """Fields linear on every circle centered at the origin.
+    """Fields linear on every circle centered at the origin:
+    a(r)·cos φ + b(r)·sin φ + c(r) in polar coordinates, with the radial
+    solution bases a(r) = α1·r + α2·r·ln(r) + α3/r + α4·r³ (the same for
+    b with β) and c(r) = γ1 + γ2·r² + γ3·ln(r) + γ4·r²·ln(r), one
+    coefficient per basis function.
 
-    Reduced part: (a1(x²+y²)+a2x+a3)·ln(x²+y²) + (b1y+b2x)/(x²+y²)
-    + (c1y+c2x)(x²+y²).  The alpha/beta/gamma vectors add the full radial
-    solution bases a(r)cosφ, b(r)sinφ, c(r) with
-    a(r) = α1·r + α2·r·ln(r) + α3/r + α4·r³ (same shape for b with β) and
-    c(r) = γ1 + γ2·r² + γ3·ln(r) + γ4·r²·ln(r).
+    The spec grammar also reads the Cartesian names of the reduced form
+    (a1(x²+y²)+a2x+a3)·ln(x²+y²) + (b1y+b2x)/(x²+y²) + (c1y+c2x)(x²+y²)
+    as multiples of basis coefficients: a1, a2 and a3 are γ4/2, α2/2 and
+    γ3/2; b1, b2, c1 and c2 are β3, α3, β4 and α4.
     """
 
-    a1: float = 0.0
-    a2: float = 0.0
-    a3: float = 0.0
-    b1: float = 0.0
-    b2: float = 0.0
-    c1: float = 0.0
-    c2: float = 0.0
     alpha1: float = 0.0
     alpha2: float = 0.0
     alpha3: float = 0.0
@@ -256,17 +252,14 @@ class HyperbolicField(StatedField):
         # In Cartesian form with rho^2 = x^2 + y^2 the whole family is
         # P0 + P1*ln(rho^2) + P2/rho^2 for three fixed polynomials.
         return (
-            {(3, 0): self.c2 + self.alpha4, (1, 2): self.c2 + self.alpha4,
-             (2, 1): self.c1 + self.beta4, (0, 3): self.c1 + self.beta4,
+            {(3, 0): self.alpha4, (1, 2): self.alpha4,
+             (2, 1): self.beta4, (0, 3): self.beta4,
              (1, 0): self.alpha1, (0, 1): self.beta1, (0, 0): self.gamma1,
              (2, 0): self.gamma2, (0, 2): self.gamma2},
-            (({(2, 0): self.a1 + 0.5 * self.gamma4,
-               (0, 2): self.a1 + 0.5 * self.gamma4,
-               (1, 0): self.a2 + 0.5 * self.alpha2,
-               (0, 1): 0.5 * self.beta2,
-               (0, 0): self.a3 + 0.5 * self.gamma3}, jet_log_rsq),
-             ({(1, 0): self.b2 + self.alpha3, (0, 1): self.b1 + self.beta3},
-              _jet_inv_rsq)),
+            (({(2, 0): 0.5 * self.gamma4, (0, 2): 0.5 * self.gamma4,
+               (1, 0): 0.5 * self.alpha2, (0, 1): 0.5 * self.beta2,
+               (0, 0): 0.5 * self.gamma3}, jet_log_rsq),
+             ({(1, 0): self.alpha3, (0, 1): self.beta3}, _jet_inv_rsq)),
         )
 
 

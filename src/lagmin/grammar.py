@@ -11,6 +11,12 @@ elliptic(...) term whose Arctan coefficients a1..a4 are not all zero, the
 only term it shifts.  `parse_number` is the one
 number reader, for spec strings and command-line values alike.
 
+hyperbolic(...) reads its radial basis alpha1..alpha4, beta1..beta4 and
+gamma1..gamma4, and also the Cartesian names of its reduced form, each a
+multiple of one basis coefficient that it adds into: a1, a2 and a3 are
+gamma4/2, alpha2/2 and gamma3/2; b1, b2, c1 and c2 are beta3, alpha3,
+beta4 and alpha4.  A sum that is not finite is a GrammarError.
+
 Each spec is scanned for its brackets once (`_paren_groups`): every call
 body, be it field keywords, `sum(...)`, `conv(...)` or `ruled(...)`, reads
 its comma-separated items from that scan (`_items`), however deep it nests.
@@ -67,12 +73,19 @@ _FIELD_CLASSES = {
     "exceptional": ExceptionalField,
 }
 
+# hyperbolic(...)'s Cartesian names: (basis coefficient, factor)
+_HYPERBOLIC_FOLD = {
+    "a1": ("gamma4", 2.0), "a2": ("alpha2", 2.0), "a3": ("gamma3", 2.0),
+    "b1": ("beta3", 1.0), "b2": ("alpha3", 1.0), "c1": ("beta4", 1.0),
+    "c2": ("alpha4", 1.0)}
+
 # a spec names the coefficients; `guard` and the elliptic `branch`
 # (keyword-only) are set by the caller
 _FIELD_KEYS = {
     kind: tuple(f.name for f in dataclasses.fields(cls) if not f.kw_only)
     for kind, cls in _FIELD_CLASSES.items()
 }
+_FIELD_KEYS["hyperbolic"] = (*_HYPERBOLIC_FOLD, *_FIELD_KEYS["hyperbolic"])
 
 # the one number syntax: spec numbers, weights and command-line values
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -239,6 +252,20 @@ def _has_arctan(field) -> bool:
         c != 0.0 for c in (field.a1, field.a2, field.a3, field.a4))
 
 
+def _fold_hyperbolic(kw: dict) -> dict:
+    """`kw` with each Cartesian name's value, times its factor, added into
+    its basis coefficient.  The jet halves 2·a + γ to a + γ/2 exactly, so
+    it keeps the bits of the Cartesian form's sums."""
+    for name, (basis, factor) in _HYPERBOLIC_FOLD.items():
+        if name in kw:
+            value = factor * kw.pop(name) + kw.get(basis, 0.0)
+            if not math.isfinite(value):
+                raise GrammarError("hyperbolic(...) coefficient %s folds into"
+                                   " %s out of range" % (name, basis))
+            kw[basis] = value
+    return kw
+
+
 def parse_field(spec: str, *, branch: int = 0, guard: float = None):
     """Field object from a field spec string."""
     spec = _strip(spec)
@@ -268,6 +295,8 @@ def _parse_field(text, lo, hi, groups, branch):
                      _FIELD_KEYS[kind], kind + "(...)")
         if kind == "elliptic":
             kw["branch"] = int(branch)
+        elif kind == "hyperbolic":
+            kw = _fold_hyperbolic(kw)
         f = _FIELD_CLASSES[kind](**kw)
     else:
         raise GrammarError(

@@ -81,9 +81,11 @@ class Cycle:
 
 
 def isotropic_circle_residual(F, cycle) -> float:
-    """Largest cancellation ratio, over 50 points of `cycle`, of the exact
+    """Cancellation ratio, over 50 points of `cycle`, of the exact
     identity that holds where the field F carries an isotropic circle
-    over it.
+    over it: the largest |identity| at a kept point over the largest
+    scale at one.  One scale serves the whole cycle, so a point where a
+    symmetry of F makes every term vanish is not a ratio of rounding.
 
     Let g be F along the cycle.  Over a line, in arclength along its unit
     direction t, an isotropic circle is a parabola: g‴ = D³F[t, t, t] = 0,
@@ -91,7 +93,7 @@ def isotropic_circle_residual(F, cycle) -> float:
     a ratio of one term.  Over a circle p(θ), it is a plane section of
     the cylinder: g‴ + g′ = D³F[p′, p′, p′] + 3·D²F[p′, p″] = 0 with
     p″ = −(p − centre), scaled by the sum of its seven terms' magnitudes.
-    A point where every term vanishes reads 0.  A line's points lie
+    A cycle where every term vanishes reads 0.  A line's points lie
     within 3 of its foot.  Guarded points are skipped; EmptyIntersection
     when the cycle has no real locus or no point of it survives.
     """
@@ -123,11 +125,10 @@ def isotropic_circle_residual(F, cycle) -> float:
     terms += [3.0 * jet.entry(2, 0) * u * px,
               3.0 * jet.entry(1, 1) * (u * py + v * px),
               3.0 * jet.entry(0, 2) * v * py]
-    scale = sum(np.abs(t) for t in (terms if a else cubic))
-    total = np.abs(sum(terms))
-    # 0 where every term vanishes; a NaN stays NaN
-    ratio = np.divide(total, scale, out=np.zeros_like(total), where=scale != 0)
-    return float(np.max(ratio))
+    scale = float(np.max(sum(np.abs(t) for t in (terms if a else cubic))))
+    worst = float(np.max(np.abs(sum(terms))))
+    # 0 where every term vanishes on the whole cycle; a NaN stays NaN
+    return worst / scale if scale != 0.0 else 0.0
 
 
 def q_bilinear(u, w) -> float:

@@ -167,10 +167,10 @@ _BLOCKS = {
     "r4": _Block(_b_r4, lambda c, s: HyperbolicField(
         gamma1=-1.0, gamma2=-1.0, gamma3=-1.0, gamma4=1.0)),
     "r5": _Block(_b_r5, lambda c, s: HyperbolicField(
-        a2=1.0, c2=1.0, alpha1=-1.0, folds=((0.0, 0.0, 1.0),))),
+        alpha2=2.0, alpha4=1.0, alpha1=-1.0, folds=((0.0, 0.0, 1.0),))),
     "r6": _Block(_b_r6, lambda c, s: HyperbolicField(
-        b1=s, b2=c, c1=s, c2=c, alpha1=-2.0 * c, beta1=-2.0 * s,
-        folds=((0.0, 0.0, 1.0),)), rotates=True),
+        beta3=s, alpha3=c, beta4=s, alpha4=c, alpha1=-2.0 * c,
+        beta1=-2.0 * s, folds=((0.0, 0.0, 1.0),)), rotates=True),
     "r7": _Block(_b_r7, lambda c, s: make_polynomial_field(
         {(2, 0): 0.5 * c * c, (1, 1): c * s, (0, 2): 0.5 * s * s}
     ), rotates=True),
@@ -201,7 +201,8 @@ _BLOCKS = {
         gamma4=1.0 / (2.0 * SQRT2),
     )),
     "r6~": _Block(None, lambda c, s: HyperbolicField(
-        b1=s, b2=c, c1=0.25 * s, c2=0.25 * c, alpha1=-c, beta1=-s)),
+        beta3=s, alpha3=c, beta4=0.25 * s, alpha4=0.25 * c, alpha1=-c,
+        beta1=-s)),
 }
 
 BLOCK_NAMES = tuple(_BLOCKS)

@@ -29,6 +29,7 @@ from lagmin.fields import (
     pushforward_inversion,
 )
 from lagmin.geom_core import OrientedSphere, random_unit_vectors, sphere_tangent_plane
+from lagmin.grammar import parse_field
 from lagmin.isotropic import plane_to_ipoint, sphere_to_imsphere
 from lagmin.pencils import Cycle, classify_family, fit_nested, recover_crossing
 from lagmin.reconstruct import FieldSurface, isotropic_image
@@ -58,11 +59,23 @@ def certify(num, label, ok, detail):
     assert ok, line
 
 
+def random_hyperbolic(rng):
+    """19 values drawn for hyperbolic(...)'s keywords a1..a3, b1, b2, c1,
+    c2, alpha1..alpha4, beta1..beta4, gamma1..gamma4, parsed from their
+    reprs, which read back as the same floats."""
+    keys = ("a1", "a2", "a3", "b1", "b2", "c1", "c2", "alpha1", "alpha2",
+            "alpha3", "alpha4", "beta1", "beta2", "beta3", "beta4",
+            "gamma1", "gamma2", "gamma3", "gamma4")
+    return parse_field("hyperbolic(%s)" % ",".join(
+        "%s=%r" % (k, float(v))
+        for k, v in zip(keys, rng.normal(size=19).round(3))))
+
+
 def family_zoo(rng):
     """One random representative per closed family (coefficients O(1))."""
     return [
         ("elliptic", EllipticField(*rng.normal(size=12).round(3))),
-        ("hyperbolic", HyperbolicField(*rng.normal(size=19).round(3))),
+        ("hyperbolic", random_hyperbolic(rng)),
         ("parabolic", ParabolicField(*rng.normal(size=12).round(3))),
         ("exceptional", ExceptionalField(*rng.normal(size=8).round(3))),
     ]
@@ -386,7 +399,7 @@ def test_criterion_12_inversion_preserves_biharmonicity():
         if kind == 0:
             F = EllipticField(*rng.normal(size=12).round(3))
         elif kind == 1:
-            F = HyperbolicField(*rng.normal(size=19).round(3))
+            F = random_hyperbolic(rng)
         elif kind == 2:
             F = ParabolicField(*rng.normal(size=12).round(3))
         else:

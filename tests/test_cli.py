@@ -355,6 +355,9 @@ _GENERATE = ["generate", "--grid", "10x10"]
         _RULED + ["--phi-range", "0,nan"],
         _RULED[:2] + ["inf"] + _RULED[3:] + ["--phi-range", "0,1"],
         _RULED[:8] + ["nan"] + _RULED[9:] + ["--phi-range", "0,1"],
+        # a2 is alpha2/2, and 2·1e308 overflows
+        _GENERATE + ["--surface", "field:hyperbolic(a2=1e308)",
+                     "--range", "-2,2,-2,2"],
     ],
 )
 def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,16 +19,31 @@ from lagmin.fields import (
     reduce_elliptic_field,
     sum_fields,
 )
-from lagmin.grammar import parse_surface
+from lagmin.grammar import parse_field, parse_surface
 from lagmin.surfaces import block_field
 
 BIHARMONIC_TOL = 1e-9
 VALUE_TOL = 1e-12
 
+# hyperbolic(...)'s 19 spec keywords: the Cartesian names, each a
+# multiple of one basis coefficient, then the radial basis
+HYPERBOLIC_KEYS = ("a1", "a2", "a3", "b1", "b2", "c1", "c2",
+                   *("%s%d" % (g, k) for g in ("alpha", "beta", "gamma")
+                     for k in range(1, 5)))
+
+
+def hyperbolic(coeffs):
+    """The field of hyperbolic(...) keywords {name: value}, through the
+    grammar: each value's repr parses back to the same float."""
+    return parse_field("hyperbolic(%s)" % ",".join(
+        "%s=%r" % (k, float(v)) for k, v in coeffs.items()))
+
+
 # one representative of each closed family, fixed random coefficients
 RNG = np.random.default_rng(20260823)
 ELLIPTIC = EllipticField(*RNG.normal(size=12).round(3))
-HYPERBOLIC = HyperbolicField(*RNG.normal(size=19).round(3))
+HYPERBOLIC = hyperbolic(dict(zip(HYPERBOLIC_KEYS,
+                                 RNG.normal(size=19).round(3))))
 PARABOLIC = ParabolicField(*RNG.normal(size=12).round(3))
 EXCEPTIONAL = ExceptionalField(*RNG.normal(size=8).round(3))
 
@@ -49,6 +65,21 @@ def test_family_fields_have_vanishing_bilaplacian(field):
     x, y = annulus_points(rng, 400)
     vals = field.bilaplacian(x, y)
     assert np.max(np.abs(vals)) < BIHARMONIC_TOL
+
+
+@pytest.mark.parametrize("cls", [EllipticField, HyperbolicField,
+                                 ParabolicField], ids=lambda c: c.family)
+def test_each_coefficient_of_a_linear_family_is_its_own_field(cls):
+    # the unit fields' order-2 jets at 400 points have full rank, so no
+    # coefficient states a multiple of another's field; the normalised
+    # columns' smallest singular value is 0.21 or more, and a repeated
+    # coefficient gives 1e-16
+    names = [f.name for f in dataclasses.fields(cls) if not f.kw_only]
+    x, y = annulus_points(np.random.default_rng(5), 400)
+    A = np.column_stack([cls(**{k: 1.0}).jet(x, y, 2).d.ravel()
+                         for k in names])
+    s = np.linalg.svd(A / np.linalg.norm(A, axis=0), compute_uv=False)
+    assert np.sum(s > 1e-10 * s[0]) == len(names) == 12
 
 
 def test_elliptic_frozen_value():
@@ -271,8 +302,8 @@ def test_sum_and_bump_fields():
     "F",
     [
         EllipticField(c1=2.3, c2=-1.7, c3=3.1, d1=0.9, d2=-2.2),
-        HyperbolicField(c1=0.7, c2=-1.3, alpha1=0.4, beta1=-0.9,
-                              alpha4=0.5, beta4=1.1, gamma1=2.0, gamma2=-0.6),
+        parse_field("hyperbolic(c1=0.7,c2=-1.3,alpha1=0.4,beta1=-0.9,"
+                    "alpha4=0.5,beta4=1.1,gamma1=2.0,gamma2=-0.6)"),
     ],
 )
 def test_fd_stencil_on_polynomial_only_families_is_exact(F):
@@ -285,9 +316,10 @@ def test_fd_stencil_on_polynomial_only_families_is_exact(F):
 # -- stated families: P0 + Σ Pk·gk written once per family -------------
 
 
-def _reference_jet(F, x, y, order):
+def _reference_jet(F, x, y, order, spelled=None):
     """Each stated family's jet written out by hand, term by term, in the
-    order the family states them."""
+    order the family states them; a hyperbolic field's from the 19
+    keywords `spelled` that built it, in the Cartesian form they name."""
     from lagmin.jets import (jet_arctan_ratio, jet_log_rsq, jet_polynomial,
                              jet_rsq)
 
@@ -308,6 +340,7 @@ def _reference_jet(F, x, y, order):
             out = out + num * jet_rsq(x, y, order).reciprocal()
         return out
     if F.family == "hyperbolic":
+        F = SimpleNamespace(**(dict.fromkeys(HYPERBOLIC_KEYS, 0.0) | spelled))
         out = jet_polynomial(x, y, {
             (3, 0): F.c2 + F.alpha4, (1, 2): F.c2 + F.alpha4,
             (2, 1): F.c1 + F.beta4, (0, 3): F.c1 + F.beta4,
@@ -341,44 +374,55 @@ _HYPERBOLIC_SINGULAR = ("a1", "a2", "a3", "b1", "b2", "alpha2", "alpha3",
 
 
 def _stated_cases():
+    """(field, the hyperbolic(...) keywords that built it, or None)."""
     from lagmin.fields import EllipticField, HyperbolicField, PolynomialField
 
     rng = np.random.default_rng(20261018)
     cases = []
     for cls, n, singular in ((EllipticField, 12, _ELLIPTIC_SINGULAR),
-                             (HyperbolicField, 19, _HYPERBOLIC_SINGULAR)):
+                             (HyperbolicField, 12, _HYPERBOLIC_SINGULAR)):
         names = [f.name for f in dataclasses.fields(cls) if not f.kw_only]
         assert len(names) == n
-        coeffs = dict(zip(names, rng.normal(size=n).round(3)))
+        if cls is HyperbolicField:
+            names = HYPERBOLIC_KEYS
+
+            def build(kw):
+                return hyperbolic(kw), kw
+        else:
+            def build(kw):
+                return cls(**kw), None
+        coeffs = dict(zip(names, rng.normal(size=len(names)).round(3)))
         regular = {k: (0.0 if k in singular else v) for k, v in coeffs.items()}
-        cases.append(cls(**coeffs))
+        cases.append(build(coeffs))
         if cls is EllipticField:
-            cases.append(cls(**coeffs, branch=1))
-        cases.append(cls(**regular))
-        cases.append(cls(**{k: (-0.0 if k in singular else v)
+            cases.append((cls(**coeffs, branch=1), None))
+        cases.append(build(regular))
+        cases.append(build({k: (-0.0 if k in singular else v)
                             for k, v in coeffs.items()}))
-        cases.append(cls(**{k: -0.0 for k in names}))
+        cases.append(build({k: -0.0 for k in names}))
         # one nonzero singular coefficient at a time
-        cases += [cls(**(regular | {k: coeffs[k]})) for k in singular]
-    cases.append(ParabolicField(*rng.normal(size=12).round(3)))
-    cases.append(ParabolicField(*([-0.0] * 12)))
-    cases.append(ParabolicField())
-    cases.append(make_polynomial_field(
-        {(p, q): c for (p, q), c in zip([(0, 0), (3, 1), (1, 4), (2, 2)],
-                                        rng.normal(size=4).round(3))}))
-    cases.append(PolynomialField((((0, 0), -0.0), ((2, 1), 1.5),
-                                  ((1, 3), -0.0))))
-    cases.append(PolynomialField(()))
+        cases += [build(regular | {k: coeffs[k]}) for k in singular]
+    cases += [(F, None) for F in (
+        ParabolicField(*rng.normal(size=12).round(3)),
+        ParabolicField(*([-0.0] * 12)),
+        ParabolicField(),
+        make_polynomial_field(
+            {(p, q): c for (p, q), c in zip([(0, 0), (3, 1), (1, 4), (2, 2)],
+                                            rng.normal(size=4).round(3))}),
+        PolynomialField((((0, 0), -0.0), ((2, 1), 1.5), ((1, 3), -0.0))),
+        PolynomialField(()),
+    )]
     return cases
 
 
 STATED = _stated_cases()
 
 
-@pytest.mark.parametrize("F", STATED, ids=lambda F: F.family)
-def test_stated_families_derive_centers_monomials_and_jet(F):
+@pytest.mark.parametrize("case", STATED, ids=lambda case: case[0].family)
+def test_stated_families_derive_centers_monomials_and_jet(case):
     from lagmin.jets import jet_polynomial
 
+    F, spelled = case
     rng = np.random.default_rng(3)
     mono = F.monomials()
     assert (F.excluded() == ()) == (mono is not None)
@@ -389,7 +433,7 @@ def test_stated_families_derive_centers_monomials_and_jet(F):
         y = np.asarray(r * np.sin(t))
         for order in range(5):
             got = F.jet(x, y, order).d
-            want = _reference_jet(F, x, y, order).d
+            want = _reference_jet(F, x, y, order, spelled).d
             assert got.shape == want.shape
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from lagmin import grammar
 from lagmin.errors import GrammarError, UnknownName
-from lagmin.fields import (EllipticField, PolynomialField, ScalarField,
-                           SumField, sum_fields)
+from lagmin.fields import (EllipticField, HyperbolicField, PolynomialField,
+                           ScalarField, SumField, sum_fields)
 from lagmin.grammar import parse_field, parse_number, parse_surface
 from lagmin.reconstruct import FieldSurface
 from lagmin.surfaces import (
@@ -30,6 +31,33 @@ def test_parse_field_families():
     assert F.alpha0 == 2.0
     F = parse_field("exceptional(A=1,B=0.5)")
     assert F.A == 1.0 and F.B == 0.5
+
+
+def test_hyperbolic_cartesian_names_fold_into_the_radial_basis():
+    # a1, a2 and a3 are γ4/2, α2/2 and γ3/2; b1, b2, c1 and c2 are β3, α3,
+    # β4 and α4: two spellings of one function are one field
+    assert parse_field("hyperbolic(a2=1,c2=1,alpha1=-1)") == parse_field(
+        "hyperbolic(alpha2=2,alpha4=1,alpha1=-1)")
+    F = parse_field("hyperbolic(a1=0.25,a2=-1,a3=3,b1=5,b2=7,c1=11,c2=13,"
+                    "alpha2=0.5,alpha4=-13,gamma3=1,gamma4=0.5)")
+    assert F == HyperbolicField(gamma4=1.0, alpha2=-1.5, gamma3=7.0,
+                                beta3=5.0, alpha3=7.0, beta4=11.0,
+                                alpha4=0.0)
+    assert block_field("r5") == dataclasses.replace(
+        parse_field("hyperbolic(a2=1,c2=1,alpha1=-1)"),
+        folds=((0.0, 0.0, 1.0),))
+
+
+@pytest.mark.parametrize("spec, name", [
+    ("hyperbolic(a2=1e308)", "a2"),
+    ("hyperbolic(a1=-1e308,gamma4=-1e308)", "a1"),
+    ("hyperbolic(c2=1.7e308,alpha4=1.7e308)", "c2"),
+])
+def test_a_hyperbolic_name_that_folds_out_of_range_is_refused(spec, name):
+    # 2·1e308 overflows; the unfolded coefficients are finite numbers
+    with pytest.raises(GrammarError, match=r"\b%s\b.*out of range" % name):
+        parse_field(spec)
+    assert parse_field("hyperbolic(a2=8e307)").alpha2 == 1.6e308
 
 
 def test_parse_field_whitespace_insensitive():

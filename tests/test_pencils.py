@@ -32,10 +32,11 @@ from lagmin.pencils import (
     parse_cycle_lines,
     recover_crossing,
 )
-from lagmin.surfaces import CycloLine, cyclographic_preimage
+from lagmin.surfaces import CycloLine, block_field, cyclographic_preimage
 
 RECOVER_TOL = 1e-9
-CARRIED_TOL = 1e-13      # a field on a cycle it carries reads rounding only
+CARRIED_TOL = 1e-15      # a field on a cycle it carries reads rounding only
+CONTROL_MIN = 0.04       # a field off its pencil reads at least this
 CENTER_TOL = 1e-9        # linearity residual in center_constraint_check
 CENTER_SAMPLES = 60      # points on the circle center_constraint_check samples
 
@@ -160,9 +161,15 @@ CARRIED = {
     "root-quartic-circle": (RootQuarticField(),
                             Cycle(1, -2, 0, -math.sqrt(3.0))),
     "hyperbolic-circle-about-0": (
-        HyperbolicField(a2=0.3, c1=0.4, alpha1=1, beta2=0.5, gamma1=0.2),
+        parse_field("hyperbolic(a2=0.3,c1=0.4,alpha1=1,beta2=0.5,gamma1=0.2)"),
         Cycle.from_circle((0.0, 0.0), 1.5)),
     "parabolic-vertical-line": (PARABOLIC, Cycle(0, 1, 0, -0.7)),
+    # at (r, 0) every term of these blocks' identity vanishes, and the
+    # centre's 2.2e-16 offset leaves rounding there, which the cycle's
+    # one scale reads as rounding, not as a ratio of order 1
+    **{name + "-rounded-centre": (block_field(name),
+                                  Cycle.from_circle((0.0, 2.2e-16), 1.0817))
+       for name in ("r5", "r6", "r6~")},
 }
 CONTROLS = {
     "x4-unit-circle": (make_polynomial_field({(4, 0): 1.0}),
@@ -181,10 +188,24 @@ def test_a_field_carries_the_isotropic_circles_of_its_pencil(case):
     assert isotropic_circle_residual(F, cycle) <= CARRIED_TOL
 
 
+def test_each_hyperbolic_basis_field_carries_every_circle_about_0():
+    names = [f"{g}{k}" for g in ("alpha", "beta", "gamma") for k in (1, 2, 3, 4)]
+    circles = [Cycle.from_circle((0.0, 0.0), r) for r in (0.7, 1.3, 1.9)]
+    for name in names:
+        for cycle in circles:
+            F = HyperbolicField(**{name: 1.0})
+            assert isotropic_circle_residual(F, cycle) <= CARRIED_TOL
+    # x⁴ on the same circles reads 0.63: g‴ + g′ keeps the 2θ and 4θ
+    # harmonics of cos⁴θ
+    x4 = make_polynomial_field({(4, 0): 1.0})
+    for cycle in circles:
+        assert isotropic_circle_residual(x4, cycle) > 0.5
+
+
 @pytest.mark.parametrize("case", sorted(CONTROLS))
 def test_a_cycle_off_the_pencil_leaves_the_identity(case):
     F, cycle = CONTROLS[case]
-    assert isotropic_circle_residual(F, cycle) > 1e-2
+    assert isotropic_circle_residual(F, cycle) >= CONTROL_MIN
 
 
 @pytest.mark.parametrize("F, cycle", [

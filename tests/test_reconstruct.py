@@ -7,9 +7,9 @@ import pytest
 from lagmin.errors import IdealImage, NonImmersed
 from lagmin.fields import (
     EllipticField,
-    HyperbolicField,
     make_polynomial_field,
 )
+from lagmin.grammar import parse_field
 from lagmin.meshing import grid_mesh
 from lagmin.reconstruct import (
     FieldSurface,
@@ -61,7 +61,7 @@ def test_graph_identity_round_trip():
 
 
 def test_scalar_round_trip_returns_iso_point():
-    F = HyperbolicField(a1=0.5, gamma4=1.0)
+    F = parse_field("hyperbolic(a1=0.5,gamma4=1)")
     S = FieldSurface(F)
     q = isotropic_image(S, 1.3, 0.7)
     assert abs(q.x - 1.3) < 1e-9

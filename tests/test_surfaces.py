@@ -15,7 +15,6 @@ from lagmin.errors import (
 from lagmin.fields import (
     EllipticField,
     ExceptionalField,
-    HyperbolicField,
     ParabolicField,
     RootQuarticField,
     make_bump_field,
@@ -23,7 +22,7 @@ from lagmin.fields import (
     pushforward_inversion,
     sum_fields,
 )
-from lagmin.grammar import parse_surface
+from lagmin.grammar import parse_field, parse_surface
 from lagmin.isotropic import IsoPoint
 from lagmin.reconstruct import FieldSurface, isotropic_image
 from lagmin.surfaces import (
@@ -340,7 +339,7 @@ _SAFE_OBJECTS = {
                       (0.5, building_block("r3", 0.2))]),
     "ruled": RuledPatch(1.0, 0.5, 0.3, 0.2),
     "field:elliptic": EllipticField(a1=1.0, b2=0.3, d1=0.2),
-    "field:hyperbolic": HyperbolicField(a2=1.0, c2=1.0, alpha1=-1.0),
+    "field:hyperbolic": parse_field("hyperbolic(a2=1,c2=1,alpha1=-1)"),
     "field:parabolic": ParabolicField(alpha0=1.0, beta1=0.6),
     "field:exceptional": ExceptionalField(a=0.2, A=1.0, B=0.5, c=0.3),
     "field:poly": make_polynomial_field({(3, 0): 1.0, (0, 0): 0.5}),
