@@ -122,10 +122,6 @@ class ScalarField:
     def value(self, x, y):
         return self.jet(x, y, 0).value[()]
 
-    def gradient(self, x, y):
-        j = self.jet(x, y, 1)
-        return np.stack([j.entry(1, 0), j.entry(0, 1)], axis=-1)
-
     def bilaplacian(self, x, y):
         j = self.jet(x, y, 4)
         return (j.entry(4, 0) + 2.0 * j.entry(2, 2) + j.entry(0, 4))[()]

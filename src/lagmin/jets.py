@@ -10,32 +10,36 @@ numpy arrays of a common broadcast shape, which makes whole-grid evaluation a
 handful of vectorized operations.
 
 Every Leibniz sum follows one term plan per (order, operation), built once
-(`_Plan`).  It lists each entry's terms (a, b, i−a, j−b, C(i,a)·C(j,b)) in
+(`_plan`).  It lists each entry's terms (a, b, i−a, j−b, C(i,a)·C(j,b)) in
 the order of a double loop over a <= i, then b <= j, and every entry is
-summed as 0.0 + t0 + t1 + ... with each term formed as (c·p)·q.  Two
-kernels carry out the plan and give the same bits (a NaN's sign aside,
-which IEEE 754 leaves open and numpy's loops do not keep), in the tables'
-own precision, long double included:
+summed as 0.0 + t0 + t1 + ... with each term formed as (c·p)·q, in the
+tables' own precision, long double included.  Reciprocals and square
+roots add term by term into each entry with ``out=``, so no term
+allocates a temporary.  Products have two kernels, chosen by size, that
+give the same bits (a NaN's sign aside, which IEEE 754 leaves open and
+numpy's loops do not keep):
 
-- rounds, for small tables: gather every term's factors at once, scale,
-  multiply, then add the r-th term of every entry that has one in one
-  slice add per round (entries sorted by falling term count, so each
-  round is a prefix) and take the table from the sums at the end: about
-  6 + R numpy calls a product, R <= 9 at order 4;
-- in place, for large tables: add term by term into each entry with
-  ``out=``, so no term allocates a temporary.
+- rounds, for small tables (`_Rounds`): gather every term's factors at
+  once, scale, multiply, then add the r-th term of every entry that has
+  one in one slice add per round (entries sorted by falling term count,
+  so each round is a prefix) and take the table from the sums at the
+  end: about 6 + R numpy calls a product, R <= 9 at order 4;
+- in place, for large tables, as the solves run.
 
 A table of one point, of point shape () or (1,), runs these kernels as
 any other table does, so a point alone has the bits it has in a batch.
 
-The rounds kernel holds (buffer rows + the largest stage's terms) elements
-per point at once.  Measured on 2 vCPUs (Intel Xeon, numpy 2.4.6), it was
-1.5–8× faster than a per-entry Python loop at orders 1–4 from 1 to 256
-points; beyond about 2^14 held elements (1820 points for an order-1
-product, 190 at order 4) its cost jumped several-fold, while in-place
-accumulation stayed 1.1–2× faster than the loop up to 1.6e5 points.  So
-the switch (`ROUNDS_MAX_ELEMENTS`) weighs the operands' point count
-against that bound.
+The rounds kernel holds (buffer rows + terms) elements per point at
+once.  Measured on 2 vCPUs (Intel Xeon, numpy 2.4.6), it was 1.5–8×
+faster than a per-entry Python loop at orders 1–4 from 1 to 256 points;
+beyond about 2^14 held elements (1820 points for an order-1 product, 190
+at order 4) its cost jumped several-fold, while in-place accumulation
+stayed 1.1–2× faster than the loop up to 1.6e5 points.  So the switch
+(`ROUNDS_MAX_ELEMENTS`) weighs the operands' point count against that
+bound.  Solves keep the one kernel: on the same machine (best of 5), the
+174 small-table reciprocals of the benchmark's `certify` pass at seed 0
+took 4.4 ms in place against 3.4 ms in rounds, while its 2272
+small-table products would take 66.6 ms in place against 36.7 ms.
 """
 from __future__ import annotations
 
@@ -55,9 +59,10 @@ def asfloat(x):
 
 # -- Leibniz term plans --------------------------------------------------
 
-# The rounds kernel holds a buffer row per entry and every term of a stage
-# at every point at once; it runs while that is at most this many elements,
-# and larger tables accumulate in place (see the module docstring).
+# The rounds kernel holds a buffer row per entry and every term of a
+# product at every point at once; it runs while that is at most this many
+# elements, and larger tables accumulate in place (see the module
+# docstring).
 ROUNDS_MAX_ELEMENTS = 2**14
 
 
@@ -67,115 +72,85 @@ def _frozen(values, dtype=np.intp):
     return arr
 
 
-class _Stage:
-    """The Leibniz terms of a group of table entries that can be summed
-    together.  `entries` lists each entry's cell (i, j) and its terms
+@functools.lru_cache(maxsize=None)
+def _plan(order, kind):
+    """Every Leibniz sum behind one jet operation, as stages of entries
+    that can be summed together.  An entry is a cell (i, j) and its terms
     (a, b, i−a, j−b, C(i,a)·C(j,b)) in the order the sum adds them: a
-    double loop over a <= i, then b <= j.  Entries are sorted by falling
-    term count and own buffer rows lo, lo+1, ...  The flat term arrays run
-    round by round: round r holds the r-th term of the first k entries,
-    from flat index `start`, for each (start, k) in `rounds`.  `pi` and
-    `qi` are the rows of each term's factors in the flattened operands
-    (table cells a·(order+1)+b, or buffer rows for factors the operation
-    itself computes); `coef` is None when every coefficient is 1."""
+    double loop over a <= i, then b <= j.  A product ("mul") sums every
+    entry in one stage.  A reciprocal or a square root finds its entries
+    by total degree, each from entries of lower degree, so it has one
+    stage per degree, and leaves out the terms that hold the unknown
+    entry: (0, 0) for "reciprocal", (0, 0) and (i, j) for "sqrt"."""
+    n1 = order + 1
+    if kind == "mul":
+        groups = [[(i, j) for i in range(n1) for j in range(n1 - i)]]
+        skip = lambda i, j: ()
+    else:
+        groups = [[(i, t - i) for i in range(t + 1)] for t in range(1, n1)]
+        skip = {"reciprocal": lambda i, j: ((0, 0),),
+                "sqrt": lambda i, j: ((0, 0), (i, j))}[kind]
+    return tuple(
+        tuple(((i, j), tuple((a, b, i - a, j - b,
+                              math.comb(i, a) * math.comb(j, b))
+                             for a in range(i + 1) for b in range(j + 1)
+                             if (a, b) not in skip(i, j)))
+              for i, j in cells)
+        for cells in groups)
 
-    __slots__ = ("entries", "lo", "hi", "cells", "pi", "qi", "coef", "rounds")
 
-    def __init__(self, cells, skip, lo, cell, p_row, q_row):
-        entries = []
-        for i, j in cells:
-            terms = [(a, b, i - a, j - b, math.comb(i, a) * math.comb(j, b))
-                     for a in range(i + 1) for b in range(j + 1)
-                     if (a, b) not in skip(i, j)]
-            entries.append(((i, j), tuple(terms)))
-        entries.sort(key=lambda e: -len(e[1]))
-        self.entries = tuple(entries)
-        self.lo, self.hi = lo, lo + len(entries)
+def _accumulate(entries, p, q, out, tmp):
+    """Add every entry's Leibniz sum, with factors from the tables p and
+    q, into its cell of the table `out` (zero there), one term at a time
+    through the buffer `tmp`.  A cell is indexed as out[i, j, ...], a
+    view even where the point shape is ()."""
+    for (i, j), terms in entries:
+        acc = out[i, j, ...]
+        for a, b, qa, qb, c in terms:
+            if c == 1:
+                np.multiply(p[a, b], q[qa, qb], out=tmp)
+            else:
+                np.multiply(p[a, b], c, out=tmp)
+                tmp *= q[qa, qb]
+            acc += tmp
+
+
+class _Rounds:
+    """The rounds kernel's layout of an order's product.  Its entries are
+    sorted by falling term count and own buffer rows 0, 1, ..., and a last
+    row holds zeros.  The flat term arrays run round by round: round r
+    holds the r-th term of the first k entries, from flat index `start`,
+    for each (start, k) in `rounds`.  `pi` and `qi` are the rows of each
+    term's factors in the flattened tables (cell a·(order+1)+b); `coef` is
+    None when every coefficient is 1.  `perm` takes the table, cell by
+    cell, from the buffer, and `max_points` is the most points for which
+    the buffer and the terms hold at most ROUNDS_MAX_ELEMENTS elements."""
+
+    __slots__ = ("pi", "qi", "coef", "rounds", "perm", "rows", "max_points")
+
+    def __init__(self, order):
+        n1 = order + 1
+        (entries,) = _plan(order, "mul")
+        entries = sorted(entries, key=lambda e: -len(e[1]))
         flat, rounds = [], []
         for r in range(len(entries[0][1])):
             k = sum(len(terms) > r for _, terms in entries)
             rounds.append((len(flat), k))
             flat += [terms[r] for _, terms in entries[:k]]
         self.rounds = tuple(rounds)
-        self.cells = _frozen([cell(i, j) for (i, j), _ in entries])
-        self.pi = _frozen([p_row(a, b) for a, b, _, _, _ in flat])
-        self.qi = _frozen([q_row(a, b) for _, _, a, b, _ in flat])
+        self.pi = _frozen([a * n1 + b for a, b, _, _, _ in flat])
+        self.qi = _frozen([a * n1 + b for _, _, a, b, _ in flat])
         coef = [c for *_, c in flat]
         self.coef = (None if all(c == 1 for c in coef)
                      else _frozen(coef, float).reshape(-1, 1))
-
-    def add_sums(self, P, Q, buf):
-        """Add every entry's Leibniz sum into its rows of `buf` (zero
-        there): P and Q are the flattened factor tables, one row per cell
-        or buffer row, one column per point."""
-        if not self.rounds:
-            return
-        terms = P.take(self.pi, 0)
-        if self.coef is not None:
-            terms *= self.coef
-        if terms.dtype != buf.dtype:
-            terms = terms.astype(buf.dtype)
-        terms *= Q.take(self.qi, 0)
-        for start, k in self.rounds:
-            acc = buf[self.lo : self.lo + k]
-            acc += terms[start : start + k]
-
-    def accumulate(self, p, q, out, tmp):
-        """Add every entry's Leibniz sum into its cell of the table `out`
-        (zero there), one term at a time through the buffer `tmp`."""
-        for (i, j), terms in self.entries:
-            acc = out[i, j]
-            for a, b, qa, qb, c in terms:
-                if c == 1:
-                    np.multiply(p[a, b], q[qa, qb], out=tmp)
-                else:
-                    np.multiply(p[a, b], c, out=tmp)
-                    tmp *= q[qa, qb]
-                acc += tmp
-
-
-class _Plan:
-    """Every Leibniz sum behind one jet operation, as stages.  A product
-    ("mul") sums every entry in one stage.  A reciprocal or a square root
-    finds its entries by total degree, each from entries of lower degree,
-    so it has one stage per degree, and leaves out the terms that hold the
-    unknown entry: (0, 0) for "reciprocal", (0, 0) and (i, j) for "sqrt".
-    The rounds kernel sums into a buffer with one row per computed entry
-    (row 0 holds the (0, 0) entry of a reciprocal or square root) and a
-    last row of zeros; `perm` takes the table, cell by cell, from it."""
-
-    __slots__ = ("stages", "perm", "rows", "max_points")
-
-    def __init__(self, order, kind):
-        n1 = order + 1
-        row = {}
-        if kind == "mul":
-            groups = [[(i, j) for i in range(n1) for j in range(n1 - i)]]
-            skip = lambda i, j: ()
-        else:
-            row[0, 0] = 0
-            groups = [[(i, t - i) for i in range(t + 1)] for t in range(1, n1)]
-            skip = {"reciprocal": lambda i, j: ((0, 0),),
-                    "sqrt": lambda i, j: ((0, 0), (i, j))}[kind]
-        cell = lambda a, b: a * n1 + b
-        buffered = lambda a, b: row[a, b]
-        p_row = buffered if kind == "sqrt" else cell
-        q_row = cell if kind == "mul" else buffered
-        stages = []
-        for cells in groups:
-            stage = _Stage(cells, skip, len(row), cell, p_row, q_row)
-            for k, ((i, j), _) in enumerate(stage.entries):
-                row[i, j] = stage.lo + k
-            stages.append(stage)
-        self.stages = tuple(stages)
-        self.rows = len(row) + 1
-        held = self.rows + max(len(stage.pi) for stage in stages)
-        self.max_points = ROUNDS_MAX_ELEMENTS // held
-        self.perm = _frozen([row.get((i, j), len(row))
+        self.rows = len(entries) + 1
+        self.max_points = ROUNDS_MAX_ELEMENTS // (self.rows + len(flat))
+        row = {cell: k for k, (cell, _) in enumerate(entries)}
+        self.perm = _frozen([row.get((i, j), len(entries))
                              for i in range(n1) for j in range(n1)])
 
 
-_plan = functools.lru_cache(maxsize=None)(_Plan)
+_rounds = functools.lru_cache(maxsize=None)(_Rounds)
 
 
 def _broadcast_tables(*tables):
@@ -195,20 +170,27 @@ def _product(p, q, n):
         out = p * q
         out += 0.0
         return out
-    plan = _plan(n, "mul")
-    cells = (n + 1) ** 2
     if p.shape != q.shape:
         p, q = _broadcast_tables(p, q)
     dtype = np.result_type(p, q)
-    (stage,) = plan.stages
-    if p.size <= plan.max_points * cells:
-        P = p.reshape(cells, -1)
-        buf = np.zeros((plan.rows, P.shape[1]), dtype)
-        stage.add_sums(P, q.reshape(cells, -1), buf)
-        return buf.take(plan.perm, 0).reshape(p.shape)
-    out = np.zeros(p.shape, dtype)
-    stage.accumulate(p, q, out, np.empty(p.shape[2:], dtype))
-    return out
+    layout = _rounds(n)
+    cells = (n + 1) ** 2
+    if p.size > layout.max_points * cells:
+        out = np.zeros(p.shape, dtype)
+        (entries,) = _plan(n, "mul")
+        _accumulate(entries, p, q, out, np.empty(p.shape[2:], dtype))
+        return out
+    terms = p.reshape(cells, -1).take(layout.pi, 0)
+    if layout.coef is not None:
+        terms *= layout.coef
+    if terms.dtype != dtype:
+        terms = terms.astype(dtype)
+    terms *= q.reshape(cells, -1).take(layout.qi, 0)
+    buf = np.zeros((layout.rows, terms.shape[1]), dtype)
+    for start, k in layout.rounds:
+        acc = buf[:k]
+        acc += terms[start : start + k]
+    return buf.take(layout.perm, 0).reshape(p.shape)
 
 
 class Jet:
@@ -335,48 +317,31 @@ class Jet:
 
     def _solve(self, kind):
         """Jet of 1/f ("reciprocal") or sqrt(f) ("sqrt"), entry by entry
-        in order of total degree.  With g the table of f and h the one
-        sought, the Leibniz sum S over the terms that do not hold the
-        unknown entry gives h[i, j] = −(1/g[0, 0])·S for 1/f (terms
+        in order of total degree, in place.  With g the table of f and h
+        the one sought, the Leibniz sum S over the terms that do not hold
+        the unknown entry gives h[i, j] = −(1/g[0, 0])·S for 1/f (terms
         g[a, b]·h[i−a, j−b]) and h[i, j] = (g[i, j] − S)·(0.5/h[0, 0])
         for sqrt(f) (terms h[a, b]·h[i−a, j−b])."""
         g, n = self.d, self.order
         recip = kind == "reciprocal"
-        if n == 0:
-            return Jet(1.0 / g if recip else np.sqrt(g), 0)
-        plan = _plan(n, kind)
-        cells = (n + 1) ** 2
-        rounds = g.size <= plan.max_points * cells
-        if rounds:
-            G = g.reshape(cells, -1)
-            h = np.zeros((plan.rows, G.shape[1]), g.dtype)
-            h00, g00 = h[0], G[0]
-        else:
-            h = np.zeros_like(g)
-            h00, g00 = h[0, 0], g[0, 0]
-            tmp = np.empty_like(h00)
+        h = np.zeros_like(g)
+        h00 = h[0, 0, ...]
+        tmp = np.empty_like(h00)
         if recip:
-            np.divide(1.0, g00, out=h00)
+            np.divide(1.0, g[0, 0], out=h00)
             scale = -h00
         else:
-            np.sqrt(g00, out=h00)
+            np.sqrt(g[0, 0], out=h00)
             scale = 0.5 / h00
-        for stage in plan.stages:
-            if rounds:
-                stage.add_sums(G if recip else h, h, h)
-                blocks = [(h[stage.lo : stage.hi],
-                           None if recip else G.take(stage.cells, 0))]
-            else:
-                stage.accumulate(g if recip else h, h, h, tmp)
-                blocks = [(h[i, j], g[i, j]) for (i, j), _ in stage.entries]
-            for acc, gij in blocks:
+        for entries in _plan(n, kind):
+            _accumulate(entries, g if recip else h, h, h, tmp)
+            for (i, j), _ in entries:
+                acc = h[i, j, ...]
                 if recip:
                     np.multiply(scale, acc, out=acc)
                 else:
-                    np.subtract(gij, acc, out=acc)
+                    np.subtract(g[i, j], acc, out=acc)
                     acc *= scale
-        if rounds:
-            h = h.take(plan.perm, 0).reshape(g.shape)
         return Jet(h, n)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from lagmin.jets import (
     Jet,
-    _plan,
+    _rounds,
     compose,
     jet_arctan_ratio,
     jet_log_rsq,
@@ -159,10 +159,9 @@ def test_arctan_branch_offsets_value_only():
 
 
 def test_batched_jets_match_per_point():
-    # a batch large enough for the in-place kernel, points one at a time
-    # through the rounds kernel: the same bits
-    n = max(_plan(order, kind).max_points for order in range(1, 5)
-            for kind in ("mul", "reciprocal")) + 1
+    # a batch large enough for the in-place product, points one at a time
+    # through the rounds product: the same bits
+    n = max(_rounds(order).max_points for order in range(1, 5)) + 1
     rng = np.random.default_rng(12)
     r, t = rng.uniform(0.3, 2.0, n), rng.uniform(-np.pi, np.pi, n)
     xs = np.concatenate([[0.5, 1.1, -0.8], r * np.cos(t)])
@@ -299,10 +298,9 @@ def assert_same_bits(got, want):
 
 
 _SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
-_BIG = max(_plan(order, kind).max_points for order in range(1, 7)
-           for kind in ("mul", "reciprocal", "sqrt")) + 1
+_BIG = max(_rounds(order).max_points for order in range(1, 7)) + 1
 # point shapes of the two factors, broadcasting included; (64,) is below
-# every plan's kernel switch and (_BIG,) past it
+# every order's product kernel switch and (_BIG,) past it
 _SHAPES = [((), ()), ((1,), (1,)), ((), (1,)), ((1,), ()), ((3, 4), (3, 4)),
            ((), (3, 4)), ((3, 4), ()), ((4,), (3, 4)), ((64,), (64,)),
            ((_BIG,), (_BIG,)), ((), (_BIG,))]
@@ -378,8 +376,7 @@ def test_one_point_constructors_have_the_bits_of_the_batch(order):
 
 def test_kernel_switch_falls_inside_the_tested_sizes():
     for order in range(1, 7):
-        for kind in ("mul", "reciprocal", "sqrt"):
-            assert 64 <= _plan(order, kind).max_points < _BIG
+        assert 64 <= _rounds(order).max_points < _BIG
 
 
 def test_polynomial_jet_has_the_bits_of_the_monomial_loop():

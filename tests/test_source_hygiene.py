@@ -2,20 +2,24 @@
 makes is used in it, no module imports a private name of another, every
 private module-level name is used in its own module, and every public
 top-level function or class is read by some other code of the package or
-named, with its reason, in UNREAD_PUBLIC.  The package `__init__`
-re-exports what it imports, so its imports count as used, but a
-re-export is not a read.  No public module-level name is a second name
-for a class or function of the package.  Only `fields.py` defines
-`with_guard`, since surfaces are built with their guard and never change
-it, and outside `fields.py` a guard is read only to hand it to
-`with_guard`, since a field states its excluded set once.  No module
-calls `exec`, `eval` or `compile`: every line the package runs is in its
-source.  Only `cli.py` names `ctypes` or `mallopt`, so the CLI's allocator
-setting is the only code that changes the process's allocator."""
+named, with its reason, in UNREAD_PUBLIC.  Every public method of a public
+class is read somewhere in the package or named in UNREAD_METHODS.  The
+package `__init__` re-exports what it imports, so its imports count as
+used, but a re-export is not a read.  No public module-level name is a
+second name for a class or function of the package.  Only `fields.py`
+defines `with_guard`, since surfaces are built with their guard and never
+change it, and outside `fields.py` a guard is read only to hand it to
+`with_guard`, since a field states its excluded set once.  No module calls
+`exec`, `eval` or `compile`: every line the package runs is in its source.
+Only `cli.py` names `ctypes` or `mallopt`, so the CLI's allocator setting
+is the only code that changes the process's allocator.  The package
+imports only the standard library, numpy and itself, the dependencies
+`pyproject.toml` declares."""
 import ast
 import importlib
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +55,21 @@ UNREAD_PUBLIC = {
                          "points of a Laguerre image (ROADMAP item 5)",
 }
 
+# Public methods of public classes that no module of the package reads,
+# as an attribute or as a string, each with the reason it stays.
+UNREAD_METHODS = {
+    "OrientedPlane.evaluate": "the tests of the plane maps and tangent "
+                              "planes measure incidence with it",
+    "Line3.through": "the tests build their lines with it",
+    "Cycle.evaluate": "the pencil tests check a cycle's points with it",
+    "IsoPoint.coords": "the tests and criterion 04 compare image points "
+                       "with it",
+    "IMSphere.height": "the tests and criterion 04 measure model points "
+                       "against a sphere's graph with it",
+    "IMTransform.then": "the tests compose generator words with it; "
+                        "planned: Laguerre images (ROADMAP item 5)",
+}
+
 
 def _imported(tree):
     """(bound name, line) of each module-level or nested import."""
@@ -63,12 +82,14 @@ def _imported(tree):
                 yield (alias.asname or alias.name), node.lineno
 
 
-def _reads(tree):
-    """Names a module reads: bare names, attribute names, and strings (for
-    names looked up by string, such as `__all__`)."""
+def _reads(tree, bare_names=True):
+    """Names a module reads: bare names (unless `bare_names` is false),
+    attribute names, and strings (for names looked up by string, such as
+    `__all__`)."""
     reads = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        if (bare_names and isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)):
             reads.add(node.id)
         elif isinstance(node, ast.Attribute):
             reads.add(node.attr)
@@ -165,6 +186,57 @@ def test_the_unread_public_list_is_not_stale():
     # an entry whose name is gone, or that the package now reads, is stale
     stale = sorted(set(UNREAD_PUBLIC) - set(_unread_public()))
     assert stale == [], "stale UNREAD_PUBLIC entries: %s" % (", ".join(stale),)
+
+
+def _unread_methods():
+    """"Class.method" and (module, line) of each public method of a public
+    class that no module of the package reads as an attribute or as a
+    string.  A bare name of the same spelling is some other binding (the
+    `gradient` argument of `jets._gradient_jet` is no read of a method)."""
+    reads = set().union(*(_reads(tree, bare_names=False)
+                          for tree in MODULES.values()))
+    return {"%s.%s" % (cls.name, node.name): (module, node.lineno)
+            for module, cls in _public_definitions()
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and node.name not in reads}
+
+
+def test_every_public_method_is_read_in_the_package():
+    unread = ["%s:%d %s" % (*where, name)
+              for name, where in sorted(_unread_methods().items(),
+                                        key=lambda item: item[1])
+              if name not in UNREAD_METHODS]
+    assert unread == [], "public methods nothing in the package reads: %s" % (
+        ", ".join(unread),)
+
+
+def test_the_unread_methods_list_is_not_stale():
+    stale = sorted(set(UNREAD_METHODS) - set(_unread_methods()))
+    assert stale == [], "stale UNREAD_METHODS entries: %s" % (
+        ", ".join(stale),)
+
+
+def _absolute_imports(tree):
+    """(module name, line) of each import that is not relative."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module, node.lineno
+
+
+def test_the_package_imports_only_its_declared_dependencies():
+    # pyproject.toml declares numpy alone; sympy, mpmath and the like are
+    # references for the tests, never imports of the package
+    allowed = set(sys.stdlib_module_names) | {"numpy", "lagmin"}
+    foreign = ["%s:%d %s" % (module, line, name)
+               for module, tree in MODULES.items()
+               for name, line in _absolute_imports(tree)
+               if name.split(".")[0] not in allowed]
+    assert foreign == [], "undeclared imports: %s" % (", ".join(foreign),)
 
 
 def _public_assignments():
