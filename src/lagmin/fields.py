@@ -14,7 +14,8 @@ are `StatedField`s: each states its terms once, as a polynomial P0 plus
 one (Pk, gk) pair per singular part, gk singular at the family's centre.
 The centre is singular exactly when some Pk has a nonzero coefficient;
 the field is the polynomial P0 otherwise; the jet sums P0 and each
-nonzero Pk·gk in the stated order.
+nonzero Pk·gk in the stated order.  `RotatedField` turns any of them
+about the origin by turning its terms, so a rotation is stated once.
 
 Multi-valued terms: only the Arctan(y/x) of `EllipticField` carries a
 branch integer (value plus branch*pi); the logarithm of x^2 + y^2 is
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -146,8 +148,9 @@ class StatedField(ScalarField):
 
     folds: tuple = field(default=(), kw_only=True)
 
-    def _terms(self):
-        """(P0, ((P1, g1), (P2, g2), ...)), in evaluation order."""
+    def _terms(self, turn=0.0):
+        """(P0, ((P1, g1), (P2, g2), ...)), in evaluation order, each
+        Arctan gk taking its value at its point turned by -turn."""
         raise NotImplementedError
 
     def _center(self):
@@ -203,13 +206,13 @@ class EllipticField(StatedField):
 
     family = "elliptic"
 
-    def _terms(self):
+    def _terms(self, turn=0.0):
         return (
             {(0, 2): self.c1, (1, 1): self.c2, (2, 0): self.c3,
              (1, 0): self.d1, (0, 1): self.d2},
             (({(2, 0): self.a1, (0, 2): self.a1, (1, 0): self.a2,
                (0, 0): self.a3, (0, 1): self.a4},
-              partial(jet_arctan_ratio, branch=self.branch)),
+              partial(jet_arctan_ratio, branch=self.branch, turn=turn)),
              ({(0, 2): self.b1, (1, 1): self.b2, (2, 0): self.b3},
               _jet_inv_rsq)),
         )
@@ -244,7 +247,7 @@ class HyperbolicField(StatedField):
 
     family = "hyperbolic"
 
-    def _terms(self):
+    def _terms(self, turn=0.0):
         # In Cartesian form with rho^2 = x^2 + y^2 the whole family is
         # P0 + P1*ln(rho^2) + P2/rho^2 for three fixed polynomials.
         return (
@@ -282,7 +285,7 @@ class ParabolicField(StatedField):
 
     family = "parabolic"
 
-    def _terms(self):
+    def _terms(self, turn=0.0):
         return (
             {(0, 2): self.alpha0, (1, 2): self.alpha1, (2, 2): self.alpha2,
              (3, 2): self.alpha3, (0, 1): self.beta0, (1, 1): self.beta1,
@@ -315,7 +318,7 @@ class ExceptionalField(StatedField):
     def _center(self):
         return self.c, self.d
 
-    def _terms(self):
+    def _terms(self, turn=0.0):
         return (
             {(2, 0): self.A, (0, 2): self.A, (1, 0): -2.0 * self.A * self.a,
              (0, 1): -2.0 * self.A * self.b,
@@ -350,8 +353,65 @@ class PolynomialField(StatedField):
 
     family = "polynomial"
 
-    def _terms(self):
+    def _terms(self, turn=0.0):
         return dict(self.coeffs), ()
+
+
+def _turned(P, theta):
+    """The polynomial P∘R(−theta): k·x^p·y^q becomes k·(c·x + s·y)^p·
+    (c·y − s·x)^q with c, s = cos theta, sin theta, expanded.  It lists
+    P's monomials first, in P's order, so its jet sums in the same order."""
+    c, s = math.cos(theta), math.sin(theta)
+    cp, sp = [1.0], [1.0]
+    for _ in range(max(map(sum, P), default=0)):
+        cp.append(cp[-1] * c)
+        sp.append(sp[-1] * s)
+    out = dict.fromkeys(P, 0.0)
+    for (p, q), k in P.items():
+        for a, b in product(range(p + 1), range(q + 1)):
+            key = (a + b, p + q - a - b)
+            w = (-1) ** b * k * math.comb(p, a) * math.comb(q, b)
+            out[key] = out.get(key, 0.0) + w * (cp[a + q - b] * sp[p - a + b])
+    return out
+
+
+@dataclass(frozen=True)
+class RotatedField(StatedField):
+    """F∘R(−theta) for the stated field F = `inner`, R(theta) the
+    counterclockwise turn about the origin: the field of F's surface turned
+    by theta about the z axis.  Its terms are F's turned: polynomials
+    composed with R(−theta), the centre and fold circles turned by theta,
+    ln ρ and 1/ρ kept, and each Arctan valued at the turned point, so its
+    cut turns too.  The guard is F's; turning a turned field adds angles."""
+
+    inner: StatedField = None
+    theta: float = 0.0
+
+    def __post_init__(self):
+        if isinstance(self.inner, RotatedField):
+            object.__setattr__(self, "theta", self.inner.theta + self.theta)
+            object.__setattr__(self, "inner", self.inner.inner)
+        object.__setattr__(self, "guard", self.inner.guard)
+        object.__setattr__(self, "family", self.inner.family)
+
+    def _turn(self, x, y):
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        return c * x - s * y, s * x + c * y
+
+    def _center(self):
+        return self._turn(*self.inner._center())
+
+    def excluded(self):
+        return tuple((*self._turn(x, y), r)
+                     for x, y, r in self.inner.excluded())
+
+    def _terms(self, turn=0.0):
+        P0, parts = self.inner._terms(turn + self.theta)
+        return (_turned(P0, self.theta),
+                tuple((_turned(P, self.theta), g) for P, g in parts))
+
+    def with_guard(self, eps: float) -> "RotatedField":
+        return replace(self, inner=self.inner.with_guard(eps))
 
 
 @dataclass(frozen=True)
@@ -565,39 +625,20 @@ def reduce_elliptic_field(F: EllipticField):
     Returns (reduced, psi, removed) with the exact identity
     F(R(-psi)·p) = reduced(p) + removed["rsq"]·(x²+y²)
     + removed["x"]·x + removed["y"]·y + removed["const"].
-    The rotation angle psi kills the a4 coefficient; the removed pieces are
-    exactly the ones a motion of the ambient model can absorb.  When
-    a2 = a4 = 0 any psi works and 0 is chosen (the normal form is not
-    canonical there).
+    The coefficients are those of `RotatedField(F, psi)`'s turned terms;
+    psi kills the a4 coefficient, and the removed pieces are exactly the
+    ones a motion of the ambient model can absorb.  When a2 = a4 = 0 any
+    psi works and 0 is chosen (the normal form is not canonical there).
     """
     psi = -math.atan2(F.a4, F.a2) if _nonzero(F.a2, F.a4) else 0.0
-    cs, sn = math.cos(psi), math.sin(psi)
-    rot = np.array([[cs, -sn], [sn, cs]])
-    a2r = F.a2 * cs - F.a4 * sn
-    qb = np.array([[F.b3, 0.5 * F.b2], [0.5 * F.b2, F.b1]])
-    qc = np.array([[F.c3, 0.5 * F.c2], [0.5 * F.c2, F.c1]])
-    qb = rot @ qb @ rot.T
-    qc = rot @ qc @ rot.T
-    dvec = rot @ np.array([F.d1, F.d2])
-    b1r, b2r, b3r = qb[1, 1], 2.0 * qb[0, 1], qb[0, 0]
-    c1r, c2r, c3r = qc[1, 1], 2.0 * qc[0, 1], qc[0, 0]
-    # Rotating the Arctan shifts its value by -psi, which spills the
-    # multiplier polynomial into removable pieces.
-    reduced = EllipticField(
-        a1=F.a1,
-        a2=a2r,
-        a3=F.a3,
-        b1=b1r - b3r,
-        b2=b2r,
-        c1=c1r - c3r,
-        c2=c2r,
-        guard=F.guard,
-        branch=F.branch,
-    )
-    removed = {
-        "rsq": c3r - psi * F.a1,
-        "x": dvec[0] - psi * a2r,
-        "y": dvec[1],
-        "const": b3r - psi * F.a3,
-    }
+    C, ((A, _), (B, _)) = RotatedField(F, psi)._terms()
+    # The Arctan at the turned point is the unturned one minus psi, up to
+    # whole turns of the branch, which spills A into removable pieces;
+    # x² = (x² + y²) − y² moves the x² terms of B and C there too.
+    reduced = EllipticField(a1=F.a1, a2=A[1, 0], a3=F.a3,
+                            b1=B[0, 2] - B[2, 0], b2=B[1, 1],
+                            c1=C[0, 2] - C[2, 0], c2=C[1, 1],
+                            guard=F.guard, branch=F.branch)
+    removed = {"rsq": C[2, 0] - psi * F.a1, "x": C[1, 0] - psi * A[1, 0],
+               "y": C[0, 1], "const": B[2, 0] - psi * F.a3}
     return reduced, psi, removed

@@ -62,8 +62,8 @@ field spec grammar:
   poly(<monomial sum>)    e.g. poly(x^2*y - 0.5*x + 3)
   sum(w1*<field spec>, w2*<field spec>, ...)
 
---branch k shifts the Arctan term of elliptic(...) fields by k*pi; a spec
-with no elliptic(...) term with a nonzero a1..a4 refuses a nonzero k.
+--branch k shifts the Arctan term of elliptic(...) fields by k*pi; only a
+field: spec with an elliptic(...) term with a nonzero a1..a4 takes k != 0.
 """ % (", ".join(BLOCK_NAMES),)
 
 _FIELD_CLASSES = {
@@ -237,12 +237,14 @@ def _weight(text: str, lo: int, hi: int):
 
 def _check_branch(spec: str, branch: int, field):
     """Refuse a nonzero branch where it would change nothing: unless some
-    elliptic(...) term of the parsed `field` (None: the spec has no field)
-    has an Arctan term, a nonzero a1..a4."""
+    elliptic(...) term of the parsed `field` (None: a spec other than
+    field:, which takes no branch) has an Arctan term, a nonzero a1..a4."""
     if branch and not _has_arctan(field):
+        why = ("and %r has none" if field is not None else
+               "and only field: specs take a branch, not %r")
         raise GrammarError("branch %d shifts the Arctan of elliptic(...) "
-                           "terms with a nonzero a1..a4, and %r has none"
-                           % (branch, spec))
+                           "terms with a nonzero a1..a4, " % branch
+                           + why % (spec,))
 
 
 def _has_arctan(field) -> bool:

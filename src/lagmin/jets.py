@@ -402,12 +402,16 @@ def _gradient_jet(val, x, y, order, gradient):
     return Jet.from_gradient(val, *gradient(jx, jy, inv_r2))
 
 
-def jet_arctan_ratio(x, y, order, branch=0):
-    """Jet of Arctan(y/x) + branch*pi.  Defined away from the origin; the
-    value (not the derivatives) jumps across x = 0."""
+def jet_arctan_ratio(x, y, order, branch=0, turn=0.0):
+    """Jet of Arctan(v/u) + branch*pi at (u, v) = R(-turn)·(x, y), the
+    point turned by -turn about the origin.  Defined away from the origin.
+    The turn moves the value, whose jump lies on the line u = 0, but not
+    the derivatives: the angle of (u, v) is that of (x, y) minus turn."""
     x = asfloat(x)
     y = asfloat(y)
-    val = principal_angle(x, y) + branch * np.pi
+    c, s = math.cos(turn), math.sin(turn)
+    u, v = (c * x + s * y, -s * x + c * y) if turn else (x, y)
+    val = principal_angle(u, v) + branch * np.pi
     return _gradient_jet(val, x, y, order,
                          lambda jx, jy, inv_r2: (-jy * inv_r2, jx * inv_r2))
 

@@ -7,12 +7,12 @@ patches R(phi, lambda) = (A phi, B phi, C phi + D cos 2 phi) + lambda
 (sin phi, cos phi, 0).
 
 Each named block is one row of `_BLOCKS`: its closed-form builder (none
-for a tilde block, the reconstruction of its field) and its field as a
-formula in (cos theta, sin theta), flagged where it holds for theta != 0;
-r5's and r6's fields state their fold circle |p| = 1.  Every surface in
-Gauss coordinates carries its field as `.field`: the block's field (whose
-safe domain a block shares), the rotated block's rotated field, or the
-weighted sum of a convolution's.  The guard is set once, where a block
+for a tilde block, the reconstruction of its field) and its field; r5's
+and r6's fields state their fold circle |p| = 1.  Every surface in Gauss
+coordinates carries its field as `.field`: the block's field (whose safe
+domain a block shares), that field turned by `fields.RotatedField` for a
+block turned by theta, whichever the block, or the weighted sum of a
+convolution's.  The guard is set once, where a block
 is built (`building_block` guards its field); no surface changes it
 afterwards.
 
@@ -48,7 +48,9 @@ from .fields import (
     GUARD_EPS,
     EllipticField,
     HyperbolicField,
+    RotatedField,
     ScalarField,
+    StatedField,
     make_polynomial_field,
     sum_fields,
 )
@@ -149,77 +151,51 @@ _b_r11 = _rational(
 
 class _Block(NamedTuple):
     builder: object          # (u, v, order) -> X, Y, Z jets; None: tilde block
-    field: object            # (cos theta, sin theta) -> the block's field
-    rotates: bool = False    # the field formula holds for theta != 0
+    field: StatedField       # the field whose reconstruction is the block
 
 
 _K3T = 1.0 / (4.0 * SQRT2)
 _LN2 = math.log(2.0)
 
 _BLOCKS = {
-    "r1": _Block(_b_r1, lambda c, s: EllipticField(a1=1.0, a3=-1.0)),
+    "r1": _Block(_b_r1, EllipticField(a1=1.0, a3=-1.0)),
     # x*Arctan(y/x) - y; traces the cycloid point locus
-    "r2": _Block(_b_r2, lambda c, s: EllipticField(a2=1.0, d2=-1.0)),
-    "r3": _Block(_b_r3, lambda c, s: EllipticField(
-        c1=0.5 * s * s, c2=c * s, c3=0.5 * c * c,
-        b1=-0.5 * s * s, b2=-c * s, b3=-0.5 * c * c,
-    ), rotates=True),
-    "r4": _Block(_b_r4, lambda c, s: HyperbolicField(
+    "r2": _Block(_b_r2, EllipticField(a2=1.0, d2=-1.0)),
+    "r3": _Block(_b_r3, EllipticField(c3=0.5, b3=-0.5)),
+    "r4": _Block(_b_r4, HyperbolicField(
         gamma1=-1.0, gamma2=-1.0, gamma3=-1.0, gamma4=1.0)),
-    "r5": _Block(_b_r5, lambda c, s: HyperbolicField(
+    "r5": _Block(_b_r5, HyperbolicField(
         alpha2=2.0, alpha4=1.0, alpha1=-1.0, folds=((0.0, 0.0, 1.0),))),
-    "r6": _Block(_b_r6, lambda c, s: HyperbolicField(
-        beta3=s, alpha3=c, beta4=s, alpha4=c, alpha1=-2.0 * c,
-        beta1=-2.0 * s, folds=((0.0, 0.0, 1.0),)), rotates=True),
-    "r7": _Block(_b_r7, lambda c, s: make_polynomial_field(
-        {(2, 0): 0.5 * c * c, (1, 1): c * s, (0, 2): 0.5 * s * s}
-    ), rotates=True),
-    "r8": _Block(_b_r8, lambda c, s: make_polynomial_field({(3, 0): 1.0})),
-    # x^2 y composed with the rotation by -theta
-    "r9": _Block(_b_r9, lambda c, s: make_polynomial_field(
-        {
-            (3, 0): -c * c * s,
-            (2, 1): c * c * c - 2.0 * c * s * s,
-            (1, 2): 2.0 * c * c * s - s * s * s,
-            (0, 3): c * s * s,
-        }
-    ), rotates=True),
-    "r10": _Block(_b_r10, lambda c, s: make_polynomial_field(
-        {(4, 0): 0.5, (2, 2): -1.5})),
-    "r11": _Block(_b_r11, lambda c, s: make_polynomial_field(
-        {(5, 0): 1.0, (3, 2): -5.0})),
-    "r1~": _Block(None, lambda c, s: EllipticField(
+    "r6": _Block(_b_r6, HyperbolicField(
+        alpha3=1.0, alpha4=1.0, alpha1=-2.0, folds=((0.0, 0.0, 1.0),))),
+    "r7": _Block(_b_r7, make_polynomial_field({(2, 0): 0.5})),
+    "r8": _Block(_b_r8, make_polynomial_field({(3, 0): 1.0})),
+    "r9": _Block(_b_r9, make_polynomial_field({(2, 1): 1.0})),
+    "r10": _Block(_b_r10, make_polynomial_field({(4, 0): 0.5, (2, 2): -1.5})),
+    "r11": _Block(_b_r11, make_polynomial_field({(5, 0): 1.0, (3, 2): -5.0})),
+    "r1~": _Block(None, EllipticField(
         a1=1.0 / (2.0 * SQRT2), a3=-1.0 / SQRT2)),
-    "r3~": _Block(None, lambda c, s: EllipticField(
-        c1=s * s * _K3T, c2=2.0 * c * s * _K3T, c3=c * c * _K3T,
-        b1=-2.0 * s * s * _K3T, b2=-4.0 * c * s * _K3T, b3=-2.0 * c * c * _K3T,
-    ), rotates=True),
-    "r4~": _Block(None, lambda c, s: HyperbolicField(
+    "r3~": _Block(None, EllipticField(c3=_K3T, b3=-2.0 * _K3T)),
+    "r4~": _Block(None, HyperbolicField(
         gamma1=(_LN2 - 2.0) / (2.0 * SQRT2),
         gamma2=-(2.0 + _LN2) / (4.0 * SQRT2),
         gamma3=-1.0 / SQRT2,
         gamma4=1.0 / (2.0 * SQRT2),
     )),
-    "r6~": _Block(None, lambda c, s: HyperbolicField(
-        beta3=s, alpha3=c, beta4=0.25 * s, alpha4=0.25 * c, alpha1=-c,
-        beta1=-s)),
+    "r6~": _Block(None, HyperbolicField(alpha3=1.0, alpha4=0.25, alpha1=-1.0)),
 }
 
 BLOCK_NAMES = tuple(_BLOCKS)
 
 
-def block_field(name: str, theta: float = 0.0) -> ScalarField:
-    """The scalar field whose reconstruction is the named block (rotated by
-    theta where the family admits a closed coefficient form)."""
+def block_field(name: str, theta: float = 0.0) -> StatedField:
+    """The scalar field whose reconstruction is the named block turned by
+    theta about the z axis: its `_BLOCKS` field, turned by `RotatedField`
+    unless theta is 0."""
     if name not in _BLOCKS:
         raise UnknownName("no field for building block %r" % (name,))
-    block = _BLOCKS[name]
-    if theta != 0.0 and not block.rotates:
-        raise UnknownName(
-            "block %r has no closed rotated field; rotate the surface instead"
-            % (name,)
-        )
-    return block.field(math.cos(theta), math.sin(theta))
+    F = _BLOCKS[name].field
+    return RotatedField(F, theta) if theta != 0.0 else F
 
 
 class BlockSurface(FieldSurface):
@@ -256,11 +232,9 @@ class RotatedSurface(GaussMappedSurface):
         return c * u + s * v, -s * u + c * v, c, s
 
     @property
-    def field(self) -> ScalarField:
-        # the closed rotated field, with the guard of the unrotated one;
-        # UnknownName where the block has none
-        return block_field(self.base.name, self.theta).with_guard(
-            self.base.field.guard)
+    def field(self) -> StatedField:
+        """The base field turned by theta, with its guard."""
+        return RotatedField(self.base.field, self.theta)
 
     def is_safe(self, u, v):
         s0, t0, _, _ = self._params(u, v)
@@ -517,7 +491,7 @@ def cyclographic_preimage(spec) -> LineFamily:
 def kinematic_weights(S):
     """(a1, a2, a3, theta) of S = a1*r1 + a2*r2 + a3*r3@theta, a kinematic
     block or a convolution of them; ProvenanceMismatch for any other
-    surface."""
+    surface, a turned r1 or r2 among them."""
     key = {"r1": 0, "r2": 1, "r3": 2}
     weights = [0.0, 0.0, 0.0]
     theta = None
@@ -526,10 +500,11 @@ def kinematic_weights(S):
         th = 0.0
         if isinstance(surf, RotatedSurface):
             th, surf = surf.theta, surf.base
-        if surf.name not in key:
-            raise ProvenanceMismatch(
-                f"surface {surf.name or type(surf).__name__!r} is not a "
-                "kinematic block")
+        spec = ((surf.name or type(surf).__name__)
+                + ("@theta=%r" % th if th else ""))
+        if surf.name not in key or (th and surf.name != "r3"):
+            raise ProvenanceMismatch(f"surface {spec!r} is not a term of the"
+                                     " family a1*r1 + a2*r2 + a3*r3@theta")
         idx = key[surf.name]
         weights[idx] += w
         if idx == 2 and w != 0.0:

@@ -894,6 +894,10 @@ def test_a_branch_is_refused_without_an_elliptic_term(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert err.startswith("spec error: branch 3 shifts the Arctan")
     assert err.count("spec error:") == 1
+    # r1's field has an Arctan term: a block spec is refused as a spec
+    # other than field:, not for a field without one
+    assert ("only field: specs take a branch, not %r" % spec in err) == (
+        not spec.startswith("field:"))
     assert not out.exists()
 
 
@@ -1012,6 +1016,30 @@ def test_rulings_refuse_conoid_terms_of_two_rotations(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: ProvenanceMismatch: mixed conoid rotations\n"
+
+
+@pytest.mark.parametrize("spec", ["r1@theta=0.5", "conv(1*r2@theta=-0.3)",
+                                  "conv(1*r1@theta=0.5,1*r3@theta=0.5)"])
+def test_rulings_refuse_a_turned_helicoid_or_cycloid_term(capsys, spec):
+    # the family a1*r1 + a2*r2 + a3*r3@theta turns its conoid term only:
+    # unturned rulings measured against a turned r1 would fail it (5.28)
+    code = main(["verify", "--surface", spec, "--checks", "ruling"])
+    err = capsys.readouterr().err
+    term = "r2@theta=-0.3" if "r2" in spec else "r1@theta=0.5"
+    assert code == 2
+    assert err == ("error: ProvenanceMismatch: surface %r is not a term of "
+                   "the family a1*r1 + a2*r2 + a3*r3@theta\n" % term)
+    assert main(["verify", "--surface", "r3@theta=0.5",
+                 "--checks", "ruling"]) == 0
+
+
+@pytest.mark.parametrize("spec, checks", [
+    ("r8@theta=0.7", "biharmonic,stationarity"),
+    ("conv(1*r5@theta=0.7,1*r1)", "biharmonic")])
+def test_field_checks_run_on_every_rotated_block(capsys, spec, checks):
+    # every block's field turns, so no rotated spec lacks a field
+    assert main(["verify", "--surface", spec, "--checks", checks]) == 0
+    assert capsys.readouterr().out.count(": pass") == checks.count(",") + 1
 
 
 def test_three_equal_circles_are_a_degenerate_family(tmp_path, capsys):

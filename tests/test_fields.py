@@ -520,3 +520,83 @@ def test_an_exceptional_paraboloid_is_its_polynomial():
     assert abs(fd_bilaplacian(F, 1.9, -1.7, 2.5e-3)) < 1e-9
     G = dataclasses.replace(F, C=0.4)
     assert G.excluded() == ((0.5, 0.1, 0.0),) and G.monomials() is None
+
+
+# -- turning a stated field about the origin ------------------------------
+
+# one field per stated family: an Arctan term on branch 1, a fold circle
+# off the origin, a quintic, a centre off the origin, and a polynomial
+# whose bilaplacian varies from point to point
+TURNED = [
+    dataclasses.replace(ELLIPTIC, branch=1),
+    dataclasses.replace(HYPERBOLIC, folds=((0.4, -0.3, 1.3),)),
+    PARABOLIC,
+    ExceptionalField(a=0.2, b=-0.5, c=0.6, d=-0.4, A=0.8, B=-0.3, C=0.5,
+                     D=0.9),
+    make_polynomial_field({(2, 2): 1.0, (4, 1): -0.3, (0, 3): 0.7}),
+]
+
+
+def _turn(theta, x, y):
+    """R(theta)·(x, y)."""
+    c, s = math.cos(theta), math.sin(theta)
+    return c * x - s * y, s * x + c * y
+
+
+def _points_about_both_cuts(theta, rng):
+    """Seeded points, and points just either side of the Arctan cut x = 0
+    and of the turned one, R(theta)·{x = 0}."""
+    r = rng.uniform(0.3, 2.5, 200)
+    t = rng.uniform(0.0, 2.0 * math.pi, 200)
+    xs, ys = [r * np.cos(t)], [r * np.sin(t)]
+    along = np.linspace(-2.4, 2.4, 12)
+    for turn in (0.0, theta):
+        for side in (1e-9, -1e-9):
+            x, y = _turn(turn, np.full_like(along, side), along)
+            xs.append(x)
+            ys.append(y)
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+@pytest.mark.parametrize("F", TURNED, ids=lambda F: F.family)
+def test_a_turned_field_is_the_field_at_the_point_turned_back(F):
+    from lagmin.fields import RotatedField
+
+    rng = np.random.default_rng(33)
+    for theta in rng.uniform(-math.pi, math.pi, 4):
+        G = RotatedField(F, theta)
+        assert G.family == F.family and G.guard == F.guard
+        x, y = _points_about_both_cuts(theta, rng)
+        # F∘R(−theta), with R(−theta)·p as the Arctan reads it
+        c, s = math.cos(theta), math.sin(theta)
+        u, v = c * x + s * y, -s * x + c * y
+        ok = G.is_safe(x, y)
+        assert np.array_equal(ok, F.is_safe(u, v)) and ok.sum() > 200
+        x, y, u, v = x[ok], y[ok], u[ok], v[ok]
+        want = F.value(u, v)
+        # measured at most 5.6e-15 (values) and 1.8e-14 (bilaplacians)
+        err = np.abs(G.value(x, y) - want) / (1.0 + np.abs(want))
+        assert err.max() < 1e-13
+        # Δ² is blind to turns; its rounding scales with the 4th derivatives
+        j = F.jet(u, v, 4)
+        scale = (np.abs(j.entry(4, 0)) + 2.0 * np.abs(j.entry(2, 2))
+                 + np.abs(j.entry(0, 4)))
+        diff = np.abs(G.bilaplacian(x, y) - F.bilaplacian(u, v))
+        assert np.max(diff / (1.0 + scale)) < 1e-13
+        want = [(*_turn(theta, cx, cy), rho) for cx, cy, rho in F.excluded()]
+        assert len(G.excluded()) == len(want)
+        assert np.allclose(np.reshape(G.excluded(), (-1, 3)),
+                           np.reshape(want, (-1, 3)), rtol=0.0, atol=1e-15)
+
+
+def test_turning_twice_turns_by_the_sum_and_keeps_the_guard():
+    from lagmin.fields import RotatedField
+
+    F = dataclasses.replace(ELLIPTIC, branch=1)
+    twice = RotatedField(RotatedField(F, 0.4), -1.3)
+    assert twice == RotatedField(F, 0.4 + -1.3)
+    assert twice.inner is F
+    G = RotatedField(F.with_guard(0.3), 0.7)
+    assert G.guard == 0.3
+    assert G.with_guard(0.5) == RotatedField(F.with_guard(0.5), 0.7)
+    assert G.with_guard(0.5).guard == 0.5

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagmin import grammar
-from lagmin.errors import GrammarError, UnknownName
+from lagmin.errors import GrammarError
 from lagmin.fields import (EllipticField, HyperbolicField, PolynomialField,
-                           ScalarField, SumField, sum_fields)
+                           RotatedField, ScalarField, SumField, sum_fields)
 from lagmin.grammar import parse_field, parse_number, parse_surface
 from lagmin.reconstruct import FieldSurface
 from lagmin.surfaces import (
@@ -160,7 +160,9 @@ def test_field_specs_name_coefficients_only(spec):
         parse_field(spec)
 
 
-_ROTATED = [("r3", 0.5), ("r6", -0.7), ("r7", 1.1), ("r9", 0.3), ("r3~", 0.2)]
+# every block, each turned by its own angle
+_ROTATED = list(zip(BLOCK_NAMES, (0.5, -1.1, 0.5, 2.5, 0.7, -0.7, 1.1, 0.7,
+                                  0.3, -2.0, 1.3, -0.4, 0.2, 0.9, -1.6)))
 
 
 @pytest.mark.parametrize("name, theta",
@@ -184,11 +186,14 @@ def test_a_convolution_carries_the_weighted_sum_of_its_fields(guard):
     assert parse_surface(spec, guard=guard).field == sum_fields(terms)
 
 
-def test_a_rotated_block_without_a_closed_rotated_field_says_so():
-    with pytest.raises(UnknownName, match="no closed rotated field"):
-        parse_surface("r1@theta=0.5").field
-    with pytest.raises(UnknownName, match="no closed rotated field"):
-        parse_surface("conv(1*r3, 1*r4@theta=0.5)").field
+def test_a_rotated_spec_carries_the_turned_block_field():
+    # every block turns, r1 and r4 among them, alone or in a convolution
+    field = parse_surface("r1@theta=0.5").field
+    assert isinstance(field, RotatedField)
+    assert field == block_field("r1", 0.5) == RotatedField(block_field("r1"),
+                                                           0.5)
+    assert parse_surface("conv(1*r3, 1*r4@theta=0.5)").field == sum_fields(
+        [(1.0, block_field("r3")), (1.0, block_field("r4", 0.5))])
 
 
 def test_nested_sums_are_split_in_one_pass(monkeypatch):

@@ -158,6 +158,23 @@ def test_arctan_branch_offsets_value_only():
     assert np.max(np.abs(diff)) < EXACT_TOL
 
 
+def test_a_turned_arctan_moves_its_value_only():
+    # at (u, v) = R(-t)·(x, y) the angle is that of (x, y) minus t, up to
+    # whole turns: the derivatives keep their bits and the cut is u = 0
+    x = np.array([1.0, -0.3, 0.2, -1.5, 1e-9, -1e-9])
+    y = np.array([0.4, 1.1, -0.9, -0.2, 0.7, 0.7])
+    t = 0.8
+    c, s = math.cos(t), math.sin(t)
+    turned = jet_arctan_ratio(x, y, 4, branch=1, turn=t).d
+    plain = jet_arctan_ratio(x, y, 4).d
+    assert np.array_equal(turned[1:], plain[1:])
+    assert np.array_equal(turned[0, 1:], plain[0, 1:])
+    assert np.array_equal(turned[0, 0], principal_angle(c * x + s * y,
+                                                        -s * x + c * y) + math.pi)
+    k = (turned[0, 0] - plain[0, 0] + t) / math.pi
+    assert np.max(np.abs(k - np.round(k))) < EXACT_TOL
+
+
 def test_batched_jets_match_per_point():
     # a batch large enough for the in-place product, points one at a time
     # through the rounds product: the same bits

@@ -15,6 +15,7 @@ from lagmin.errors import (
 from lagmin.fields import (
     EllipticField,
     ExceptionalField,
+    HyperbolicField,
     ParabolicField,
     RootQuarticField,
     make_bump_field,
@@ -318,17 +319,78 @@ def test_ruled_frame_table_at_order_4():
         assert np.array_equal(d[i, j], d2[i, j])
 
 
-@pytest.mark.parametrize("name", ["r3", "r6", "r9", "r3~"])
+@pytest.mark.parametrize("name", BLOCK_NAMES)
 def test_rotated_frame_matches_the_rotated_field_at_order_4(name):
-    # these blocks have closed rotated fields, so rotating the frame of the
-    # block must give the reconstruction of the rotated field, entry by entry
-    theta = 0.7
-    u = np.array([0.3, -1.1, 0.8, 1.5])
-    v = np.array([0.9, 0.2, -1.4, 0.6])
-    got = RotatedSurface(building_block(name), theta).frame(u, v, order=4).d
-    want = FieldSurface(block_field(name, theta)).frame(u, v, order=4).d
-    assert got.shape == want.shape == (5, 5, 4, 3)
-    assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-12
+    # rotating the frame of the block must give the reconstruction of the
+    # turned field, entry by entry: at four fixed points (measured at most
+    # 1.2e-13), and at seeded points and just either side of the turned
+    # Arctan cut R(theta)·{x = 0} (measured 4.5e-11 for r5 and 1.8e-11
+    # for r2, both near their singular sets, and at most 1.3e-12 else)
+    bound = 1e-10 if name in ("r2", "r5") else 1e-11
+    rng = np.random.default_rng(33)
+    along = np.linspace(-1.8, 1.8, 10)
+    for theta in (0.7, -1.1, 2.5):
+        c, s = math.cos(theta), math.sin(theta)
+        u = np.concatenate([[0.3, -1.1, 0.8, 1.5], rng.uniform(-2, 2, 400),
+                            c * 1e-9 - s * along, -c * 1e-9 - s * along])
+        v = np.concatenate([[0.9, 0.2, -1.4, 0.6], rng.uniform(-2, 2, 400),
+                            s * 1e-9 + c * along, -s * 1e-9 + c * along])
+        rotated = RotatedSurface(building_block(name), theta)
+        field = FieldSurface(block_field(name, theta))
+        ok = rotated.is_safe(u, v)
+        assert np.array_equal(ok, field.is_safe(u, v))
+        assert ok[:4].all() and ok.sum() > 400
+        got = rotated.frame(u[ok], v[ok], order=4).d
+        want = field.frame(u[ok], v[ok], order=4).d
+        assert got.shape == want.shape == (5, 5, ok.sum(), 3)
+        err = np.max(np.abs(got - want) / (1.0 + np.abs(want)), axis=(0, 1, 3))
+        assert err[:4].max() < 1e-12 and err.max() < bound
+
+
+# The hand-derived rotated fields, in (cos theta, sin theta), that the
+# block table held before `RotatedField` turned every block's terms.
+_K3T = 1.0 / (4.0 * math.sqrt(2.0))
+_HAND_ROTATED = {
+    "r3": lambda c, s: EllipticField(
+        c1=0.5 * s * s, c2=c * s, c3=0.5 * c * c,
+        b1=-0.5 * s * s, b2=-c * s, b3=-0.5 * c * c),
+    "r6": lambda c, s: HyperbolicField(
+        beta3=s, alpha3=c, beta4=s, alpha4=c, alpha1=-2.0 * c,
+        beta1=-2.0 * s, folds=((0.0, 0.0, 1.0),)),
+    "r7": lambda c, s: make_polynomial_field(
+        {(2, 0): 0.5 * c * c, (1, 1): c * s, (0, 2): 0.5 * s * s}),
+    # x^2 y composed with the rotation by -theta
+    "r9": lambda c, s: make_polynomial_field({
+        (3, 0): -c * c * s,
+        (2, 1): c * c * c - 2.0 * c * s * s,
+        (1, 2): 2.0 * c * c * s - s * s * s,
+        (0, 3): c * s * s}),
+    "r3~": lambda c, s: EllipticField(
+        c1=s * s * _K3T, c2=2.0 * c * s * _K3T, c3=c * c * _K3T,
+        b1=-2.0 * s * s * _K3T, b2=-4.0 * c * s * _K3T,
+        b3=-2.0 * c * c * _K3T),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HAND_ROTATED))
+def test_a_turned_block_field_matches_its_hand_derived_form(name):
+    # r3's turned field has the hand form's bits, which the pins of
+    # r3@theta=... read; measured, r3~ has them too, and r6, r7 and r9
+    # agree to 2.3e-15
+    rng = np.random.default_rng(9)
+    u, v = rng.uniform(-2, 2, (2, 200))
+    thetas = np.concatenate([np.linspace(-3, 3, 25), rng.uniform(-4, 4, 24)])
+    for theta in thetas[thetas != 0.0]:
+        got = block_field(name, theta)
+        want = _HAND_ROTATED[name](math.cos(theta), math.sin(theta))
+        ok = got.is_safe(u, v)
+        assert np.array_equal(ok, want.is_safe(u, v))
+        a = got.jet(u[ok], v[ok], 4).d
+        b = want.jet(u[ok], v[ok], 4).d
+        if name == "r3":
+            assert a.tobytes() == b.tobytes(), theta
+        else:
+            assert np.max(np.abs(a - b) / (1.0 + np.abs(b))) < 1e-13, theta
 
 
 _SAFE_OBJECTS = {
